@@ -18,7 +18,10 @@ the partition function, and the type-A anchor identity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+from .identities import known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
 from .models import ModelSpec, build_model, check_strict_partition
 from .states import IceState, enumerate_states, partition_function, state_weight
@@ -429,12 +432,8 @@ def tokuyama_check(lam) -> dict:
     rho = tuple(range(n, 0, -1))
     mu = tuple(a - b for a, b in zip(lam, rho))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
-    t = LaurentPoly.term(1, [(Var.qshared(), 2)])
-    rhs = _x_monomial(tuple(2 * r for r in rho))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rhs = rhs * (ONE + t * LaurentPoly.term(1, [(Var.x(j), 2), (Var.x(i), -2)]))
-    rhs = rhs * schur(n, mu)
+    x_rho = _x_monomial(tuple(2 * r for r in rho))
+    rhs = math.prod(known_factor("A", n, "deformation"), start=x_rho) * schur(n, mu)
     ok = z == rhs
 
     # t = -1 collapses to the classical alternant: q -> i is exact

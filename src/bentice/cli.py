@@ -11,14 +11,16 @@ across runs for a fixed seed, up to the elapsed_ms field.
 Caps default to n <= 4 and lambda_1 <= 8 and can be widened per run with
 --max-n/--max-cols or the BENTICE_MAX_N / BENTICE_MAX_COLS environment
 variables.  --workers fans independent subcases (only present with
---family all) over a process pool; results are merged in a fixed order so
-the report does not depend on scheduling.
+--family all) over a process pool of at most one worker per subcase and
+per CPU; results are merged in a fixed order so the report does not
+depend on scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -83,7 +85,8 @@ def _families(args):
 
 
 def _pool_map(fn, items, workers):
-    if workers and workers > 1:
+    workers = min(workers or 1, len(items), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -1,8 +1,13 @@
 """Global partition-function identities: divisibility, products, symmetry.
 
-The six bent families each come with an explicit factor list, in two
-regimes: symbolic a/b weights ("generic") and the x/t parametrization
-("deformation").  At lambda = rho the factor product IS the partition
+Every factor of Z is a crossing weight of a regular row j against a
+partner row, read from the weight scheme: the later rows k and their bars
+kb, plus per family the central row or j's own bar, the Yang-Baxter train
+argument's R-matrix weights.  The one exception is the bend factor
+a2(j) + i b1(j) of families B and C.  The same table gives the factor
+lists in both regimes (symbolic a/b weights, "generic", and the x/t
+parametrization, "deformation") and, under the shared-t weights, the
+Okada-type products.  At lambda = rho the factor product IS the partition
 function; for larger lambda it divides, with a quotient symmetric under
 the spectral index actions.  Family A is carried along via its own
 deformed-denominator factors (one shared t), whose quotient is the Schur
@@ -15,18 +20,18 @@ the suite itself is broken, and raises.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .laurent import GI, GInt, GRat, LaurentPoly, Var, monomial_sort_key
 from .models import build_model
+from .relations import _crossing
 from .states import partition_function
-from .weights import make_scheme, regular_row_count
+from .weights import WeightScheme, central_label, make_scheme, regular_row_count
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
-
-BENT_FAMILIES = ("B", "Bstar", "C", "Cstar", "D", "BC")
 
 
 class DivisibilityError(ArithmeticError):
@@ -41,80 +46,56 @@ def _v(var):
     return LaurentPoly.var(var)
 
 
-def _pair_factors_generic(j: int, k: int) -> list:
-    a1k, a2j = _v(Var.a1(k)), _v(Var.a2(j))
-    b1j, b2k = _v(Var.b1(j)), _v(Var.b2(k))
-    a2k, b1k = _v(Var.a2(k)), _v(Var.b1(k))
-    return [a1k * a2j + b1j * b2k, a2j * a2k + b1k * b1j]
+# Partner rows of each regular row j besides the later rows k and their
+# bars kb: "short" is the bend factor a2(j) + i b1(j), "c" the central row,
+# "bar" the row's own bar jb.
+_PARTNERS = {"B": ("short",), "Bstar": ("c",), "C": ("short", "c"),
+             "Cstar": ("bar",), "D": (), "BC": ("c", "bar")}
+
+BENT_FAMILIES = tuple(_PARTNERS)
 
 
-def _pair_factors_deformation(j: int, k: int) -> list:
-    def t(idx):
-        return LaurentPoly.term(1, [(Var.q(idx), 2)])
-
-    def x(idx, e=2):
-        return LaurentPoly.term(1, [(Var.x(idx), e)])
-
-    tt = t(j) * t(k)
-    return [ONE - tt * x(j) * x(k, -2), ONE - tt * x(j) * x(k)]
+def _crossing_factors(scheme: WeightScheme) -> list:
+    """Each factor is a crossing weight of a row against a partner row."""
+    m = regular_row_count(scheme.family, scheme.n)
+    central = central_label(scheme.family, scheme.n)
+    factors = []
+    for j in range(1, m + 1):
+        row = str(j)
+        partner_rows = {"c": central, "bar": row + "b"}
+        for partner in _PARTNERS[scheme.family]:
+            if partner == "short":
+                w = scheme.row_weights(row)
+                factors.append(w["a2"] + I * w["b1"])
+            else:
+                factors.append(_crossing(scheme, row, partner_rows[partner]))
+    for j in range(1, m + 1):
+        for k in range(j + 1, m + 1):
+            factors.append(_crossing(scheme, str(j), str(k)))
+            factors.append(_crossing(scheme, str(j), str(k) + "b"))
+    return factors
 
 
 def known_factor(family: str, n: int, regime: str, lambda_has_1: bool = True) -> list:
     """The stated factor list for Z of the family, as exact polynomials.
 
-    Family D without a part 1 is Cstar^(lambda - 1) with its columns
-    relabelled (see characters.character_theorem_check): Cstar's list.
+    Each bent family's factors are crossing weights under the regime's
+    scheme (see _crossing_factors).  Family D without a part 1 is
+    Cstar^(lambda - 1) with its columns relabelled (see
+    characters.character_theorem_check): Cstar's list.  Family A has only
+    the deformed type-A denominator.
     """
     if regime not in ("generic", "deformation"):
         raise ValueError(f"unknown regime {regime!r}")
+    if family == "A":
+        if regime == "generic":
+            raise ValueError("family A has no generic factor list")
+        return _type_a_factors(n)
     if family == "D" and not lambda_has_1:
         family = "Cstar"
-    if family == "A":
-        return _type_a_factors(n)
-    if family not in BENT_FAMILIES:
+    if family not in _PARTNERS:
         raise ValueError(f"no factor list for family {family!r}")
-    m = regular_row_count(family, n)
-    gen = regime == "generic"
-    factors: list = []
-
-    def t(idx):
-        return LaurentPoly.term(1, [(Var.q(idx), 2)])
-
-    def x(idx, e=2):
-        return LaurentPoly.term(1, [(Var.x(idx), e)])
-
-    for j in range(1, m + 1):
-        a2j, b1j = _v(Var.a2(j)), _v(Var.b1(j))
-        if family == "B":
-            factors.append(a2j + I * b1j if gen else ONE - t(j) * x(j))
-        elif family == "Bstar":
-            a0, b0 = _v(Var.a0(0)), _v(Var.b0(0))
-            factors.append(a0 * a2j + b1j * b0 if gen
-                           else ONE - t(0) * t(j) * x(0) * x(j))
-        elif family == "C":
-            a0, b0 = _v(Var.a0(0)), _v(Var.b0(0))
-            if gen:
-                factors.append(a2j + I * b1j)
-                factors.append(a0 * a2j + b1j * b0)
-            else:
-                factors.append(ONE - t(j) * x(j))
-                factors.append(ONE - t(j) * t(0) * x(0) * x(j))
-        elif family == "Cstar":
-            factors.append(a2j * a2j + b1j * b1j if gen
-                           else ONE - t(j) * t(j) * x(j) * x(j))
-        elif family == "BC":
-            an, bn = _v(Var.a0(n)), _v(Var.b0(n))
-            if gen:
-                factors.append(an * a2j + b1j * bn)
-                factors.append(a2j * a2j + b1j * b1j)
-            else:
-                factors.append(ONE - t(n) * t(j) * x(n) * x(j))
-                factors.append(ONE - t(j) * t(j) * x(j) * x(j))
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            factors.extend(_pair_factors_generic(j, k) if gen
-                           else _pair_factors_deformation(j, k))
-    return factors
+    return _crossing_factors(make_scheme(regime, family, n))
 
 
 def _type_a_factors(n: int) -> list:
@@ -131,8 +112,9 @@ def _type_a_factors(n: int) -> list:
     return factors
 
 
-def _x_rho_shift(n: int) -> LaurentPoly:
-    return LaurentPoly.term(1, [(Var.x(j), -2 * (n + 1 - j)) for j in range(1, n + 1)])
+def _x_rho_shift(n: int, sign: int = -1) -> LaurentPoly:
+    """The monomial x^(sign * rho), rho = (n, ..., 1)."""
+    return LaurentPoly.term(1, [(Var.x(j), sign * 2 * (n + 1 - j)) for j in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -178,10 +160,6 @@ def spectral_actions(family: str, n: int) -> list:
 # divisibility
 
 
-def _eval_gauss(p: LaurentPoly, point: dict) -> GRat:
-    return p.evaluate(point)
-
-
 def _random_point(variables, rng: random.Random) -> dict:
     pool = [GInt(a, b) for a in range(-3, 4) for b in range(-3, 4)
             if (a, b) != (0, 0)]
@@ -209,10 +187,10 @@ def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
     done = 0
     while done < trials:
         point = _random_point(variables, rng)
-        dval = _eval_gauss(dc, point)
+        dval = dc.evaluate(point)
         if dval.is_zero():
             continue
-        nval = _eval_gauss(nc, point)
+        nval = nc.evaluate(point)
         # both values are Gaussian integers since the cleared polys are plain
         n_int = GInt(int(nval.re), int(nval.im))
         d_int = GInt(int(dval.re), int(dval.im))
@@ -230,12 +208,9 @@ def divisibility_check(family: str, lam, regime: str,
     leaves a remainder (which would refute the identity at this instance).
     """
     spec = build_model(family, lam)
-    scheme_name = "generic" if regime == "generic" else (
-        "tokuyama" if family == "A" else "deformation")
-    scheme = make_scheme(scheme_name, family, spec.n)
-    z = partition_function(spec, scheme)
     factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
     factors = sorted(factors, key=lambda f: monomial_sort_key(f.leading()[0]))
+    z = partition_function(spec, make_scheme(regime, family, spec.n))
     rng = random.Random(seed)
     quotient = z
     for f in factors:
@@ -272,16 +247,15 @@ def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
 
 
 def rho_check(family: str, n: int, regime: str) -> dict:
-    """At lambda = rho the divisibility is equality: Z == product."""
+    """At lambda = rho the divisibility is equality: Z == product.
+
+    For family A the product also carries the monomial x^rho.
+    """
     rho = list(range(n, 0, -1))
     spec = build_model(family, rho)
-    scheme_name = "generic" if regime == "generic" else (
-        "tokuyama" if family == "A" else "deformation")
-    scheme = make_scheme(scheme_name, family, n)
-    z = partition_function(spec, scheme)
-    product = ONE
-    for f in known_factor(family, n, regime, lambda_has_1=True):
-        product = product * f
+    factors = known_factor(family, n, regime)
+    z = partition_function(spec, make_scheme(regime, family, n))
+    product = math.prod(factors, start=_x_rho_shift(n, 1) if family == "A" else ONE)
     ok = z == product
     return {"ok": ok, "z": z, "product": product}
 
@@ -291,50 +265,13 @@ def rho_check(family: str, n: int, regime: str) -> dict:
 
 
 def okada_products(family: str, n: int) -> LaurentPoly:
-    """Published deformed-denominator product, with t carried as q**2."""
-    t = LaurentPoly.term(1, [(Var.qshared(), 2)])
+    """Published deformed-denominator product, with t carried as q**2.
 
-    def x(idx, e=2):
-        return LaurentPoly.term(1, [(Var.x(idx), e)])
-
-    out = ONE
-    if family == "B":
-        for j in range(1, n + 1):
-            out = out * (ONE - t * x(j))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (ONE - t * t * x(j) * x(k, -2)) * (ONE - t * t * x(j) * x(k))
-    elif family == "Bstar":
-        for j in range(1, n + 1):
-            out = out * (ONE + t * x(j))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (ONE + t * x(j) * x(k, -2)) * (ONE + t * x(j) * x(k))
-    elif family == "C":
-        for j in range(1, n + 1):
-            out = out * (ONE - t * x(j)) * (ONE + t * t * x(j))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (ONE - t * t * x(j) * x(k, -2)) * (ONE - t * t * x(j) * x(k))
-    elif family == "Cstar":
-        for j in range(1, n + 1):
-            out = out * (ONE + t * x(j, 4))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (ONE + t * x(j) * x(k, -2)) * (ONE + t * x(j) * x(k))
-    elif family == "D":
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (ONE + t * x(j) * x(k, -2)) * (ONE + t * x(j) * x(k))
-    elif family == "BC":
-        for j in range(1, n):
-            out = out * (ONE + t * x(j)) * (ONE + t * x(j, 4))
-        for j in range(1, n):
-            for k in range(j + 1, n):
-                out = out * (ONE + t * x(j) * x(k, -2)) * (ONE + t * x(j) * x(k))
-    else:
+    The same crossing factors as known_factor, under the shared-t weights.
+    """
+    if family not in _PARTNERS:
         raise ValueError(f"no okada product for family {family!r}")
-    return out
+    return math.prod(_crossing_factors(make_scheme("okada", family, n)), start=ONE)
 
 
 def okada_product_check(family: str, n: int) -> dict:

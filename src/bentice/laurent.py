@@ -440,9 +440,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(): GONE}
-
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
@@ -639,9 +636,6 @@ def _render_coeff(c: GInt, has_body: bool) -> str:
 
 
 _ZERO = LaurentPoly({})
-
-ONE = LaurentPoly.const(1)
-I_POLY = LaurentPoly.const(GI)
 
 
 def gpow_i(k: int) -> GInt:

@@ -21,7 +21,6 @@ orientations are fixed by the partition:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,12 +100,6 @@ class ModelSpec:
     def vertex_count(self) -> int:
         """Tetravalent vertices only; bends and corners excluded."""
         return len(self.vertices)
-
-    def row_cols(self, row: RowLabel) -> tuple:
-        cols = list(self.full_cols)
-        if self.half_col is not None and row in self.half_rows:
-            cols.append(self.half_col)
-        return tuple(cols)
 
     def to_json(self) -> dict:
         return {
@@ -269,7 +262,3 @@ def build_model(family: str, lam_parts) -> ModelSpec:
         boundary=boundary,
         edges=tuple(sorted(edge_set, key=_edge_name)),
     )
-
-
-def model_json(spec: ModelSpec) -> str:
-    return json.dumps(spec.to_json(), indent=2, sort_keys=False)

@@ -81,6 +81,11 @@ def cross_weights(wj: dict, wk: dict) -> dict:
     }
 
 
+def _crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
+    """Crossing weight of rows j and k with both arrows in at NW and SW."""
+    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
+
+
 def local_z(units, fixed: dict, w: LocalWeights) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
     graph = make_graph(units, fixed)
@@ -223,12 +228,13 @@ def _fish_sides(scheme: WeightScheme, j: int, variant: str):
 
 
 def fish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
-    r = scheme.row_weights(str(j))
+    jl, jb = str(j), str(j) + "b"
     if variant == "B":
+        r = scheme.row_weights(jl)
         return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"])
     if variant == "Cstar_D_no1":
-        return r["a2"] * r["a2"] + r["b1"] * r["b1"]
-    return r["a1"] * r["a1"] + r["b2"] * r["b2"]
+        return _crossing(scheme, jl, jb)
+    return _crossing(scheme, jb, jl)
 
 
 def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
@@ -282,16 +288,15 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
 
 
 def jellyfish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
-    r = scheme.row_weights(str(j))
+    jl, jb = str(j), str(j) + "b"
     star = "0" if variant in ("C", "Bstar") else str(scheme.n)
-    a0 = scheme.vertex_weight("a1", star)
-    b0 = scheme.vertex_weight("b1", star)
-    pair = (a0 * r["a2"] + r["b1"] * b0) * (r["a1"] * a0 + b0 * r["b2"])
+    pair = _crossing(scheme, jl, star) * _crossing(scheme, jb, star)
     if variant == "C":
+        r = scheme.row_weights(jl)
         return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"]) * pair
     if variant == "Bstar":
-        return pair * (r["a1"] * r["a1"] + r["b2"] * r["b2"])
-    return pair * (r["a2"] * r["a2"] + r["b1"] * r["b1"])
+        return pair * _crossing(scheme, jb, jl)
+    return pair * _crossing(scheme, jl, jb)
 
 
 def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:

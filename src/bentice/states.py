@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .laurent import LaurentPoly
-from .models import ModelSpec, build_model
+from .models import ModelSpec
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_COLS = 8
@@ -293,10 +293,6 @@ def partition_function(spec: ModelSpec, scheme, states=None) -> LaurentPoly:
     for s in states:
         total = total + state_weight(s, scheme)
     return total
-
-
-def state_count(family: str, lam) -> int:
-    return len(enumerate_states(build_model(family, lam)))
 
 
 # ---------------------------------------------------------------------------

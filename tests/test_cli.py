@@ -96,6 +96,18 @@ class TestExitCodes:
         code, _ = invoke(capsys, "partition", "--family", "B")
         assert code == EXIT_INPUT
 
+    def test_family_a_generic_divisibility_is_input_error(self, capsys):
+        code, report = invoke(capsys, "verify", "divisibility", "--family", "A",
+                              "--lambda", "3,1", "--scheme", "generic")
+        assert code == EXIT_INPUT
+        assert report["error"] == "family A has no generic factor list"
+
+    def test_family_a_rho_is_input_error(self, capsys):
+        # verify rho runs both regimes, and only the deformation one has a list
+        code, report = invoke(capsys, "verify", "rho", "--family", "A", "--n", "2")
+        assert code == EXIT_INPUT
+        assert report["error"] == "family A has no generic factor list"
+
     def test_verification_failure_is_exit_2(self, capsys, monkeypatch):
         # lambda with a repeated part is an input error, and every shipped
         # check holds on every valid input: make the character check fail
@@ -129,3 +141,43 @@ class TestDeterminism:
             report.pop("elapsed_ms")
             outs.add(json.dumps(report))
         assert len(outs) == 1
+
+
+class PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    def test_pool_size_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+        monkeypatch.setattr(PoolRecorder, "sizes", [])
+        items = [-1, -2, -3]
+        for cpus in (8, 2, None):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert cli._pool_map(abs, items, 64) == [1, 2, 3]
+        # three items on eight CPUs, then two CPUs; no pool when the CPU count is unknown
+        assert PoolRecorder.sizes == [3, 2]
+
+    def test_verify_clamps_to_the_subcases(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+        monkeypatch.setattr(PoolRecorder, "sizes", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        code, report = invoke(capsys, "verify", "okada", "--family", "all",
+                              "--n", "1", "--workers", "1000")
+        assert code == EXIT_PASS
+        assert PoolRecorder.sizes == [6]
+        assert report["inputs"]["workers"] == 1000

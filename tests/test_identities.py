@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from bentice import identities
 from bentice.identities import (
     DivisibilityError, IndexAction, divisibility_check, known_factor,
     okada_product_check, okada_products, probabilistic_divides,
@@ -10,7 +13,7 @@ from bentice.identities import (
 from bentice.laurent import GI, LaurentPoly, Var
 from bentice.models import build_model
 from bentice.states import partition_function
-from bentice.weights import make_generic, make_scheme
+from bentice.weights import make_generic, make_tokuyama
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -26,6 +29,144 @@ def x(j, e=2):
 
 def v(var):
     return LaurentPoly.var(var)
+
+
+def sha256(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# sha256 of json.dumps([f.to_json() for f in known_factor(*key)]), recorded
+# from the per-family factor ladders that the partner-row table replaced
+FACTOR_DIGESTS = {
+    ("B", 1, "generic", True): "83e9ce9a31a2b93d3f69808602491986d96287f150779841f056e5a25b9e1d15",
+    ("B", 1, "generic", False): "83e9ce9a31a2b93d3f69808602491986d96287f150779841f056e5a25b9e1d15",
+    ("B", 1, "deformation", True): "1c84b8b0097476a0a83e18bde1a0cfc7a84a98f7f54b3323469110e6bd00d844",
+    ("B", 1, "deformation", False): "1c84b8b0097476a0a83e18bde1a0cfc7a84a98f7f54b3323469110e6bd00d844",
+    ("B", 2, "generic", True): "4fc16d059950a26745f156ff2853605ce38d6bb39888b4e49466e2ed2f9bdcb6",
+    ("B", 2, "generic", False): "4fc16d059950a26745f156ff2853605ce38d6bb39888b4e49466e2ed2f9bdcb6",
+    ("B", 2, "deformation", True): "86cc0d634d6d632113d87762d6d66acc5c678f94ce7d96aed6482db2c91ce232",
+    ("B", 2, "deformation", False): "86cc0d634d6d632113d87762d6d66acc5c678f94ce7d96aed6482db2c91ce232",
+    ("B", 3, "generic", True): "51ab6fef3226d69c385d7d6c25e80be6bf7d1c34f9abd1f07e11cb8b6f7883bd",
+    ("B", 3, "generic", False): "51ab6fef3226d69c385d7d6c25e80be6bf7d1c34f9abd1f07e11cb8b6f7883bd",
+    ("B", 3, "deformation", True): "008d9155d686971afbeb42bb9f66d43b8e03ecb6a86463d2c24969d3e7b833c4",
+    ("B", 3, "deformation", False): "008d9155d686971afbeb42bb9f66d43b8e03ecb6a86463d2c24969d3e7b833c4",
+    ("B", 4, "generic", True): "dc983d1b0f9a0b0c7449dcc34a33973e350ee2abfdfcd878217e73b3b37210cd",
+    ("B", 4, "generic", False): "dc983d1b0f9a0b0c7449dcc34a33973e350ee2abfdfcd878217e73b3b37210cd",
+    ("B", 4, "deformation", True): "fbc4038a0810a2ab39ec2984212f5021f00901f02e1b20ac174afd6439fc02db",
+    ("B", 4, "deformation", False): "fbc4038a0810a2ab39ec2984212f5021f00901f02e1b20ac174afd6439fc02db",
+    ("Bstar", 1, "generic", True): "869215b323ddac590173a883b754861d4474f29666709e043c284160296f6488",
+    ("Bstar", 1, "generic", False): "869215b323ddac590173a883b754861d4474f29666709e043c284160296f6488",
+    ("Bstar", 1, "deformation", True): "43d3c1455ec03d0e1bd6a4c0755a4bc6cdf54dba0b26bddd376f1f5196526b46",
+    ("Bstar", 1, "deformation", False): "43d3c1455ec03d0e1bd6a4c0755a4bc6cdf54dba0b26bddd376f1f5196526b46",
+    ("Bstar", 2, "generic", True): "42a26e87d440c1444ddb4007a7f1cb065ef5d97c0982121680b9b3d7b53223b5",
+    ("Bstar", 2, "generic", False): "42a26e87d440c1444ddb4007a7f1cb065ef5d97c0982121680b9b3d7b53223b5",
+    ("Bstar", 2, "deformation", True): "0f15ab4d2d065b71e6f57f0fd90681e6790f0e38ff82c84fd950870b1053126a",
+    ("Bstar", 2, "deformation", False): "0f15ab4d2d065b71e6f57f0fd90681e6790f0e38ff82c84fd950870b1053126a",
+    ("Bstar", 3, "generic", True): "de2ed77772fbc9b2e6ffe0c2f8d9d94613f06ffb6a15772efc6b87a946d0d419",
+    ("Bstar", 3, "generic", False): "de2ed77772fbc9b2e6ffe0c2f8d9d94613f06ffb6a15772efc6b87a946d0d419",
+    ("Bstar", 3, "deformation", True): "f8e13d04ee97023d8da8cfcdccb470b5055fb44b81fec1ba991d0fc95feaeeba",
+    ("Bstar", 3, "deformation", False): "f8e13d04ee97023d8da8cfcdccb470b5055fb44b81fec1ba991d0fc95feaeeba",
+    ("Bstar", 4, "generic", True): "ca1afdd2aeca4eff4579fd202cad59e763147b5a9d2964cc91170455fce877f9",
+    ("Bstar", 4, "generic", False): "ca1afdd2aeca4eff4579fd202cad59e763147b5a9d2964cc91170455fce877f9",
+    ("Bstar", 4, "deformation", True): "971dbf34cd10b30823b241cb41ccf3f0808e23029602d673a51f50a66715a447",
+    ("Bstar", 4, "deformation", False): "971dbf34cd10b30823b241cb41ccf3f0808e23029602d673a51f50a66715a447",
+    ("C", 1, "generic", True): "dc13d4b4b3d7db24db0f8cebb2a7f38e6ed01e4ced12b49b832f97c8536f3d1a",
+    ("C", 1, "generic", False): "dc13d4b4b3d7db24db0f8cebb2a7f38e6ed01e4ced12b49b832f97c8536f3d1a",
+    ("C", 1, "deformation", True): "b7989e0f2ed944fd73850be19b7c09badb9612a43fe092566f037d7d59ea516d",
+    ("C", 1, "deformation", False): "b7989e0f2ed944fd73850be19b7c09badb9612a43fe092566f037d7d59ea516d",
+    ("C", 2, "generic", True): "72a0835d06ff7ce23df8658740281c11a16fdabac4241b3c923a4066671df6e1",
+    ("C", 2, "generic", False): "72a0835d06ff7ce23df8658740281c11a16fdabac4241b3c923a4066671df6e1",
+    ("C", 2, "deformation", True): "70c04e56e66476de958baa95e6dd068112d79ffb75099e9e2a069abc75f8bbca",
+    ("C", 2, "deformation", False): "70c04e56e66476de958baa95e6dd068112d79ffb75099e9e2a069abc75f8bbca",
+    ("C", 3, "generic", True): "a156928450603ba90089ae5007b96c578e2511ac6ce72ead6a22d63818029ff3",
+    ("C", 3, "generic", False): "a156928450603ba90089ae5007b96c578e2511ac6ce72ead6a22d63818029ff3",
+    ("C", 3, "deformation", True): "990a67e67789610a5ed3e86f060e29c5a7d6accc4e864af1186c46b99d63805f",
+    ("C", 3, "deformation", False): "990a67e67789610a5ed3e86f060e29c5a7d6accc4e864af1186c46b99d63805f",
+    ("C", 4, "generic", True): "83ccbde039581e2c58de0722477a9496be952e4e2dc81a09804feffaf2f022c3",
+    ("C", 4, "generic", False): "83ccbde039581e2c58de0722477a9496be952e4e2dc81a09804feffaf2f022c3",
+    ("C", 4, "deformation", True): "54ed260dffaee49b84625bf03fb9abe94d93057845ae19d657e81db53116a561",
+    ("C", 4, "deformation", False): "54ed260dffaee49b84625bf03fb9abe94d93057845ae19d657e81db53116a561",
+    ("Cstar", 1, "generic", True): "6545ee388ab7021411d043c863674eb2042259e05718bd3f2585afb5e59dc082",
+    ("Cstar", 1, "generic", False): "6545ee388ab7021411d043c863674eb2042259e05718bd3f2585afb5e59dc082",
+    ("Cstar", 1, "deformation", True): "4baa1e9be365ec0f507e48b08109acc2a88433ad12dc844301bc9a6a4a8eab6e",
+    ("Cstar", 1, "deformation", False): "4baa1e9be365ec0f507e48b08109acc2a88433ad12dc844301bc9a6a4a8eab6e",
+    ("Cstar", 2, "generic", True): "21483e391b0c46359afa68fc82cc35de497178ecc2edfb25e6cfbde912b95b1b",
+    ("Cstar", 2, "generic", False): "21483e391b0c46359afa68fc82cc35de497178ecc2edfb25e6cfbde912b95b1b",
+    ("Cstar", 2, "deformation", True): "9bb9f409877058c1c5bf4ffb74bd80e21e910712ea40171895261c5cf772e248",
+    ("Cstar", 2, "deformation", False): "9bb9f409877058c1c5bf4ffb74bd80e21e910712ea40171895261c5cf772e248",
+    ("Cstar", 3, "generic", True): "fc79c63632a5cad58427e64dcd1535f8136227ecbb72894840ea9e9a7c22c637",
+    ("Cstar", 3, "generic", False): "fc79c63632a5cad58427e64dcd1535f8136227ecbb72894840ea9e9a7c22c637",
+    ("Cstar", 3, "deformation", True): "3bfd2f66fe9303444a20ce6a360c948e7cf4c320610c11b807eafe06a24271ef",
+    ("Cstar", 3, "deformation", False): "3bfd2f66fe9303444a20ce6a360c948e7cf4c320610c11b807eafe06a24271ef",
+    ("Cstar", 4, "generic", True): "786be0ddd2dc37c9d71000a2fc24b29d7feee51ca5715fd9913d53152aad7ff7",
+    ("Cstar", 4, "generic", False): "786be0ddd2dc37c9d71000a2fc24b29d7feee51ca5715fd9913d53152aad7ff7",
+    ("Cstar", 4, "deformation", True): "8482b466b5c42ea1bc88846e0999ab9b1f911d383c5df0812f67bcc661bd1dbe",
+    ("Cstar", 4, "deformation", False): "8482b466b5c42ea1bc88846e0999ab9b1f911d383c5df0812f67bcc661bd1dbe",
+    ("D", 1, "generic", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("D", 1, "generic", False): "6545ee388ab7021411d043c863674eb2042259e05718bd3f2585afb5e59dc082",
+    ("D", 1, "deformation", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("D", 1, "deformation", False): "4baa1e9be365ec0f507e48b08109acc2a88433ad12dc844301bc9a6a4a8eab6e",
+    ("D", 2, "generic", True): "97b2aa73d4ca4f5423315851ecbfd85af491337860db22b0cadc8e2989db6550",
+    ("D", 2, "generic", False): "21483e391b0c46359afa68fc82cc35de497178ecc2edfb25e6cfbde912b95b1b",
+    ("D", 2, "deformation", True): "6c21ef9583f1c472ccad6884ab25d349ade6896ecf8bf57f751eaebb2af71523",
+    ("D", 2, "deformation", False): "9bb9f409877058c1c5bf4ffb74bd80e21e910712ea40171895261c5cf772e248",
+    ("D", 3, "generic", True): "5908bdc72fef03ae9f8798a177c3b1f3b8cddb5245b164e99e20e44965f32672",
+    ("D", 3, "generic", False): "fc79c63632a5cad58427e64dcd1535f8136227ecbb72894840ea9e9a7c22c637",
+    ("D", 3, "deformation", True): "9350e0de89f885afc5eff97ddbb9d3a507876ba4752c20512345c7e928f8533b",
+    ("D", 3, "deformation", False): "3bfd2f66fe9303444a20ce6a360c948e7cf4c320610c11b807eafe06a24271ef",
+    ("D", 4, "generic", True): "ddc3f0fd28fb4a8d07ab1401e03f94cd77216615aaa8b901b491eae9c38ac378",
+    ("D", 4, "generic", False): "786be0ddd2dc37c9d71000a2fc24b29d7feee51ca5715fd9913d53152aad7ff7",
+    ("D", 4, "deformation", True): "80ab84d9e50fb2232d10982ce21477252edadbbf7e9f7021be94f3fa1b9aa79a",
+    ("D", 4, "deformation", False): "8482b466b5c42ea1bc88846e0999ab9b1f911d383c5df0812f67bcc661bd1dbe",
+    ("BC", 1, "generic", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("BC", 1, "generic", False): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("BC", 1, "deformation", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("BC", 1, "deformation", False): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("BC", 2, "generic", True): "3bb09ee0ea3fcaea6decfa658b442579503d9d881d94bea28f96321ffdeddea0",
+    ("BC", 2, "generic", False): "3bb09ee0ea3fcaea6decfa658b442579503d9d881d94bea28f96321ffdeddea0",
+    ("BC", 2, "deformation", True): "38c54a30d0b902c72de89b9150bebbf050ecbcea8161038c2122257eacbfd9c1",
+    ("BC", 2, "deformation", False): "38c54a30d0b902c72de89b9150bebbf050ecbcea8161038c2122257eacbfd9c1",
+    ("BC", 3, "generic", True): "f1bd3fff6724f88db5b7f9ade1e30961b4bf06db255709ce22c2a64f8696be90",
+    ("BC", 3, "generic", False): "f1bd3fff6724f88db5b7f9ade1e30961b4bf06db255709ce22c2a64f8696be90",
+    ("BC", 3, "deformation", True): "4c396f58ee3bc1851284df4b5770aa56c26078bd2e15da8f3e2a5d9693658e27",
+    ("BC", 3, "deformation", False): "4c396f58ee3bc1851284df4b5770aa56c26078bd2e15da8f3e2a5d9693658e27",
+    ("BC", 4, "generic", True): "4508ce27f6ae2069126e307468dd8e7c59850f0e76b84e4bcab99b3d615af3d9",
+    ("BC", 4, "generic", False): "4508ce27f6ae2069126e307468dd8e7c59850f0e76b84e4bcab99b3d615af3d9",
+    ("BC", 4, "deformation", True): "6c5e6679b347127418990af43bb931cea67683acb7a61484669298edf3f5f5b5",
+    ("BC", 4, "deformation", False): "6c5e6679b347127418990af43bb931cea67683acb7a61484669298edf3f5f5b5",
+    ("A", 1, "deformation", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("A", 2, "deformation", True): "f80d4402e09cd45ab4df5bc5f1b14f598d14ea52900f45ef93bac8fc4ecaec8e",
+    ("A", 3, "deformation", True): "9e4c239bef7ddf331435b9c4c9dcb1efb320be6c656de9700b00e48938923419",
+    ("A", 4, "deformation", True): "41e20878070335ffc902619cb728ec01a3c194ebf4a52e2ef7a113705d870ba4",
+}
+
+# sha256 of json.dumps(okada_products(*key).to_json()), same provenance
+OKADA_DIGESTS = {
+    ("B", 1): "728dcf62e3261a822cd158ab5da131cda25409e92b533c4b63553e252c94143c",
+    ("B", 2): "3d494eadecf185caeee9a28279568fa3a4f275c567b447a2a061d93fd368e69d",
+    ("B", 3): "e3d94c784eb43a5fde8640b962074e26ac1a01f60c2327a6801134d4e7efe6e7",
+    ("B", 4): "299bb50d64f291b08670c8af86f7923113619aadbb386f8760c7b51862737ef0",
+    ("Bstar", 1): "97df75e0205b5ab6f75f1db5e67a0d4203130dd0fc731cf5ca0653844fce322d",
+    ("Bstar", 2): "ea09749a3cdf6bec4238bba675330758aa3e92afdf2c2df0874a9767713a802e",
+    ("Bstar", 3): "ff5f38cd64f3c56700ade9db808cce1b8d1dbd937258d209e85c6e9c4b66762c",
+    ("Bstar", 4): "ec7cc38ef45164808ebf7f59abaad861ee499f68ab65861e811944c4f289e720",
+    ("C", 1): "ee947293ddaa0828c087a331b31c5c32f9cf0ec8e29898a4bd65c8b9e8a262d6",
+    ("C", 2): "adabb044ba8a9397c899f07c3c0b48bc54f18030730d7b7c2796e46c1d3efd87",
+    ("C", 3): "9bf1f1e94e6a68dfcc5921abafc2c9404200c34366e062cd5040e162cda23c0e",
+    ("C", 4): "6fd6a07e96b2895c93f2ff92b36154933f0bdf79cd9d2d77c7acb4f332ba2444",
+    ("Cstar", 1): "1ad658ddce8c40894f0f2062ddd0650c44863e63665c01e3cb5ecfa860ffa70b",
+    ("Cstar", 2): "c7dd0c98d8ebcae711d531a7df5115fecb0136eebe13de56e78fe020348c2b85",
+    ("Cstar", 3): "ae21814ea569725469f0571de05ac50a08715495710f13354a1d5ad5110fc766",
+    ("Cstar", 4): "dfdccef13420498fc4f6d50f5618dc3e2a4cb453aef79b4ec8e352ceb2635277",
+    ("D", 1): "877ef8d7c8f9cd9d9bee569c47566a5c8976c50bb1ffe170e0ccfbbadf3fbf52",
+    ("D", 2): "17db30effb67cbd50961cc56d1fbc9859843b4666c20a4bc92d436e603938bfe",
+    ("D", 3): "c7fc80d44d33d9deaf4b711df57e6b188f9086461fa1f577232aef46db3f4d6d",
+    ("D", 4): "1e8f55f67b0bf70d7840cc6c04fcca595b1889541ea8a642372350853f6ab6fd",
+    ("BC", 1): "877ef8d7c8f9cd9d9bee569c47566a5c8976c50bb1ffe170e0ccfbbadf3fbf52",
+    ("BC", 2): "92016486ecc9aab27f5aad6e73bdc062acfcee0e578df7d8a9287533e7a5d376",
+    ("BC", 3): "208e5fbd72af1949bca412adb0d994328c19f314248e48e6ee2392014293c63a",
+    ("BC", 4): "fc6bb455fe1f017b2366b71bd0a4eae43669296c19678290fe969de700abd22b",
+}
 
 
 class TestKnownFactor:
@@ -49,6 +190,14 @@ class TestKnownFactor:
         factors = known_factor("BC", 2, "deformation")
         assert factors == [ONE - t(2) * t(1) * x(2) * x(1), ONE - t(1) * t(1) * x(1, 4)]
 
+    def test_family_a_has_no_generic_factor_list(self):
+        with pytest.raises(ValueError, match="family A has no generic factor list"):
+            known_factor("A", 2, "generic")
+
+    @pytest.mark.parametrize("key", FACTOR_DIGESTS, ids=lambda k: "-".join(map(str, k)))
+    def test_factor_list_golden(self, key):
+        assert sha256([f.to_json() for f in known_factor(*key)]) == FACTOR_DIGESTS[key]
+
     def test_b_factor_degree_bookkeeping(self):
         # generic factor product at rho is homogeneous of degree 2n^2 - n
         for n in (1, 2, 3):
@@ -65,6 +214,19 @@ class TestRhoEqualities:
     @pytest.mark.parametrize("regime", ["generic", "deformation"])
     def test_n2(self, family, regime):
         assert rho_check(family, 2, regime)["ok"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_type_a_includes_x_rho(self, n):
+        # Z(A^rho) = x^rho prod_{i<j} (1 + t x_j/x_i), rho = (n, ..., 1)
+        tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
+        want = LaurentPoly.term(1, [(Var.x(j), 2 * (n + 1 - j)) for j in range(1, n + 1)])
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                want = want * (ONE + tq * x(j) * x(i, -2))
+        rho = list(range(n, 0, -1))
+        assert partition_function(build_model("A", rho), make_tokuyama(n)) == want
+        r = rho_check("A", n, "deformation")
+        assert r["ok"] and r["product"] == want
 
     @pytest.mark.parametrize("family", ["B", "D"])
     def test_n3_fast_families(self, family):
@@ -148,6 +310,10 @@ class TestOkada:
     def test_d_n1_empty_product(self):
         assert okada_products("D", 1) == ONE
 
+    @pytest.mark.parametrize("key", OKADA_DIGESTS, ids=lambda k: "-".join(map(str, k)))
+    def test_product_golden(self, key):
+        assert sha256(okada_products(*key).to_json()) == OKADA_DIGESTS[key]
+
     @pytest.mark.parametrize("family", ["B", "Bstar", "C", "Cstar", "D", "BC"])
     def test_check_n2(self, family):
         assert okada_product_check(family, 2)["ok"]
@@ -167,11 +333,12 @@ class TestProbabilisticPreCheck:
         ok, point = probabilistic_divides(num, x(1) + x(2), rng)
         assert ok and point is None
 
-    def test_division_failure_raises(self):
-        # divide by a factor that is not there
-        with pytest.raises(DivisibilityError):
-            spec = build_model("B", [2, 1])
-            z = partition_function(spec, make_scheme("deformation", "B", 2))
-            bad_factor = ONE - t(1) * t(1) * x(1)
-            if z.exact_divide(bad_factor) is None:
-                raise DivisibilityError("expected")
+    def test_division_failure_raises(self, monkeypatch):
+        # state a factor that is not there
+        bad_factor = ONE - t(1) * t(1) * x(1)
+        real = identities.known_factor
+        monkeypatch.setattr(identities, "known_factor",
+                            lambda *args, **kwargs: real(*args, **kwargs) + [bad_factor])
+        with pytest.raises(DivisibilityError) as exc:
+            divisibility_check("B", [2, 1], "deformation")
+        assert f"factor {bad_factor.to_latex()} does not divide" in str(exc.value)
