@@ -28,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .asm import bijection_check, matrix_text, okada_stats, state_to_matrix
 from .characters import character_theorem_check, family_character, tokuyama_check
 from .identities import (
-    BENT_FAMILIES, DivisibilityError, divisibility_check, okada_product_check,
-    quotient_symmetry_check, rho_check,
+    BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
+    okada_product_check, quotient_symmetry_check, rho_check,
 )
 from .models import FAMILIES, ModelError, build_model
 from .relations import (
@@ -38,7 +38,7 @@ from .relations import (
 from .states import (
     EnumerationCapError, enumerate_states, partition_function, state_tikz,
 )
-from .weights import make_scheme
+from .weights import central_label, make_scheme
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -196,9 +196,9 @@ def _verify(args) -> tuple:
 
     if check == "caduceus":
         fam = _families(args)[0]
-        if fam not in ("Bstar", "C", "BC"):
-            raise InputError("caduceus needs a central row: families Bstar, C, BC")
         n = 2 if fam == "BC" else 1
+        if central_label(fam, n) is None:
+            raise InputError("caduceus needs a central row: families Bstar, C, BC")
         scheme = make_scheme(args.scheme or "generic", fam, n)
         v = caduceus_check(scheme, 1)
         return v.ok, {"checked": v.checked, "witness": v.witness}
@@ -209,7 +209,7 @@ def _verify(args) -> tuple:
         regime = args.scheme or "deformation"
         try:
             q = divisibility_check(fam, lam, regime, seed=args.seed)
-        except DivisibilityError as exc:
+        except (DivisibilityError, SuiteSelfCheckError) as exc:
             return False, {"error": str(exc)}
         sym = quotient_symmetry_check(q, fam, len(lam), regime)
         return sym["ok"], {"quotient": q.to_latex(), "symmetry": sym}
@@ -217,7 +217,9 @@ def _verify(args) -> tuple:
     if check == "rho":
         n = args.n or 2
         fams = _families(args)
-        cases = [(f, n, regime) for f in fams for regime in ("generic", "deformation")]
+        # family A has a deformation factor list only
+        cases = [(f, n, regime) for f in fams for regime in ("generic", "deformation")
+                 if f != "A" or regime == "deformation"]
         results = _pool_map(_rho_case, cases, workers)
         data = {f"{f}:{regime}": ok for f, regime, ok in results}
         return all(data.values()), data

@@ -22,6 +22,7 @@ orientations are fixed by the partition:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 FAMILIES = ("A", "B", "Bstar", "C", "Cstar", "D", "BC")
@@ -100,6 +101,11 @@ class ModelSpec:
     def vertex_count(self) -> int:
         """Tetravalent vertices only; bends and corners excluded."""
         return len(self.vertices)
+
+    @cached_property
+    def edge_index(self) -> dict:
+        """Edge id -> position in ``edges``."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     def to_json(self) -> dict:
         return {

@@ -23,51 +23,18 @@ assignment is reported as a witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .laurent import GI, LaurentPoly
 from .states import (
     bend_unit, corner_unit, cross_unit, enumerate_orientations, make_graph,
     unit_tag, vertex_unit,
 )
-from .weights import WeightScheme
+from .weights import WeightScheme, central_label
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
-
-
-@dataclass
-class LocalWeights:
-    """Weight lookups for local diagrams, independent of full models."""
-
-    row: Callable[[str], dict]
-    bend_up: Callable[[str], LaurentPoly]
-    bend_down: Callable[[str], LaurentPoly]
-    corner_r: Optional[LaurentPoly] = None
-    corner_l: Optional[LaurentPoly] = None
-
-    @staticmethod
-    def from_scheme(scheme: WeightScheme) -> "LocalWeights":
-        return LocalWeights(
-            row=scheme.row_weights,
-            bend_up=lambda r: scheme.bend_up[r],
-            bend_down=lambda r: scheme.bend_down[r],
-            corner_r=scheme.corner_r,
-            corner_l=scheme.corner_l,
-        )
-
-    @staticmethod
-    def from_rows(rows: dict, bend_up=None, bend_down=None,
-                  corner_r=None, corner_l=None) -> "LocalWeights":
-        ups = bend_up or {}
-        downs = bend_down or {}
-        return LocalWeights(
-            row=lambda r: rows[r],
-            bend_up=lambda r: ups.get(r, ONE),
-            bend_down=lambda r: downs.get(r, ONE),
-            corner_r=corner_r, corner_l=corner_l,
-        )
 
 
 def cross_weights(wj: dict, wk: dict) -> dict:
@@ -86,7 +53,7 @@ def _crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
     return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
 
 
-def local_z(units, fixed: dict, w: LocalWeights) -> LaurentPoly:
+def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
     graph = make_graph(units, fixed)
     total = LaurentPoly.zero()
@@ -95,15 +62,16 @@ def local_z(units, fixed: dict, w: LocalWeights) -> LaurentPoly:
         for u in graph.units:
             tag = unit_tag(u, orientation)
             if u.kind == "vertex":
-                weight = weight * w.row(u.label[0])[tag]
+                weight = weight * scheme.vertex[(tag, u.label[0])]
             elif u.kind == "bend":
-                weight = weight * (w.bend_down(u.label[0]) if tag == "D"
-                                   else w.bend_up(u.label[0]))
+                bends = scheme.bend_down if tag == "D" else scheme.bend_up
+                weight = weight * bends[u.label[0]]
             elif u.kind == "corner":
-                weight = weight * (w.corner_r if tag == "R" else w.corner_l)
+                weight = weight * (scheme.corner_r if tag == "R" else scheme.corner_l)
             else:  # cross
                 j, k = u.label
-                weight = weight * cross_weights(w.row(j), w.row(k))[tag]
+                weight = weight * cross_weights(scheme.row_weights(j),
+                                                scheme.row_weights(k))[tag]
         total = total + weight
     return total
 
@@ -115,7 +83,6 @@ class Verdict:
     witness: Optional[dict] = None
     ratio: Optional[LaurentPoly] = None
     closed_form_ok: Optional[bool] = None
-    per_assignment: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -136,9 +103,10 @@ def _assignments(names):
 # star-triangle identity
 
 
-def ybe_check(wj: dict, wk: dict, bend_up=None, bend_down=None) -> Verdict:
+def ybe_check(wj: dict, wk: dict) -> Verdict:
     """Compare both sides of the crossing identity on all 64 boundaries."""
-    weights = LocalWeights.from_rows({"j": wj, "k": wk})
+    vertex = {(kind, row): w for row, ws in (("j", wj), ("k", wk)) for kind, w in ws.items()}
+    scheme = WeightScheme(name="rows", family="A", n=2, vertex=vertex)
     lhs_units = [
         cross_unit("j", "k", nw="al", ne="top", sw="be", se="bot"),
         vertex_unit("k", 0, n_edge="phi", e_edge="eps", s_edge="mid", w_edge="top"),
@@ -149,18 +117,7 @@ def ybe_check(wj: dict, wk: dict, bend_up=None, bend_down=None) -> Verdict:
         vertex_unit("k", 0, n_edge="mid", e_edge="b2", s_edge="gam", w_edge="be"),
         cross_unit("j", "k", nw="t2", ne="eps", sw="b2", se="del"),
     ]
-    names = ("al", "be", "gam", "del", "eps", "phi")
-    verdict = Verdict(ok=True)
-    for fixed in _assignments(names):
-        zl = local_z(lhs_units, fixed, weights)
-        zr = local_z(rhs_units, fixed, weights)
-        verdict.checked += 1
-        equal = zl == zr
-        verdict.per_assignment.append({"assignment": dict(fixed), "equal": equal})
-        if not equal and verdict.witness is None:
-            verdict.ok = False
-            verdict.witness = dict(fixed)
-    return verdict
+    return _sides_agree(scheme, lhs_units, rhs_units, ("al", "be", "gam", "del", "eps", "phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +125,6 @@ def ybe_check(wj: dict, wk: dict, bend_up=None, bend_down=None) -> Verdict:
 
 
 def bend_ybe_check(scheme: WeightScheme, j: int, k: int) -> Verdict:
-    w = LocalWeights.from_scheme(scheme)
     jl, kl = str(j), str(k)
     jb, kb = jl + "b", kl + "b"
     lhs_units = [
@@ -181,26 +137,14 @@ def bend_ybe_check(scheme: WeightScheme, j: int, k: int) -> Verdict:
         bend_unit(jl, top_edge="A", bottom_edge="F2"),
         bend_unit(kl, top_edge="B", bottom_edge="F1"),
     ]
-    names = ("A", "B", "C", "D")
-    verdict = Verdict(ok=True)
-    for fixed in _assignments(names):
-        zl = local_z(lhs_units, fixed, w)
-        zr = local_z(rhs_units, fixed, w)
-        verdict.checked += 1
-        equal = zl == zr
-        verdict.per_assignment.append({"assignment": dict(fixed), "equal": equal})
-        if not equal and verdict.witness is None:
-            verdict.ok = False
-            verdict.witness = dict(fixed)
-    return verdict
+    return _sides_agree(scheme, lhs_units, rhs_units, ("A", "B", "C", "D"))
 
 
 # ---------------------------------------------------------------------------
 # fish relations: one twist absorbed into a bend
 
 
-def _fish_sides(scheme: WeightScheme, j: int, variant: str):
-    w = LocalWeights.from_scheme(scheme)
+def _fish_sides(j: int, variant: str):
     jl, jb = str(j), str(j) + "b"
     if variant == "B":
         lhs_units = [
@@ -224,7 +168,7 @@ def _fish_sides(scheme: WeightScheme, j: int, variant: str):
         lhs_fixed = rhs_fixed = {"HN": top_bit}
     else:
         raise ValueError(f"unknown fish variant {variant!r}")
-    return w, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
+    return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
 
 
 def fish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
@@ -240,8 +184,7 @@ def fish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
 def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
     """Ratio of twisted diagram to bare bend: constant, with a closed form."""
     _require_bends(scheme, j)
-    w, lhs_units, rhs_units, names, lf, rf = _fish_sides(scheme, j, variant)
-    return _ratio_verdict(w, lhs_units, rhs_units, names, lf, rf,
+    return _ratio_verdict(scheme, *_fish_sides(j, variant),
                           fish_closed_form(scheme, j, variant))
 
 
@@ -250,10 +193,9 @@ def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 
 
 def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
-    w = LocalWeights.from_scheme(scheme)
     jl, jb = str(j), str(j) + "b"
+    star = central_label(variant, scheme.n)
     if variant == "C":
-        star = "0"
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
             cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
@@ -270,7 +212,6 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
         names = ("A", "B", "G", "D")
         lhs_fixed = rhs_fixed = {}
     elif variant in ("Bstar", "BC"):
-        star = "0" if variant == "Bstar" else str(scheme.n)
         inward = variant == "Bstar"      # Bstar central row: west in, east out
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="MW", se="M2"),
@@ -284,16 +225,16 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
         rhs_fixed = {}
     else:
         raise ValueError(f"unknown jellyfish variant {variant!r}")
-    return w, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
+    return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
 
 
 def jellyfish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
     jl, jb = str(j), str(j) + "b"
-    star = "0" if variant in ("C", "Bstar") else str(scheme.n)
+    star = central_label(variant, scheme.n)
     pair = _crossing(scheme, jl, star) * _crossing(scheme, jb, star)
     if variant == "C":
-        r = scheme.row_weights(jl)
-        return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"]) * pair
+        # the C jellyfish carries the bend pair of the B fish
+        return fish_closed_form(scheme, j, "B") * pair
     if variant == "Bstar":
         return pair * _crossing(scheme, jb, jl)
     return pair * _crossing(scheme, jl, jb)
@@ -301,8 +242,7 @@ def jellyfish_closed_form(scheme: WeightScheme, j: int, variant: str) -> Laurent
 
 def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
     _require_bends(scheme, j)
-    w, lhs_units, rhs_units, names, lf, rf = _jellyfish_sides(scheme, j, variant)
-    return _ratio_verdict(w, lhs_units, rhs_units, names, lf, rf,
+    return _ratio_verdict(scheme, *_jellyfish_sides(scheme, j, variant),
                           jellyfish_closed_form(scheme, j, variant))
 
 
@@ -312,9 +252,8 @@ def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 
 def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
     """Three-strand braid identity over all 256 boundary assignments."""
-    w = LocalWeights.from_scheme(scheme)
     jl, jb = str(j), str(j) + "b"
-    star = "0" if scheme.family in ("Bstar", "C") else str(scheme.n)
+    star = central_label(scheme.family, scheme.n)
     lhs_units = [
         cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
         cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
@@ -331,16 +270,7 @@ def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
         cross_unit(jb, jl, nw="P5", ne="P6", sw="P3", se="E"),
         cross_unit(star, jl, nw="P4", ne="K", sw="P6", se="F"),
     ]
-    names = ("A", "B", "G", "D", "E", "F", "K", "L")
-    verdict = Verdict(ok=True)
-    for fixed in _assignments(names):
-        zl = local_z(lhs_units, fixed, w)
-        zr = local_z(rhs_units, fixed, w)
-        verdict.checked += 1
-        if zl != zr and verdict.witness is None:
-            verdict.ok = False
-            verdict.witness = dict(fixed)
-    return verdict
+    return _sides_agree(scheme, lhs_units, rhs_units, ("A", "B", "G", "D", "E", "F", "K", "L"))
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +285,25 @@ def _require_bends(scheme: WeightScheme, j: int):
             raise ValueError(f"D^({r}) must be nonzero")
 
 
-def _ratio_verdict(w, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed,
+def _sides_agree(scheme: WeightScheme, lhs_units, rhs_units, names) -> Verdict:
+    """Both sides agree on every boundary assignment; the first miss is the witness."""
+    verdict = Verdict(ok=True)
+    for fixed in _assignments(names):
+        verdict.checked += 1
+        equal = local_z(lhs_units, fixed, scheme) == local_z(rhs_units, fixed, scheme)
+        if not equal and verdict.ok:
+            verdict.ok, verdict.witness = False, fixed
+    return verdict
+
+
+def _ratio_verdict(scheme: WeightScheme, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed,
                    closed_form: LaurentPoly) -> Verdict:
     """Constancy via cross-multiplication, then closed-form comparison."""
     verdict = Verdict(ok=True)
     sides = []
     for fixed in _assignments(names):
-        zl = local_z(lhs_units, {**fixed, **lhs_fixed}, w)
-        zr = local_z(rhs_units, {**fixed, **rhs_fixed}, w)
+        zl = local_z(lhs_units, {**fixed, **lhs_fixed}, scheme)
+        zr = local_z(rhs_units, {**fixed, **rhs_fixed}, scheme)
         if zl.is_zero() and zr.is_zero():
             continue
         sides.append((dict(fixed), zl, zr))

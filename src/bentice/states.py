@@ -36,15 +36,7 @@ VERTEX_CONFIGS = {
     "c2": (True, False, False, True),
 }
 KIND_ORDER = ("a1", "a2", "b1", "b2", "c1", "c2")
-
-_INSET_TO_KIND = {
-    frozenset({"N", "W"}): "a1",
-    frozenset({"S", "E"}): "a2",
-    frozenset({"S", "W"}): "b1",
-    frozenset({"N", "E"}): "b2",
-    frozenset({"N", "S"}): "c1",
-    frozenset({"E", "W"}): "c2",
-}
+_KIND_OF_BITS = {bits: kind for kind, bits in VERTEX_CONFIGS.items()}
 
 
 class EnumerationCapError(RuntimeError):
@@ -171,31 +163,14 @@ class IceState:
     orientation: tuple     # bits aligned with spec.edges
 
     def bit(self, edge) -> bool:
-        return self.orientation[self._index()[edge]]
-
-    def _index(self):
-        key = (self.spec.family, self.spec.lam)
-        cache = _EDGE_INDEX.get(key)
-        if cache is None or len(cache) != len(self.spec.edges):
-            cache = {e: i for i, e in enumerate(self.spec.edges)}
-            _EDGE_INDEX[key] = cache
-        return cache
+        return self.orientation[self.spec.edge_index[edge]]
 
     def vertex_kinds(self) -> dict:
         """Map (row, col) -> kind for every tetravalent vertex."""
-        out = {}
-        for v in self.spec.vertices:
-            inset = set()
-            if not self.bit(v.n_edge):
-                inset.add("N")
-            if not self.bit(v.e_edge):
-                inset.add("E")
-            if self.bit(v.s_edge):
-                inset.add("S")
-            if self.bit(v.w_edge):
-                inset.add("W")
-            out[v.vid] = _INSET_TO_KIND[frozenset(inset)]
-        return out
+        bits, index = self.orientation, self.spec.edge_index
+        return {v.vid: _KIND_OF_BITS[(bits[index[v.n_edge]], bits[index[v.e_edge]],
+                                      bits[index[v.s_edge]], bits[index[v.w_edge]])]
+                for v in self.spec.vertices}
 
     def bend_dirs(self) -> dict:
         """Map unbarred row label -> 'U' or 'D'."""
@@ -220,9 +195,6 @@ class IceState:
             "bends": self.bend_dirs(),
             "corner": self.corner_dir(),
         }
-
-
-_EDGE_INDEX: dict = {}
 
 
 def _caps_from_env():
@@ -254,7 +226,7 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
         raise EnumerationCapError(
             f"model {spec.family}^{list(spec.lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
     graph = make_graph(model_units(spec), spec.boundary)
-    index = {e: i for i, e in enumerate(spec.edges)}
+    index = spec.edge_index
     states = []
     for orientation in enumerate_orientations(graph):
         bits = [False] * len(spec.edges)

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
-from bentice import cli
+import pytest
+
+from bentice import cli, identities
 from bentice.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 
 
@@ -102,11 +105,23 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"] == "family A has no generic factor list"
 
-    def test_family_a_rho_is_input_error(self, capsys):
-        # verify rho runs both regimes, and only the deformation one has a list
+    def test_family_a_rho_runs_the_deformation_regime(self, capsys):
+        # family A has a deformation factor list only, so that is all verify rho runs
         code, report = invoke(capsys, "verify", "rho", "--family", "A", "--n", "2")
-        assert code == EXIT_INPUT
-        assert report["error"] == "family A has no generic factor list"
+        assert code == EXIT_PASS
+        assert report["data"] == {"A:deformation": True}
+
+    def test_self_check_failure_is_exit_2(self, capsys, monkeypatch):
+        # the value check refutes a division that the exact division then performs
+        point = {"x_1": 3, "t_1": 5}
+        monkeypatch.setattr(identities, "probabilistic_divides",
+                            lambda num, den, rng: (False, point))
+        code, report = invoke(capsys, "verify", "divisibility", "--family", "B",
+                              "--lambda", "2,1")
+        assert code == EXIT_FAIL
+        assert report["verdict"] == "fail"
+        assert report["data"]["error"] == (
+            f"value check refuted divisibility at {point} but exact division succeeded")
 
     def test_verification_failure_is_exit_2(self, capsys, monkeypatch):
         # lambda with a repeated part is an input error, and every shipped
@@ -181,3 +196,203 @@ class TestWorkers:
         assert code == EXIT_PASS
         assert PoolRecorder.sizes == [6]
         assert report["inputs"]["workers"] == 1000
+
+
+# (exit code, sha256 of json.dumps([exit code, report without elapsed_ms]))
+# for every relation verb x family x --scheme (None: the verb's default),
+# recorded before the relation layer weighed local diagrams straight from
+# the WeightScheme.  "KeyError" marks the invocations that end in a
+# traceback: `verify bend` on a family with fewer than two bend rows.
+RELATION_REPORTS = {
+    ('ybe', 'A', None): (0, 'd2e51a5d09d10ac8a10c15216ae1c6e17fbd8c8c689166d514e48aec7cc13ca2'),
+    ('ybe', 'A', 'generic'): (0, '7b5b4774ba8d6a016a58fce0fcc961ac53e52cb43177653e2e3259d175d71a14'),
+    ('ybe', 'A', 'deformation'): (0, '261fd79d38fbae5380def71c4750c250d9c73356a051ac65fb1c4d06f806b565'),
+    ('ybe', 'A', 'okada'): (3, '24c0e6410759d98884118c04dee5dad3df0effd39014f39f6222506c309b6c2c'),
+    ('ybe', 'A', 'character'): (3, '95d15f7ec3c9393559ca91cfeb0f8f6c32bf885bf0e2dce54fe1cfc61e0e93ae'),
+    ('ybe', 'B', None): (0, 'e954d6f4d8781dc4bdf4d11677625a34ea1358d6c88c97022b7439ad2e088f00'),
+    ('ybe', 'B', 'generic'): (0, '53dd4f092c2e4285424b7a1a232b5aebbdca4e08b44b4da4051d5517e65b9eaf'),
+    ('ybe', 'B', 'deformation'): (0, 'dab51a6abbe6a8454007fd3d713b6e64dc0d6815fe5b776d63ac42c40efddc6c'),
+    ('ybe', 'B', 'okada'): (0, 'e171956a26b3e8928cffcf21287da0f6f46722476aa8cc5f03fe59d0b3715294'),
+    ('ybe', 'B', 'character'): (0, '46b37faf9b5526d111fffc539fe0c9ecae694550854aacbd6d6d142f3c672ebb'),
+    ('ybe', 'Bstar', None): (0, '9f63134c9fcdc0118171c3069d00db5199d8497f8336cfaf8068a5592594ddbd'),
+    ('ybe', 'Bstar', 'generic'): (0, 'c6c1b48022b989bc89a1aa015cefc93075f0f25a3760410d099f01bed4f3685b'),
+    ('ybe', 'Bstar', 'deformation'): (0, '3c8feb1c183e407f5d8e343da0f208436d933a1f3b9cd34a16b52bd7fca048a1'),
+    ('ybe', 'Bstar', 'okada'): (0, '4858f1f226cb161a8ac2e4233945c9d9778f73367ada9c7de341f24242a52bea'),
+    ('ybe', 'Bstar', 'character'): (0, '4d7b29da4aea27b2352e6c2827a516f27812ace8bc4812122836385e552b6c04'),
+    ('ybe', 'C', None): (0, '85dd5812306eb6d2991fda23438ffc6b064a7b66370b7de7c50c141049073eb1'),
+    ('ybe', 'C', 'generic'): (0, '65552270a684338e16d34ecffa02e7eb72ffbbeb348a7fccac215981fa9aeda5'),
+    ('ybe', 'C', 'deformation'): (0, '3c1e50429c93465792600944f44c703561264ebc2b6cf44802bce91db589a7ce'),
+    ('ybe', 'C', 'okada'): (0, 'd434aa9df4875431dc04e9434052d0bca2efdb593b4debb48d20f8e82a72ff03'),
+    ('ybe', 'C', 'character'): (0, '07d32f75d8387eabeb822d14da5cd7ff3beb9540105d36004817b393b8a6cbef'),
+    ('ybe', 'Cstar', None): (0, 'a8a4cfbf08f204d30b24dc2ae2cc1d10864d84f54bd203095973adeaf5ea9049'),
+    ('ybe', 'Cstar', 'generic'): (0, 'c5037a5171c9748458718c9822fcc1dd9dc2857485a15d8eb481426511c1cf3f'),
+    ('ybe', 'Cstar', 'deformation'): (0, 'c394313ec325183c5e5abe9f1bb39d5cd2b8e5ed7827baa95553d932a750fb63'),
+    ('ybe', 'Cstar', 'okada'): (0, '3eb78017dd7d3f04d952edeed44a063a263fec20c891ac653c1d6b7ac5b30339'),
+    ('ybe', 'Cstar', 'character'): (0, 'd64c16608d7863bd0013862744d7ea210a9243d6c4624abacd5d093a96b79c1b'),
+    ('ybe', 'D', None): (0, 'dc3719ef2936bc69063076c886cc99eb8712e05a646ef9ad0ced78899c4a9ab5'),
+    ('ybe', 'D', 'generic'): (0, '07d77c9d132e1db45c9fe8c5ec26b30a3d819e65285d91641965a87722fa64f0'),
+    ('ybe', 'D', 'deformation'): (0, '7edc359362b4289974e4d01317f82c368fe720957bcbecbb9f083ddcc7e25a05'),
+    ('ybe', 'D', 'okada'): (0, '2dcc6e61989e925e82513c78c332527733742cc084cb2254dff1727fe5a72a16'),
+    ('ybe', 'D', 'character'): (0, 'fa9ae7ac2314239088665bba53ba5f4459a5cb748cd294c2d535a0334490b2e2'),
+    ('ybe', 'BC', None): (0, '14fc141e98f70b4846e8982dcee604eedbfda8e7a8282e80a5f8349df8b515eb'),
+    ('ybe', 'BC', 'generic'): (0, '138b98bc2f415ad09586591c8df2dcb20aa3a5fedfa6182d4237116674c7400f'),
+    ('ybe', 'BC', 'deformation'): (0, 'bb2d4096a7c02ba57601ca8ae31a91a88461577963576ca778f6c9703ec63e69'),
+    ('ybe', 'BC', 'okada'): (0, '7c4808af5131ff69c08be75aa4647d35b52a07f7980ce5f79a9a484833c77698'),
+    ('ybe', 'BC', 'character'): (0, '712469063011e3e244c466ea86aa7ca712564f2a1b52f649c14d928c1f8dc8a8'),
+    ('bend', 'A', None): (0, '56510caabac2d608e7832c1a26cefcbd5d0ee2b12f5cb11c599199ae980dbc47'),
+    ('bend', 'A', 'generic'): (0, 'd7bbcd8a4d1ac0f7445f830bb5cee87671ffeac7624f3f0797fb8c2d29ef8a6b'),
+    ('bend', 'A', 'deformation'): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('bend', 'A', 'okada'): (3, '24c0e6410759d98884118c04dee5dad3df0effd39014f39f6222506c309b6c2c'),
+    ('bend', 'A', 'character'): (3, '95d15f7ec3c9393559ca91cfeb0f8f6c32bf885bf0e2dce54fe1cfc61e0e93ae'),
+    ('bend', 'B', None): (0, '9dab57b965f9c436ec918b6e803cc64bf8718095fbfffa3263be9c166dc08fe3'),
+    ('bend', 'B', 'generic'): (0, '038480f47ca90ea12217d4a1ea5b0e5cb321f2d3bd1f0d8bb4ecfefcf7c0690b'),
+    ('bend', 'B', 'deformation'): (0, '16c5182169c13d96a1e6e8dcefe58048cc946385b4db859b42e8caffa8a8aa1e'),
+    ('bend', 'B', 'okada'): (0, '5ad8b17d10a5539444239e3dfe78a84ff87a9f50b8bc39fcd5620b14d2cc6ed2'),
+    ('bend', 'B', 'character'): (0, '5d0c2c67534aa7ecc3c81815da7227e5d92dc286d7c01d83c3dcc1b83cab0fa6'),
+    ('bend', 'Bstar', None): (0, 'c8fcfc190cf12084e23c1e8b753f25e53572b85354f2f76dcc02b969e0d24d5c'),
+    ('bend', 'Bstar', 'generic'): (0, '7b506e72bdf43345a82e1847ae92cd29dd49311a9044b0373da002b3e2499996'),
+    ('bend', 'Bstar', 'deformation'): (0, '5d02e0b0aafe29adbf9f34978d65558bfd9cf288df23b6539a0e268159be040d'),
+    ('bend', 'Bstar', 'okada'): (0, 'cb3dc23f66f14e6c548067334b2728726213ea154fb0206acedf5cabd9475754'),
+    ('bend', 'Bstar', 'character'): (0, 'eb0a25c199f1f6cce0fb1e4c47d46579b9ab8bd40c117d812bd3a26e9e464c2c'),
+    ('bend', 'C', None): (0, '799cd24dace662c00d2cab4c0c6d69953405f6341143eeef6208302192fdd09d'),
+    ('bend', 'C', 'generic'): (0, '9a756cc2ca318f48a7922e6378e82ed88ed1770aa48ceb13a0119eb9ae836903'),
+    ('bend', 'C', 'deformation'): (0, '91171b9ee349cf9cfde43fc3a3d9954882a8552ce5877c5b7071027bf7ccb7ed'),
+    ('bend', 'C', 'okada'): (0, '08a2b8f0458bd6615bc6d5a592f7b783cb49a843ec09e3359e7057bd91184cbc'),
+    ('bend', 'C', 'character'): (0, 'f2322425832d34eafb1af769339ad92aa607daaa32878e8f1a744b156edbc798'),
+    ('bend', 'Cstar', None): (0, '8c3f368011812d3a53aa0c50ee65f879998cea43b43f80f4270d69e5fca38edf'),
+    ('bend', 'Cstar', 'generic'): (0, 'e3dcaf84f43eb701778d5b281987d68fec9e24b2c2639a3a1158cd11b1121001'),
+    ('bend', 'Cstar', 'deformation'): (0, '11b9b76a20fa65bd236552ca752018c3be0792410af98195ab56d832d54d6204'),
+    ('bend', 'Cstar', 'okada'): (0, 'db17786592e6ef7eb31129ced0c8c494c146029ee20502c020bfae94c63d0b45'),
+    ('bend', 'Cstar', 'character'): (0, '83b6eb5836977cdb2b2c0ad7ea86c1190ba60f0ed64fe188658c7c36140b2be6'),
+    ('bend', 'D', None): (0, 'd9f7914b150491b4fbd9bdc920a37911b34f9530beb5b0fe148f845bd48e88f0'),
+    ('bend', 'D', 'generic'): (0, '9b95e0e8ccb7856f6ff46646793968db9ece8c1563df2e4637198ef7467f23d9'),
+    ('bend', 'D', 'deformation'): (0, 'e3cec395dd77c8b8a60aee796a57dddc485eb1c59aa9597d37cf0326a90c857e'),
+    ('bend', 'D', 'okada'): (0, '13f9714a9daa6972fd07aa0553d1a2390082cce43175bde63fb12d1993b420e4'),
+    ('bend', 'D', 'character'): (0, '21a51d76322deebcd0ab266fdca3e18b667458e601dd5ac6fbd9ffea3bfb0c3d'),
+    ('bend', 'BC', None): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('bend', 'BC', 'generic'): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('bend', 'BC', 'deformation'): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('bend', 'BC', 'okada'): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('bend', 'BC', 'character'): ('KeyError', 'a8f39c78e72509af68260114f31e9138713246fa99f8d30508291245c25e8854'),
+    ('fish', 'A', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'A', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'A', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'A', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'A', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'B', None): (0, 'be0c3a7f8627bd7698b1e302043d2a4146178ca504b693f91459a5ab30c76833'),
+    ('fish', 'B', 'generic'): (0, 'efcac1896d08108bf07dc9b362a8e194d6d790890aaaf133901c920183bd8180'),
+    ('fish', 'B', 'deformation'): (0, '367ef548ee672a66566f4a9a97626771ad546a061bae5f5ee8f2cdb12296f7c9'),
+    ('fish', 'B', 'okada'): (0, 'd22d4015bf51628fc6840ff7c1b4e8476dcbbdf3bb2a1a2a65491bdd7a1b445e'),
+    ('fish', 'B', 'character'): (0, '18804a95d01bb96e21242828ea18763e0dfd84903dc18d27b1b7822adc92f267'),
+    ('fish', 'Bstar', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Bstar', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Bstar', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Bstar', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Bstar', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'C', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'C', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'C', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'C', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'C', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Cstar', None): (0, 'ed9ce3d6ad92300a991b9625a754ca04c3ab0d356bf68df8f6e4f423707f72ff'),
+    ('fish', 'Cstar', 'generic'): (0, '003e4ffec7e684de3404dec141c7ad4a548748c7cf11655ffadf6dc0e606e316'),
+    ('fish', 'Cstar', 'deformation'): (0, '6615310facced17e8f63fd554eb2df5dbaefdab676fd831efd154880ae8a5a2d'),
+    ('fish', 'Cstar', 'okada'): (0, '439a29bad0a06704e1adfed0be0e92484d65cd145e973769503ba5aa8716a31c'),
+    ('fish', 'Cstar', 'character'): (0, 'f79df642da57a1a808df895f426e85bcb9ece72b5e0247a1d826903d159aa392'),
+    ('fish', 'D', None): (0, '0fef2ee3a176eedaad6ca2b069a19e49b4acb4deba959b03113e54f755afea90'),
+    ('fish', 'D', 'generic'): (0, 'fa08bcce5cc2404f8561e5393a382fe53b9137a50c2d064017e367f1b35486c8'),
+    ('fish', 'D', 'deformation'): (0, 'd79b17f6d23a7860d4bb5f0f5d64bb86455cf6dfa7f841ca039943c9d154a896'),
+    ('fish', 'D', 'okada'): (0, '5b979e6ff3b7f22cab33d87b563353c0826ba1a7cc004e988f6ecec9f5ea353a'),
+    ('fish', 'D', 'character'): (0, '2d9be11efef57f2e76004e30c1409c4f9d801fc886148c27d357e75464bfac12'),
+    ('fish', 'BC', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'BC', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'BC', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'BC', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'BC', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('jellyfish', 'A', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'A', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'A', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'A', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'A', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'B', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'B', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'B', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'B', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'B', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Bstar', None): (0, 'dda2646f5b16aa3b7e03bb6087ede1e03afead306676ff379cae60fe7c08f8f0'),
+    ('jellyfish', 'Bstar', 'generic'): (0, 'e37c48fb612bf464955a69a5d1bac34cae307087c140650e108b7844dc070cb2'),
+    ('jellyfish', 'Bstar', 'deformation'): (0, 'a56c4c17ad3a908d9ae2d039cda72a95640b8c5c16e864aa22877f3fc962707d'),
+    ('jellyfish', 'Bstar', 'okada'): (0, '9ea366791e1c0c0fd250bb2f5f227e461cc829129bef8bfc710aae0fe77c201f'),
+    ('jellyfish', 'Bstar', 'character'): (0, 'e9cc23438b5bd24a364b6b083cb5f85f187bcc61efa53640777ffd4a06628a60'),
+    ('jellyfish', 'C', None): (0, '588f317c2dee1fe95ac699d7da6fba278e6bf4d9a33f3b50afb83deb68268bd4'),
+    ('jellyfish', 'C', 'generic'): (0, 'd96ab49dcd4aeb578d763ae6c9e2f3aff6291301c261bd130d919583bf458524'),
+    ('jellyfish', 'C', 'deformation'): (0, 'b91d8e771ab0d98d0da6502016bcb94330ecd96e10938e204faad52b33ca32a7'),
+    ('jellyfish', 'C', 'okada'): (0, '3e2aa190ab4af88825fb2d5d17dd77f3f0d5b80e4552937d84012b8ee37accaa'),
+    ('jellyfish', 'C', 'character'): (0, 'd679954fa7d6456ec431d43c78827943e9494ef24e6e21c06e9f822f2bbb5a95'),
+    ('jellyfish', 'Cstar', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Cstar', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Cstar', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Cstar', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Cstar', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'D', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'D', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'D', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'D', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'D', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'BC', None): (0, 'a38352d551b95f30e70dd687d4ad0a6dd00744750f3075df4e01e280b1a5d608'),
+    ('jellyfish', 'BC', 'generic'): (0, 'b792ba5a24ab5a489f0316c5eef0774271b7b8de701841cf581925e566714beb'),
+    ('jellyfish', 'BC', 'deformation'): (0, '399707b52248dcf0bd5671dda53c9e00ee979ed83896bbce4cf168702f77238b'),
+    ('jellyfish', 'BC', 'okada'): (0, '62aa7d5a2011c0b429c0a9b39bcdd213236620d6bd5db7836777e0891998e3e9'),
+    ('jellyfish', 'BC', 'character'): (0, '2039bb80078ca19bde49c05c9b411d350b7b4fd90e2b70d1e44953f20bc37f2d'),
+    ('caduceus', 'A', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'A', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'A', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'A', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'A', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'B', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'B', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'B', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'B', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'B', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Bstar', None): (0, '66be94890be7eef0db7f2e4c27eeeadea4bb65eb390e87b0efcd168e1dbbd5b0'),
+    ('caduceus', 'Bstar', 'generic'): (0, '98a8ad1792dbc26dc84f6a0e37bec0d29e7345042c5e9282ad7d3a52da48869f'),
+    ('caduceus', 'Bstar', 'deformation'): (0, '5c00f48ec9783f12216a5e927eaddd2d24b9f61f75944369eea2c0c8e14f8079'),
+    ('caduceus', 'Bstar', 'okada'): (0, 'bfee48679b58c0b6401e0973089dbe37352a1973c538f5b0a447a877423f5c79'),
+    ('caduceus', 'Bstar', 'character'): (0, 'bc861a0ca2cb44e56f827423bf657d4531d4a971a44860ceb2cf5d4b41813f1b'),
+    ('caduceus', 'C', None): (0, '2962fa138b7fd39dfd7739072bdc085ca943e59ae468847e3b25238de0060511'),
+    ('caduceus', 'C', 'generic'): (0, 'a36209a8cbbbebe734824bb54e1ad7862f07b3cfae075b6d4257d711dd43c76d'),
+    ('caduceus', 'C', 'deformation'): (0, '16f448bd92ff2a260e3853014d9de4ba4b58f32fd5ef01a8674da561a3a75a20'),
+    ('caduceus', 'C', 'okada'): (0, '6fdbcd9f603868a10ccc45fc638b83d81f56779280d655d643deeee436831864'),
+    ('caduceus', 'C', 'character'): (0, '1d84355a0d165ffc984d0b0ad3f7cbce84ceffb8ecfa3f443f7cde9bbb352f3e'),
+    ('caduceus', 'Cstar', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Cstar', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Cstar', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Cstar', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Cstar', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'D', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'D', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'D', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'D', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'D', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'BC', None): (0, 'dd94003d66e50c89864866e1831da4ea8e22b1a06b295426096b56b351502557'),
+    ('caduceus', 'BC', 'generic'): (0, '85cb6ceff2168206f293ca499dd0fa0b8bf70b75817a260ec439b04a0a9b3cc8'),
+    ('caduceus', 'BC', 'deformation'): (0, 'aa5dece23cef462af61993541768b6d775535a93d724184162a9dea6555cf72c'),
+    ('caduceus', 'BC', 'okada'): (0, '5d8c4f4226bc512beb2bd1e63e51dd96ca31ede34125032d0262e6092da8f1e1'),
+    ('caduceus', 'BC', 'character'): (0, '5cfbd94d6be940fa68e7b274c9485c96f6b8d457cf89830c13cf375c62daf645'),
+}
+
+
+def relation_outcome(capsys, verb, family, scheme):
+    argv = ["verify", verb, "--family", family] + (["--scheme", scheme] if scheme else [])
+    try:
+        code, report = invoke(capsys, *argv)
+        report.pop("elapsed_ms", None)
+    except KeyError as exc:
+        code, report = type(exc).__name__, None
+    return code, hashlib.sha256(json.dumps([code, report]).encode()).hexdigest()
+
+
+class TestRelationReports:
+    @pytest.mark.parametrize("key", RELATION_REPORTS, ids=lambda k: "-".join(map(str, k)))
+    def test_report_golden(self, capsys, key):
+        assert relation_outcome(capsys, *key) == RELATION_REPORTS[key]
