@@ -211,20 +211,6 @@ def _check_dominant(mu, n):
     return mu
 
 
-def weyl_character_type(type_: str, n: int, mu) -> LaurentPoly:
-    """Highest-weight character of classical type as an alternant ratio."""
-    mu = _check_dominant(mu, n)
-    group = EVEN_SIGNS if type_ == "D" else HYPEROCTAHEDRAL
-    rho = weyl_vector(type_, n)
-    alpha = tuple(2 * m + r for m, r in zip(mu, rho))
-    num = alternant(group, n, alpha)
-    den = alternant(group, n, rho)
-    chi = num.exact_divide(den)
-    if chi is None:
-        raise ArithmeticError("alternant ratio failed to divide exactly")
-    return chi
-
-
 def family_character(family: str, n: int, mu) -> LaurentPoly:
     """The character the family's partition function factors through.
 

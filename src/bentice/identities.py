@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .laurent import GI, GInt, GRat, LaurentPoly, Var, monomial_sort_key
+from .laurent import GI, GInt, LaurentPoly, Var, monomial_sort_key
 from .models import build_model
 from .relations import _crossing
 from .states import partition_function
@@ -163,7 +163,7 @@ def spectral_actions(family: str, n: int) -> list:
 def _random_point(variables, rng: random.Random) -> dict:
     pool = [GInt(a, b) for a in range(-3, 4) for b in range(-3, 4)
             if (a, b) != (0, 0)]
-    return {v: GRat.of(rng.choice(pool)) for v in variables}
+    return {v: rng.choice(pool) for v in variables}
 
 
 def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
@@ -175,14 +175,7 @@ def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
     Divisibility of the cleared polynomials implies value divisibility,
     so a refuting point is conclusive; True is only probabilistic.
     """
-    def cleared(p):
-        monos = [dict(m) for m in p.terms]
-        all_vars = {v for m in monos for v in m}
-        mins = {v: min(m.get(v, 0) for m in monos) for v in all_vars}
-        shift = tuple((v, -e) for v, e in mins.items() if e < 0)
-        return p * LaurentPoly.term(1, shift)
-
-    nc, dc = cleared(num), cleared(den)
+    nc, dc = (p * LaurentPoly.term(1, p.clearing_shift()) for p in (num, den))
     variables = nc.variables() | dc.variables()
     done = 0
     while done < trials:
@@ -190,18 +183,14 @@ def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
         dval = dc.evaluate(point)
         if dval.is_zero():
             continue
-        nval = nc.evaluate(point)
-        # both values are Gaussian integers since the cleared polys are plain
-        n_int = GInt(int(nval.re), int(nval.im))
-        d_int = GInt(int(dval.re), int(dval.im))
-        if n_int.exact_div(d_int) is None:
+        if nc.evaluate(point).exact_div(dval) is None:
             return False, point
         done += 1
     return True, None
 
 
 def divisibility_check(family: str, lam, regime: str,
-                       seed: int = 0, pre_check: bool = True) -> LaurentPoly:
+                       seed: int = 0) -> LaurentPoly:
     """Divide Z sequentially by every stated factor; return the quotient.
 
     Raises DivisibilityError naming the offending factor if any division
@@ -214,10 +203,7 @@ def divisibility_check(family: str, lam, regime: str,
     rng = random.Random(seed)
     quotient = z
     for f in factors:
-        if pre_check:
-            ok, point = probabilistic_divides(quotient, f, rng)
-        else:
-            ok, point = True, None
+        ok, point = probabilistic_divides(quotient, f, rng)
         q = quotient.exact_divide(f)
         if q is None:
             raise DivisibilityError(
@@ -229,8 +215,7 @@ def divisibility_check(family: str, lam, regime: str,
     if family == "A":
         # strip x^rho; the result must be an honest polynomial in the x's
         quotient = quotient * _x_rho_shift(spec.n)
-        monos = [dict(m) for m in quotient.terms]
-        if any(e < 0 for m in monos for e in m.values()):
+        if quotient.clearing_shift():
             raise DivisibilityError(
                 f"x^rho does not divide Z(A^{list(lam)}) [{regime}]")
     return quotient

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 GENERIC = 0
@@ -188,58 +187,6 @@ class GInt:
 GZERO = GInt(0, 0)
 GONE = GInt(1, 0)
 GI = GInt(0, 1)
-
-
-@dataclass(frozen=True)
-class GRat:
-    """Gaussian rational, used only for point evaluation."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value) -> "GRat":
-        if isinstance(value, GRat):
-            return value
-        if isinstance(value, GInt):
-            return GRat(Fraction(value.re), Fraction(value.im))
-        if isinstance(value, (int, Fraction)):
-            return GRat(Fraction(value))
-        raise TypeError(f"cannot coerce {value!r} to GRat")
-
-    def __add__(self, other: "GRat") -> "GRat":
-        return GRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GRat") -> "GRat":
-        return GRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GRat":
-        return GRat(-self.re, -self.im)
-
-    def __mul__(self, other: "GRat") -> "GRat":
-        return GRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
-
-    def inv(self) -> "GRat":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverting zero Gaussian rational")
-        return GRat(self.re / norm, -self.im / norm)
-
-    def __pow__(self, k: int) -> "GRat":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = GRat(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
 
 # A monomial is a tuple of (Var, exponent) pairs, sorted by Var, no zeros.
@@ -460,10 +407,6 @@ class LaurentPoly:
         m = max(self.terms, key=_mono_key)
         return m, self.terms[m]
 
-    def coeff(self, pairs: Iterable) -> GInt:
-        mono = tuple(sorted((v, e) for v, e in pairs if e))
-        return self.terms.get(mono, GZERO)
-
     # -- substitution / evaluation --------------------------------------
     def substitute(self, images: Mapping[Var, "LaurentPoly"]) -> "LaurentPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -500,20 +443,37 @@ class LaurentPoly:
             out = out + piece
         return out
 
-    def evaluate(self, point: Mapping[Var, GRat]) -> GRat:
-        """Exact value at a Gaussian-rational point covering all variables."""
-        total = GRat(Fraction(0))
+    def evaluate(self, point: Mapping[Var, GInt]) -> GInt:
+        """Exact value at a Gaussian-integer point covering all variables.
+
+        The value stays in Z[i] only without negative exponents, so those
+        must be cleared first (see clearing_shift).
+        """
+        powers: dict = {}
+        total = GZERO
         for m, c in self.terms.items():
-            val = GRat.of(c)
+            val = c
             for v, e in m:
-                if v not in point:
-                    raise KeyError(f"no value for {v.name()}")
-                base = GRat.of(point[v])
-                if e < 0 and base.is_zero():
-                    raise ZeroDivisionError(f"{v.name()} = 0 with negative exponent")
-                val = val * (base ** e)
+                if e < 0:
+                    raise ValueError(
+                        f"{v.name()} has a negative exponent; clear negative exponents first")
+                power = powers.get((v, e))
+                if power is None:
+                    if v not in point:
+                        raise KeyError(f"no value for {v.name()}")
+                    power = powers[(v, e)] = point[v] ** e
+                val = val * power
             total = total + val
         return total
+
+    def clearing_shift(self) -> Monomial:
+        """The least monomial whose product with self has no negative exponent."""
+        mins: dict = {}
+        for m in self.terms:
+            for v, e in m:
+                if e < mins.get(v, 0):
+                    mins[v] = e
+        return tuple(sorted((v, -e) for v, e in mins.items()))
 
     # -- division --------------------------------------------------------
     def exact_divide(self, d: "LaurentPoly") -> Optional["LaurentPoly"]:
@@ -533,13 +493,7 @@ class LaurentPoly:
             return _ZERO
         self._check_bank(d)
 
-        def neg_clearing(p: "LaurentPoly") -> Monomial:
-            all_vars = {v for m in p.terms for v, _ in m}
-            monos = [dict(m) for m in p.terms]
-            mins = {v: min(m.get(v, 0) for m in monos) for v in all_vars}
-            return tuple(sorted((v, -e) for v, e in mins.items() if e < 0))
-
-        mp, md = neg_clearing(self), neg_clearing(d)
+        mp, md = self.clearing_shift(), d.clearing_shift()
         num = {_mono_mul(m, mp): c for m, c in self.terms.items()}
         den = {_mono_mul(m, md): c for m, c in d.terms.items()}
 

@@ -28,8 +28,7 @@ from typing import Optional
 
 from .laurent import GI, LaurentPoly
 from .states import (
-    bend_unit, corner_unit, cross_unit, enumerate_orientations, make_graph,
-    unit_tag, vertex_unit,
+    bend_unit, corner_unit, cross_unit, enumerate_orientations, unit_tag, vertex_unit,
 )
 from .weights import WeightScheme, central_label
 
@@ -55,11 +54,10 @@ def _crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
 
 def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
-    graph = make_graph(units, fixed)
     total = LaurentPoly.zero()
-    for orientation in enumerate_orientations(graph):
+    for orientation in enumerate_orientations(units, fixed):
         weight = ONE
-        for u in graph.units:
+        for u in units:
             tag = unit_tag(u, orientation)
             if u.kind == "vertex":
                 weight = weight * scheme.vertex[(tag, u.label[0])]
@@ -125,6 +123,8 @@ def ybe_check(wj: dict, wk: dict) -> Verdict:
 
 
 def bend_ybe_check(scheme: WeightScheme, j: int, k: int) -> Verdict:
+    _require_bends(scheme, j)
+    _require_bends(scheme, k)
     jl, kl = str(j), str(k)
     jb, kb = jl + "b", kl + "b"
     lhs_units = [
@@ -279,10 +279,12 @@ def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
 
 def _require_bends(scheme: WeightScheme, j: int):
     for r in (str(j), str(j) + "b"):
-        if scheme.bend_up.get(r) is None or scheme.bend_up[r].is_zero():
-            raise ValueError(f"U^({r}) must be nonzero")
-        if scheme.bend_down.get(r) is None or scheme.bend_down[r].is_zero():
-            raise ValueError(f"D^({r}) must be nonzero")
+        for name, bends in (("U", scheme.bend_up), ("D", scheme.bend_down)):
+            if r not in bends:
+                raise ValueError(
+                    f"{scheme.name} weights of family {scheme.family} have no bend row {r}")
+            if bends[r].is_zero():
+                raise ValueError(f"{name}^({r}) must be nonzero")
 
 
 def _sides_agree(scheme: WeightScheme, lhs_units, rhs_units, names) -> Verdict:

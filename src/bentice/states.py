@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .laurent import LaurentPoly
 from .models import ModelSpec
@@ -97,27 +97,10 @@ def cross_unit(j, k, nw, ne, sw, se) -> Unit:
     return Unit("cross", (j, k), edges, tuple(configs), CROSS_INSETS)
 
 
-@dataclass(frozen=True)
-class Graph:
-    units: tuple
-    fixed: dict            # EdgeId -> bool
-    edges: tuple
-
-
-def make_graph(units: Iterable[Unit], fixed: dict) -> Graph:
-    units = tuple(units)
-    edge_set = set(fixed)
-    for u in units:
-        edge_set.update(e for e, _ in u.edges)
-    return Graph(units=units, fixed=dict(fixed),
-                 edges=tuple(sorted(edge_set, key=repr)))
-
-
-def enumerate_orientations(graph: Graph):
+def enumerate_orientations(units, fixed: dict):
     """Yield every total orientation consistent with all units, depth first."""
-    units = graph.units
     n_units = len(units)
-    assignment = dict(graph.fixed)
+    assignment = dict(fixed)
 
     def dfs(i: int):
         if i == n_units:
@@ -225,10 +208,9 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
     if spec.n > max_n or spec.lam[0] > max_cols:
         raise EnumerationCapError(
             f"model {spec.family}^{list(spec.lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
-    graph = make_graph(model_units(spec), spec.boundary)
     index = spec.edge_index
     states = []
-    for orientation in enumerate_orientations(graph):
+    for orientation in enumerate_orientations(model_units(spec), spec.boundary):
         bits = [False] * len(spec.edges)
         for e, b in orientation.items():
             bits[index[e]] = b
@@ -278,18 +260,20 @@ def state_json(state: IceState) -> str:
 def state_tikz(state: IceState) -> str:
     """TikZ in the style of the figures: arrow tips at edge midpoints."""
     spec = state.spec
-    xof = {col: i + 1.0 for i, col in enumerate(spec.full_cols)}
+    # coordinates are stored doubled so that edge midpoints stay integral
+    xof = {col: 2 * (i + 1) for i, col in enumerate(spec.full_cols)}
     if spec.half_col is not None:
-        xof[spec.half_col] = len(spec.full_cols) + 1.0
-    yof = {row: float(len(spec.rows) - i) for i, row in enumerate(spec.rows)}
+        xof[spec.half_col] = 2 * (len(spec.full_cols) + 1)
+    yof = {row: 2 * (len(spec.rows) - i) for i, row in enumerate(spec.rows)}
+    top = _coord(2 * len(spec.rows) + 1)
     lines = ["\\begin{tikzpicture}[scale=.75]"]
     for row in spec.rows:
-        lines.append(f"\\node [label=left:${_row_tex(row)}$] at ({0.0},{yof[row]}) {{}};")
+        lines.append(f"\\node [label=left:${_row_tex(row)}$] at ({_coord(0)},{_coord(yof[row])}) {{}};")
     for col in spec.full_cols:
-        lines.append(f"\\node [label=above:${col}$] at ({xof[col]},{len(spec.rows) + 0.5}) {{}};")
+        lines.append(f"\\node [label=above:${col}$] at ({_coord(xof[col])},{top}) {{}};")
     if spec.half_col is not None:
         lines.append(
-            f"\\node [label=above:${spec.half_col}$] at ({xof[spec.half_col]},{len(spec.rows) + 0.5}) {{}};")
+            f"\\node [label=above:${spec.half_col}$] at ({_coord(xof[spec.half_col])},{top}) {{}};")
 
     def tip_h(bit):
         return ">" if bit else "<"
@@ -301,20 +285,26 @@ def state_tikz(state: IceState) -> str:
         x, y = xof[v.col], yof[v.row]
         w, e = state.bit(v.w_edge), state.bit(v.e_edge)
         n, s = state.bit(v.n_edge), state.bit(v.s_edge)
-        lines.append(f"\\draw [{tip_h(w)}-{tip_h(e)}] ({x - 0.5},{y}) -- ({x + 0.5},{y});")
-        lines.append(f"\\draw [{tip_v(n)}-{tip_v(s)}] ({x},{y + 0.5}) -- ({x},{y - 0.5});")
+        lines.append(f"\\draw [{tip_h(w)}-{tip_h(e)}] "
+                     f"({_coord(x - 1)},{_coord(y)}) -- ({_coord(x + 1)},{_coord(y)});")
+        lines.append(f"\\draw [{tip_v(n)}-{tip_v(s)}] "
+                     f"({_coord(x)},{_coord(y + 1)}) -- ({_coord(x)},{_coord(y - 1)});")
     for b in spec.bends:
         yt, yb = yof[b.row], yof[b.row + "b"]
-        x = max(xof.values()) + 0.5
-        r = (yt - yb) / 2
+        x = max(xof.values()) + 1
         tag = "D" if state.bit(b.top_edge) else "U"
         lines.append(f"% bend {b.row}: {tag}")
-        lines.append(f"\\draw ({x},{yt}) arc (90:-90:{r});")
+        lines.append(f"\\draw ({_coord(x)},{_coord(yt)}) arc (90:-90:{_coord((yt - yb) // 2)});")
     if spec.corner is not None:
         tag = state.corner_dir()
         lines.append(f"% corner: {tag}")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines)
+
+
+def _coord(doubled: int) -> str:
+    """A nonnegative doubled coordinate as a one-place decimal: 5 -> 2.5."""
+    return f"{doubled // 2}.{5 * (doubled % 2)}"
 
 
 def _row_tex(row: str) -> str:

@@ -6,8 +6,7 @@ from bentice.characters import (
     EVEN_SIGNS, HYPEROCTAHEDRAL, CharacterBijectionError, SignedPermutation,
     alternant, character_theorem_check, family_character, identity_element,
     length, nonzero_weight_states, phi_statistic, schur, state_to_weyl,
-    tokuyama_check, weyl_character_type, weyl_group, weyl_state_weight,
-    weyl_vector, word_length_table,
+    tokuyama_check, weyl_group, weyl_state_weight, weyl_vector, word_length_table,
 )
 from bentice.laurent import LaurentPoly, Var, gpow_i
 from bentice.models import build_model
@@ -78,17 +77,17 @@ class TestAlternants:
 
 class TestCharacters:
     def test_mu_zero_is_one(self):
-        for type_ in ("B", "C", "D"):
-            assert weyl_character_type(type_, 2, [0, 0]) == ONE
+        for family in ("B", "C", "D"):
+            assert family_character(family, 2, [0, 0]) == ONE
 
     def test_c_n1_fundamental(self):
-        assert weyl_character_type("C", 1, [1]) == xp(1, 2) + xp(1, -2)
+        assert family_character("C", 1, [1]) == xp(1, 2) + xp(1, -2)
 
     def test_b_n1_fundamental(self):
-        assert weyl_character_type("B", 1, [1]) == xp(1, 2) + ONE + xp(1, -2)
+        assert family_character("B", 1, [1]) == xp(1, 2) + ONE + xp(1, -2)
 
     def test_c_n2_dimension_spot_check(self):
-        chi = weyl_character_type("C", 2, [1, 0])
+        chi = family_character("C", 2, [1, 0])
         at_one = chi.substitute({Var.x(1): ONE, Var.x(2): ONE})
         assert at_one == LaurentPoly.const(4)
 
@@ -98,7 +97,7 @@ class TestCharacters:
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
-            weyl_character_type("B", 2, [0, 1])
+            family_character("B", 2, [0, 1])
 
 
 class TestStateBijection:

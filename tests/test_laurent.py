@@ -3,10 +3,9 @@ import random
 import pytest
 
 from bentice.laurent import (
-    GInt, GRat, GI, GZERO, LaurentPoly, MixedBankError, Var,
+    GInt, GI, GONE, GZERO, LaurentPoly, MixedBankError, Var,
     ZeroDivisorError,
 )
-from fractions import Fraction
 
 
 X = Var.x(1)
@@ -182,29 +181,43 @@ class TestSubstitute:
 class TestEvaluate:
     def test_cancellation(self):
         p = P((1, [(X, 2)])) - P((1, [(X, 2)]))
-        assert p.evaluate({X: GRat.of(5)}).is_zero()
+        assert p.evaluate({X: GInt(5)}).is_zero()
+
+    def test_gaussian_integer_value(self):
+        p = P((2, [(X, 3), (Y, 1)]), (GInt(0, 1), [(X, 1)]), (-4, []))
+        # 2 (1 + i)^3 (2 - i) + i (1 + i) - 4
+        assert p.evaluate({X: GInt(1, 1), Y: GInt(2, -1)}) == GInt(-9, 13)
 
     def test_inverse_value(self):
+        # 1/x at x = 2 leaves Z[i]: negative exponents must be cleared first
         p = P((1, [(X, -1)]))
-        v = p.evaluate({X: GRat.of(2)})
-        assert v == GRat(Fraction(1, 2))
+        with pytest.raises(ValueError, match="clear negative exponents first"):
+            p.evaluate({X: GInt(2)})
 
     def test_zero_with_negative_exponent(self):
         p = P((1, [(X, -1)]))
-        with pytest.raises(ZeroDivisionError):
-            p.evaluate({X: GRat.of(0)})
+        with pytest.raises(ValueError, match="clear negative exponents first"):
+            p.evaluate({X: GZERO})
 
     def test_substitute_then_evaluate_commutes(self):
-        rng = random.Random(23)
         p = P((2, [(X, 3), (Y, 1)]), (GInt(0, 1), [(X, 1)]), (-4, []))
-        for _ in range(50):
-            # unit substitution: x -> y^-1
-            sigma = {X: P((1, [(Y, -1)]))}
-            pt = {Y: GRat.of(rng.randrange(1, 9))}
-            lhs = p.substitute(sigma).evaluate(pt)
-            ximg = GRat.of(pt[Y]).inv()
-            rhs = p.evaluate({X: ximg, Y: pt[Y]})
+        # unit substitution: x -> y^-1; times y^3 (x has degree 3 in p) clears it
+        cleared = p.substitute({X: P((1, [(Y, -1)]))}) * P((1, [(Y, 3)]))
+        # at the units of Z[i], 1/y is again a Gaussian integer
+        for y in (GONE, -GONE, GI, -GI):
+            lhs = cleared.evaluate({Y: y})
+            rhs = p.evaluate({X: GONE.exact_div(y), Y: y}) * y ** 3
             assert lhs == rhs
+
+
+class TestClearingShift:
+    def test_least_clearing_monomial(self):
+        p = P((1, [(X, -2), (Y, 1)]), (3, [(X, 1), (Y, -1)]), (1, [(Y, -3)]))
+        assert p.clearing_shift() == ((X, 2), (Y, 3))
+
+    def test_nothing_to_clear(self):
+        assert P((1, [(X, 2)]), (5, [])).clearing_shift() == ()
+        assert LaurentPoly.zero().clearing_shift() == ()
 
 
 class TestRendering:

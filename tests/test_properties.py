@@ -7,7 +7,7 @@ import pytest
 
 from bentice.cli import EXIT_PASS, main as cli_main
 from bentice.identities import divisibility_check, known_factor
-from bentice.laurent import GRat, LaurentPoly
+from bentice.laurent import GInt, LaurentPoly
 from bentice.models import build_model
 from bentice.states import enumerate_states, partition_function, state_json
 from bentice.weights import (
@@ -45,7 +45,7 @@ class TestDeltaEvaluation:
         assert delta.is_zero()
         # the generic delta is the zero polynomial too, so any evaluation is 0
         gdelta = make_generic("B", 2).delta("2")
-        point = {v: GRat.of(rng.randrange(1, 7)) for v in gdelta.variables()}
+        point = {v: GInt(rng.randrange(1, 7)) for v in gdelta.variables()}
         assert gdelta.is_zero() or gdelta.evaluate(point).is_zero()
 
 

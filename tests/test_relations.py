@@ -56,6 +56,16 @@ class TestBendYbe:
         s = make_character("B", 2, bend_down_override={"1": I, "2": ONE})
         assert bend_ybe_check(s, 1, 2).ok
 
+    def test_missing_bend_row_is_named(self):
+        # BC at n = 2 has one regular row, so row 2 carries no bend
+        with pytest.raises(ValueError, match="generic weights of family BC have no bend row 2"):
+            bend_ybe_check(make_generic("BC", 2), 1, 2)
+
+    def test_zero_bend_is_not_a_missing_one(self):
+        s = make_generic("B", 2, bend_down_override={"2": LaurentPoly.zero()})
+        with pytest.raises(ValueError, match=r"^D\^\(2\) must be nonzero$"):
+            bend_ybe_check(s, 1, 2)
+
 
 class TestFish:
     def test_b_closed_form(self):
