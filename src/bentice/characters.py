@@ -2,11 +2,12 @@
 
 Signed permutations are pairs (sigma, v) acting on exponent vectors by
 (w.alpha)_j = v_j * alpha_sigma(j), multiplied by
-(s1,v1)(s2,v2) = (s2 s1, v1 * v2^s1).  Lengths come from the classical
-inversion formulas on one-line notation (validated against word length
-over the generators: adjacent swaps, plus a last-coordinate sign flip for
-the full hyperoctahedral group or the two-coordinate flip for its even
-subgroup).
+(s1,v1)(s2,v2) = (s2 s1, v1 * v2^s1).  Four groups share them: the
+symmetric group (type A, every sign +1), the hyperoctahedral group, and
+its even-sign subgroup.  Lengths come from the classical inversion
+formulas on one-line notation (validated against word length over the
+generators: adjacent swaps, plus a last-coordinate sign flip for the full
+hyperoctahedral group or the two-coordinate flip for its even subgroup).
 
 Characters are alternant ratios, with exponents kept doubled so type-B
 half-integer weights stay integral.  Everything downstream is an exact
@@ -29,6 +30,7 @@ from .weights import make_character, make_tokuyama, regular_row_count
 
 ONE = LaurentPoly.const(1)
 
+SYMMETRIC = "A"             # S_n, every sign +1
 HYPEROCTAHEDRAL = "BC"      # S_n x (+-1)^n
 EVEN_SIGNS = "D"            # even number of -1 entries
 
@@ -63,34 +65,9 @@ class SignedPermutation:
             sign *= 1 if v > 0 else -1
         return sign
 
-    def minus_count(self) -> int:
-        return sum(1 for v in self.signs if v < 0)
-
 
 def identity_element(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, n + 1)), (1,) * n)
-
-
-def generators(group: str, n: int) -> list:
-    gens = []
-    for i in range(1, n):
-        sigma = list(range(1, n + 1))
-        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-        gens.append(SignedPermutation(tuple(sigma), (1,) * n))
-    if group == HYPEROCTAHEDRAL:
-        signs = [1] * n
-        signs[-1] = -1
-        gens.append(SignedPermutation(tuple(range(1, n + 1)), tuple(signs)))
-    elif group == EVEN_SIGNS:
-        if n >= 2:
-            sigma = list(range(1, n + 1))
-            sigma[-2], sigma[-1] = sigma[-1], sigma[-2]
-            signs = [1] * n
-            signs[-2] = signs[-1] = -1
-            gens.append(SignedPermutation(tuple(sigma), tuple(signs)))
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    return gens
 
 
 def _bb_oneline(w: SignedPermutation) -> list:
@@ -115,6 +92,8 @@ def length(w: SignedPermutation, group: str) -> int:
     u = _bb_oneline(w)
     n = len(u)
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
+    if group == SYMMETRIC:
+        return inv
     if group == HYPEROCTAHEDRAL:
         return inv + sum(-v for v in u if v < 0)
     if group == EVEN_SIGNS:
@@ -122,29 +101,12 @@ def length(w: SignedPermutation, group: str) -> int:
     raise ValueError(f"unknown group {group!r}")
 
 
-def word_length_table(group: str, n: int) -> dict:
-    """Breadth-first minimal word lengths; the brute-force oracle."""
-    gens = generators(group, n)
-    start = identity_element(n)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = g * w
-                if u not in dist:
-                    dist[u] = dist[w] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
 def weyl_group(group: str, n: int) -> list:
     """The full group, with the expected order, in a deterministic order."""
+    choices = (1,) if group == SYMMETRIC else (1, -1)
     elements = []
     for sigma in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
+        for signs in itertools.product(choices, repeat=n):
             if group == EVEN_SIGNS and sum(1 for v in signs if v < 0) % 2:
                 continue
             elements.append(SignedPermutation(sigma, signs))
@@ -155,33 +117,15 @@ def weyl_group(group: str, n: int) -> list:
 # alternants and characters
 
 
-def _x_monomial(exponents) -> LaurentPoly:
-    return LaurentPoly.term(1, [(Var.x(j + 1), e) for j, e in enumerate(exponents)])
+def _x_monomial(exponents, coeff=1) -> LaurentPoly:
+    return LaurentPoly.term(coeff, [(Var.x(j + 1), e) for j, e in enumerate(exponents)])
 
 
 def alternant(group: str, n: int, alpha_doubled) -> LaurentPoly:
     """Signed orbit sum over the group, exponents in doubled units."""
     alpha = tuple(alpha_doubled)
-    total = LaurentPoly.zero()
-    for w in weyl_group(group, n):
-        total = total + LaurentPoly.const((-1) ** (length(w, group) % 2)) \
-            * _x_monomial(w.act(alpha))
-    return total
-
-
-def alternant_sym(n: int, alpha_doubled) -> LaurentPoly:
-    """Type-A alternant: ordinary antisymmetrization over S_n."""
-    alpha = tuple(alpha_doubled)
-    total = LaurentPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        total = total + LaurentPoly.const(sign) \
-            * _x_monomial(tuple(alpha[perm[j]] for j in range(n)))
-    return total
+    return LaurentPoly.sum(_x_monomial(w.act(alpha), (-1) ** (length(w, group) % 2))
+                           for w in weyl_group(group, n))
 
 
 def weyl_vector(type_: str, n: int) -> tuple:
@@ -189,12 +133,13 @@ def weyl_vector(type_: str, n: int) -> tuple:
         return tuple(2 * (n - j) - 1 for j in range(n))        # doubled [n-1/2..1/2]
     if type_ == "C":
         return tuple(2 * (n - j) for j in range(n))            # doubled [n..1]
-    if type_ == "D":
+    if type_ in ("A", "D"):
         return tuple(2 * (n - 1 - j) for j in range(n))        # doubled [n-1..0]
     raise ValueError(f"unknown type {type_!r}")
 
 
 FAMILY_CHARACTER = {
+    "A": (SYMMETRIC, "A"),        # the Schur polynomial
     "B": (HYPEROCTAHEDRAL, "B"),
     "Bstar": (HYPEROCTAHEDRAL, "B"),
     "C": (HYPEROCTAHEDRAL, "C"),
@@ -214,6 +159,7 @@ def _check_dominant(mu, n):
 def family_character(family: str, n: int, mu) -> LaurentPoly:
     """The character the family's partition function factors through.
 
+    Family A gives the Schur polynomial, the bialternant over S_n.
     Family BC uses the even-sign group with the type-B vector, evaluated
     at x_n = 1, matching the specialization baked into its weights.
     Family D's partition function factors through this chi^D only when
@@ -235,17 +181,6 @@ def family_character(family: str, n: int, mu) -> LaurentPoly:
     if chi is None:
         raise ArithmeticError("alternant ratio failed to divide exactly")
     return chi
-
-
-def schur(n: int, mu) -> LaurentPoly:
-    """Type-A character via the bialternant."""
-    mu = _check_dominant(mu, n)
-    delta = tuple(2 * (n - 1 - j) for j in range(n))
-    alpha = tuple(2 * m + d for m, d in zip(mu, delta))
-    s = alternant_sym(n, alpha).exact_divide(alternant_sym(n, delta))
-    if s is None:
-        raise ArithmeticError("Schur bialternant failed to divide exactly")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +328,8 @@ def character_theorem_check(family: str, lam) -> dict:
     Z is always computed from the family's own model; "statement" names
     the identity applied, chi^F being family_character(F, n, mu).
     """
+    if family == "A":
+        raise ValueError("family A has no character-weight identity; use verify tokuyama")
     lam = check_strict_partition(lam)
     n = len(lam)
     z_lam = partition_function(build_model(family, list(lam)), make_character(family, n))
@@ -419,14 +356,14 @@ def tokuyama_check(lam) -> dict:
     mu = tuple(a - b for a, b in zip(lam, rho))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
     x_rho = _x_monomial(tuple(2 * r for r in rho))
-    rhs = math.prod(known_factor("A", n, "deformation"), start=x_rho) * schur(n, mu)
+    rhs = math.prod(known_factor("A", n, "deformation"), start=x_rho) \
+        * family_character("A", n, mu)
     ok = z == rhs
 
     # t = -1 collapses to the classical alternant: q -> i is exact
     z_at = z.substitute({Var.qshared(): LaurentPoly.const(GInt(0, 1))})
-    delta = tuple(2 * (n - 1 - j) for j in range(n))
-    alpha = tuple(2 * m + d for m, d in zip(mu, delta))
-    denom_identity = _x_monomial((2,) * n) * alternant_sym(n, alpha)
+    alpha = tuple(2 * m + d for m, d in zip(mu, weyl_vector("A", n)))
+    denom_identity = _x_monomial((2,) * n) * alternant(SYMMETRIC, n, alpha)
     ok_weyl = z_at == denom_identity
     return {"ok": ok and ok_weyl, "symbolic_ok": ok, "t_minus_one_ok": ok_weyl,
             "z": z, "rhs": rhs}

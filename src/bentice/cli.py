@@ -36,7 +36,7 @@ from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
 from .states import (
-    EnumerationCapError, enumerate_states, partition_function, state_tikz,
+    EnumerationCapError, enumerate_states, partition_function, resolve_caps, state_tikz,
 )
 from .weights import central_label, make_scheme
 
@@ -82,6 +82,13 @@ def _families(args):
     if fam not in FAMILIES:
         raise InputError(f"unknown family {fam!r}; choose from {FAMILIES} or 'all'")
     return [fam]
+
+
+def _rank(args) -> int:
+    n = 2 if args.n is None else args.n
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
+    return n
 
 
 def _pool_map(fn, items, workers):
@@ -150,6 +157,9 @@ def run(args) -> tuple:
     if verb == "character":
         fam = _families(args)[0]
         mu = [int(p) for p in _need(args, "mu").split(",")]
+        max_n, _ = resolve_caps(args.max_n)
+        if len(mu) > max_n:
+            raise EnumerationCapError(f"mu of length {len(mu)} exceeds cap n<={max_n}")
         chi = family_character(fam, len(mu), mu)
         data = {"mu": mu}
         data["chi"] = chi.to_latex() if args.emit == "latex" else chi.to_json()
@@ -215,7 +225,7 @@ def _verify(args) -> tuple:
         return sym["ok"], {"quotient": q.to_latex(), "symmetry": sym}
 
     if check == "rho":
-        n = args.n or 2
+        n = _rank(args)
         fams = _families(args)
         # family A has a deformation factor list only
         cases = [(f, n, regime) for f in fams for regime in ("generic", "deformation")
@@ -225,14 +235,14 @@ def _verify(args) -> tuple:
         return all(data.values()), data
 
     if check == "okada":
-        n = args.n or 2
+        n = _rank(args)
         fams = [f for f in _families(args)]
         results = _pool_map(_okada_case, [(f, n) for f in fams], workers)
         data = {f: ok for f, ok in results}
         return all(data.values()), data
 
     if check == "bijection":
-        n = args.n or 2
+        n = _rank(args)
         fam = args.family or "B"
         r = bijection_check(fam, n)
         return r["ok"], {"checked": r["checked"]}

@@ -248,6 +248,21 @@ _mono_key = functools.cmp_to_key(_mono_cmp)
 monomial_sort_key = _mono_key
 
 
+def _add_term(terms: dict, m: Monomial, c: GInt) -> None:
+    """terms[m] += c in place, dropping m when its coefficient cancels."""
+    nc = terms.get(m, GZERO) + c
+    if nc.is_zero():
+        terms.pop(m, None)
+    else:
+        terms[m] = nc
+
+
+def _check_bank(bank: Optional[int], other: Optional[int]):
+    if bank is not None and other is not None and bank != other:
+        raise MixedBankError(
+            f"cannot combine {_BANK_NAMES[bank]} and {_BANK_NAMES[other]} polynomials")
+
+
 def _coerce_coeff(c) -> GInt:
     if isinstance(c, GInt):
         return c
@@ -298,11 +313,6 @@ class LaurentPoly:
         return LaurentPoly({mono: _coerce_coeff(c)})
 
     # -- ring operations ----------------------------------------------
-    def _check_bank(self, other: "LaurentPoly"):
-        if self.bank is not None and other.bank is not None and self.bank != other.bank:
-            raise MixedBankError(
-                f"cannot combine {_BANK_NAMES[self.bank]} and {_BANK_NAMES[other.bank]} polynomials")
-
     @staticmethod
     def _coerce(other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -311,19 +321,29 @@ class LaurentPoly:
             return LaurentPoly.const(other)
         return NotImplemented
 
+    @staticmethod
+    def sum(polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of polys, folded into one term map.
+
+        Every summand's bank is checked against the others', so generic
+        and deformation summands raise MixedBankError even when the terms
+        of one bank cancel later in the sum.
+        """
+        out: dict = {}
+        bank = None
+        for p in polys:
+            _check_bank(bank, p.bank)
+            if bank is None:
+                bank = p.bank
+            for m, c in p.terms.items():
+                _add_term(out, m, c)
+        return LaurentPoly(out)
+
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_bank(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, GZERO) + c
-            if nc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = nc
-        return LaurentPoly(out)
+        return LaurentPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -343,17 +363,11 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_bank(other)
+        _check_bank(self.bank, other.bank)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                nc = out.get(m, GZERO) + c
-                if nc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
+                _add_term(out, _mono_mul(m1, m2), c1 * c2)
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -363,7 +377,7 @@ class LaurentPoly:
             if len(self.terms) == 1:
                 m, c = next(iter(self.terms.items()))
                 if c.is_unit():
-                    return LaurentPoly({_mono_pow(m, k): c ** (-k % 4)})
+                    return LaurentPoly({_mono_pow(m, k): c ** (k % 4)})
             raise ValueError("negative power of a non-unit polynomial")
         out = LaurentPoly.const(1)
         base = self
@@ -430,8 +444,8 @@ class LaurentPoly:
                 if not c.is_unit():
                     raise ValueError(
                         f"{v.name()} occurs with negative exponent; image coefficient must be a unit")
-        out = LaurentPoly.zero()
-        for m, c in self.terms.items():
+
+        def image(m: Monomial, c: GInt) -> "LaurentPoly":
             piece = LaurentPoly.const(c)
             rest = []
             for v, e in m:
@@ -439,9 +453,9 @@ class LaurentPoly:
                     piece = piece * (images[v] ** e)
                 else:
                     rest.append((v, e))
-            piece = piece * LaurentPoly.term(1, rest)
-            out = out + piece
-        return out
+            return piece * LaurentPoly.term(1, rest)
+
+        return LaurentPoly.sum(image(m, c) for m, c in self.terms.items())
 
     def evaluate(self, point: Mapping[Var, GInt]) -> GInt:
         """Exact value at a Gaussian-integer point covering all variables.
@@ -491,7 +505,7 @@ class LaurentPoly:
             raise ZeroDivisorError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        self._check_bank(d)
+        _check_bank(self.bank, d.bank)
 
         mp, md = self.clearing_shift(), d.clearing_shift()
         num = {_mono_mul(m, mp): c for m, c in self.terms.items()}
@@ -511,12 +525,7 @@ class LaurentPoly:
             qm = _mono_div(rlead, dlead)
             quo[qm] = qc
             for m, c in den.items():
-                key = _mono_mul(m, qm)
-                nc = rem.get(key, GZERO) - qc * c
-                if nc.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = nc
+                _add_term(rem, _mono_mul(m, qm), -(qc * c))
         # undo the clearing shifts: quotient picks up md / mp
         shift = _mono_div(md, mp)
         return LaurentPoly({_mono_mul(m, shift): c for m, c in quo.items()})

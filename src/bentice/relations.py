@@ -23,6 +23,7 @@ assignment is reported as a witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,26 +53,23 @@ def _crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
     return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
 
 
+def _unit_weight(u, orientation: dict, scheme: WeightScheme) -> LaurentPoly:
+    tag = unit_tag(u, orientation)
+    if u.kind == "vertex":
+        return scheme.vertex[(tag, u.label[0])]
+    if u.kind == "bend":
+        return (scheme.bend_down if tag == "D" else scheme.bend_up)[u.label[0]]
+    if u.kind == "corner":
+        return scheme.corner_r if tag == "R" else scheme.corner_l
+    j, k = u.label  # cross
+    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[tag]
+
+
 def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
-    total = LaurentPoly.zero()
-    for orientation in enumerate_orientations(units, fixed):
-        weight = ONE
-        for u in units:
-            tag = unit_tag(u, orientation)
-            if u.kind == "vertex":
-                weight = weight * scheme.vertex[(tag, u.label[0])]
-            elif u.kind == "bend":
-                bends = scheme.bend_down if tag == "D" else scheme.bend_up
-                weight = weight * bends[u.label[0]]
-            elif u.kind == "corner":
-                weight = weight * (scheme.corner_r if tag == "R" else scheme.corner_l)
-            else:  # cross
-                j, k = u.label
-                weight = weight * cross_weights(scheme.row_weights(j),
-                                                scheme.row_weights(k))[tag]
-        total = total + weight
-    return total
+    return LaurentPoly.sum(
+        math.prod((_unit_weight(u, orientation, scheme) for u in units), start=ONE)
+        for orientation in enumerate_orientations(units, fixed))
 
 
 @dataclass

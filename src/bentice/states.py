@@ -180,9 +180,12 @@ class IceState:
         }
 
 
-def _caps_from_env():
-    max_n = int(os.environ.get("BENTICE_MAX_N", DEFAULT_MAX_N))
-    max_cols = int(os.environ.get("BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
+def resolve_caps(max_n: int = None, max_cols: int = None) -> tuple:
+    """The caps in force: each given value, else its environment variable, else the default."""
+    if max_n is None:
+        max_n = int(os.environ.get("BENTICE_MAX_N", DEFAULT_MAX_N))
+    if max_cols is None:
+        max_cols = int(os.environ.get("BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
     return max_n, max_cols
 
 
@@ -202,9 +205,7 @@ def model_units(spec: ModelSpec) -> list:
 
 def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> list:
     """All admissible states, complete and in a stable deterministic order."""
-    env_n, env_cols = _caps_from_env()
-    max_n = env_n if max_n is None else max_n
-    max_cols = env_cols if max_cols is None else max_cols
+    max_n, max_cols = resolve_caps(max_n, max_cols)
     if spec.n > max_n or spec.lam[0] > max_cols:
         raise EnumerationCapError(
             f"model {spec.family}^{list(spec.lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
@@ -243,10 +244,7 @@ def partition_function(spec: ModelSpec, scheme, states=None) -> LaurentPoly:
     """Sum of state weights; associative merge, order independent."""
     if states is None:
         states = enumerate_states(spec)
-    total = LaurentPoly.zero()
-    for s in states:
-        total = total + state_weight(s, scheme)
-    return total
+    return LaurentPoly.sum(state_weight(s, scheme) for s in states)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from bentice.characters import (
-    EVEN_SIGNS, HYPEROCTAHEDRAL, CharacterBijectionError, SignedPermutation,
+    EVEN_SIGNS, HYPEROCTAHEDRAL, SYMMETRIC, CharacterBijectionError, SignedPermutation,
     alternant, character_theorem_check, family_character, identity_element,
-    length, nonzero_weight_states, phi_statistic, schur, state_to_weyl,
-    tokuyama_check, weyl_group, weyl_state_weight, weyl_vector, word_length_table,
+    length, nonzero_weight_states, phi_statistic, state_to_weyl,
+    tokuyama_check, weyl_group, weyl_state_weight, weyl_vector,
 )
 from bentice.laurent import LaurentPoly, Var, gpow_i
 from bentice.models import build_model
@@ -20,10 +20,49 @@ def xp(j, e):
     return LaurentPoly.term(1, [(Var.x(j), e)])
 
 
+def generators(group: str, n: int) -> list:
+    """Adjacent swaps, plus the group's sign flip for the signed groups."""
+    gens = []
+    for i in range(1, n):
+        sigma = list(range(1, n + 1))
+        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+        gens.append(SignedPermutation(tuple(sigma), (1,) * n))
+    if group == HYPEROCTAHEDRAL:
+        signs = [1] * n
+        signs[-1] = -1
+        gens.append(SignedPermutation(tuple(range(1, n + 1)), tuple(signs)))
+    elif group == EVEN_SIGNS and n >= 2:
+        sigma = list(range(1, n + 1))
+        sigma[-2], sigma[-1] = sigma[-1], sigma[-2]
+        signs = [1] * n
+        signs[-2] = signs[-1] = -1
+        gens.append(SignedPermutation(tuple(sigma), tuple(signs)))
+    return gens
+
+
+def word_length_table(group: str, n: int) -> dict:
+    """Breadth-first minimal word lengths; the brute-force oracle."""
+    gens = generators(group, n)
+    start = identity_element(n)
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                u = g * w
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
 class TestGroup:
     def test_orders(self):
         assert [len(weyl_group(HYPEROCTAHEDRAL, n)) for n in (1, 2, 3)] == [2, 8, 48]
         assert [len(weyl_group(EVEN_SIGNS, n)) for n in (2, 3)] == [4, 24]
+        assert [len(weyl_group(SYMMETRIC, n)) for n in (1, 2, 3, 4)] == [1, 2, 6, 24]
 
     def test_identity_length(self):
         assert length(identity_element(3), HYPEROCTAHEDRAL) == 0
@@ -38,7 +77,7 @@ class TestGroup:
 
     @pytest.mark.parametrize("group,n", [
         (HYPEROCTAHEDRAL, 1), (HYPEROCTAHEDRAL, 2), (HYPEROCTAHEDRAL, 3),
-        (EVEN_SIGNS, 2), (EVEN_SIGNS, 3),
+        (EVEN_SIGNS, 2), (EVEN_SIGNS, 3), (SYMMETRIC, 3), (SYMMETRIC, 4),
     ])
     def test_length_formula_equals_word_length(self, group, n):
         table = word_length_table(group, n)
@@ -47,7 +86,7 @@ class TestGroup:
             assert length(w, group) == wl
 
     def test_det_parity(self):
-        for group in (HYPEROCTAHEDRAL, EVEN_SIGNS):
+        for group in (SYMMETRIC, HYPEROCTAHEDRAL, EVEN_SIGNS):
             for w in weyl_group(group, 3):
                 assert w.det_sign() == (-1) ** (length(w, group) % 2)
 
@@ -64,6 +103,14 @@ class TestAlternants:
 
     def test_d_n1_trivial_group(self):
         assert alternant(EVEN_SIGNS, 1, weyl_vector("D", 1)) == ONE
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_type_a_delta_is_the_vandermonde_product(self, n):
+        # x_i^2 in doubled exponents is x_i
+        vandermonde = ONE
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            vandermonde = vandermonde * (xp(i, 2) - xp(j, 2))
+        assert alternant(SYMMETRIC, n, weyl_vector("A", n)) == vandermonde
 
     def test_antisymmetry_under_simple_reflection(self):
         alpha = (2 * 2 + 3, 2 * 0 + 1)  # mu=(2,0) + rho_B doubled
@@ -92,8 +139,8 @@ class TestCharacters:
         assert at_one == LaurentPoly.const(4)
 
     def test_schur_small(self):
-        assert schur(2, [1, 0]) == xp(1, 2) + xp(2, 2)
-        assert schur(2, [1, 1]) == xp(1, 2) * xp(2, 2)
+        assert family_character("A", 2, [1, 0]) == xp(1, 2) + xp(2, 2)
+        assert family_character("A", 2, [1, 1]) == xp(1, 2) * xp(2, 2)
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
@@ -185,6 +232,10 @@ class TestCharacterTheorem:
 
     def test_b_31(self):
         assert character_theorem_check("B", [3, 1])["ok"]
+
+    def test_family_a_points_to_tokuyama(self):
+        with pytest.raises(ValueError, match="verify tokuyama"):
+            character_theorem_check("A", [2, 1])
 
     def test_d_with_lambda_n_one(self):
         assert character_theorem_check("D", [4, 1])["ok"]

@@ -65,6 +65,12 @@ class TestVerbs:
         assert code == EXIT_PASS
         assert "x_{1}" in report["data"]["chi"]
 
+    def test_character_family_a_is_the_schur_polynomial(self, capsys):
+        code, report = invoke(capsys, "character", "--family", "A",
+                              "--mu", "1,0", "--emit", "latex")
+        assert code == EXIT_PASS
+        assert report["data"]["chi"] == "x_{2} + x_{1}"
+
     def test_asm_export(self, capsys):
         code, report = invoke(capsys, "asm", "--family", "B", "--lambda", "2,1")
         assert code == EXIT_PASS
@@ -110,6 +116,32 @@ class TestExitCodes:
         code, report = invoke(capsys, "verify", "rho", "--family", "A", "--n", "2")
         assert code == EXIT_PASS
         assert report["data"] == {"A:deformation": True}
+
+    def test_family_a_character_identity_is_input_error(self, capsys):
+        code, report = invoke(capsys, "verify", "character", "--family", "A",
+                              "--lambda", "2,1")
+        assert code == EXIT_INPUT
+        assert "verify tokuyama" in report["error"]
+
+    @pytest.mark.parametrize("check", ["rho", "okada", "bijection"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_rank_below_one_is_input_error(self, capsys, check, n):
+        code, report = invoke(capsys, "verify", check, "--family", "B", "--n", n)
+        assert code == EXIT_INPUT
+        assert report["error"] == f"--n must be at least 1, got {n}"
+
+    def test_character_honours_the_rank_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        code, report = invoke(capsys, "character", "--family", "B",
+                              "--mu", "1,0,0", "--max-n", "2")
+        assert code == EXIT_CAP
+        assert report["error"] == "mu of length 3 exceeds cap n<=2"
+        monkeypatch.setenv("BENTICE_MAX_N", "2")
+        code, _ = invoke(capsys, "character", "--family", "B", "--mu", "1,0,0")
+        assert code == EXIT_CAP
+        code, _ = invoke(capsys, "character", "--family", "B", "--mu", "1,0,0",
+                         "--max-n", "3")
+        assert code == EXIT_PASS
 
     def test_self_check_failure_is_exit_2(self, capsys, monkeypatch):
         # the value check refutes a division that the exact division then performs

@@ -28,3 +28,16 @@ def test_no_module_imports_fractions_or_calls_float():
     offenders = {path.name: uses for path in SOURCES
                  if (uses := inexact_uses(ast.parse(path.read_text())))}
     assert offenders == {}
+
+
+def test_no_module_imports_sympy():
+    # sympy is a test-only oracle, never a dependency of the package
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "sympy" for name in names), path.name

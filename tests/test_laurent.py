@@ -71,6 +71,12 @@ class TestRingBasics:
         with pytest.raises(MixedBankError):
             g + d
 
+    def test_negative_power_of_a_unit_monomial(self):
+        for c in (GONE, -GONE, GI, -GI):
+            p = LaurentPoly.term(c, [(X, 1)])
+            assert p ** -1 * p == LaurentPoly.const(1)
+            assert p ** -3 * p ** 3 == LaurentPoly.const(1)
+
 
 class TestExactDivide:
     def test_factorization_identity(self):
