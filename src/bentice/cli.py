@@ -84,6 +84,14 @@ def _families(args):
     return [fam]
 
 
+def _family(args):
+    """The family of a verb that runs one; only verify rho/okada fan 'all' out."""
+    if args.family == "all":
+        raise InputError("--family all is accepted only by 'verify rho' and 'verify okada'; "
+                         "name one family")
+    return _families(args)[0]
+
+
 def _rank(args) -> int:
     n = 2 if args.n is None else args.n
     if n < 1:
@@ -114,7 +122,7 @@ def run(args) -> tuple:
     """Dispatch one parsed invocation; returns (verdict, data)."""
     verb = args.verb
     if verb == "enumerate":
-        fam = _families(args)[0]
+        fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         states = enumerate_states(build_model(fam, lam), args.max_n, args.max_cols)
         if args.emit == "count":
@@ -125,7 +133,7 @@ def run(args) -> tuple:
         return None, {"count": len(states), "states": [s.to_json() for s in states]}
 
     if verb == "partition":
-        fam = _families(args)[0]
+        fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         scheme = make_scheme(args.scheme or "deformation", fam, len(lam))
         spec = build_model(fam, lam)
@@ -139,7 +147,7 @@ def run(args) -> tuple:
         return None, data
 
     if verb == "asm":
-        fam = _families(args)[0]
+        fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         spec = build_model(fam, lam)
         states = enumerate_states(spec, args.max_n, args.max_cols)
@@ -155,7 +163,7 @@ def run(args) -> tuple:
         return None, data
 
     if verb == "character":
-        fam = _families(args)[0]
+        fam = _family(args)
         mu = [int(p) for p in _need(args, "mu").split(",")]
         max_n, _ = resolve_caps(args.max_n)
         if len(mu) > max_n:
@@ -176,19 +184,19 @@ def _verify(args) -> tuple:
     workers = args.workers
 
     if check == "ybe":
-        fam = _families(args)[0]
+        fam = _family(args)
         scheme = make_scheme(args.scheme or "deformation", fam, 2)
         v = ybe_check(scheme.row_weights("1"), scheme.row_weights("2"))
         return v.ok, {"checked": v.checked, "witness": v.witness}
 
     if check == "bend":
-        fam = _families(args)[0]
+        fam = _family(args)
         scheme = make_scheme(args.scheme or "generic", fam, 2)
         v = bend_ybe_check(scheme, 1, 2)
         return v.ok, {"checked": v.checked, "witness": v.witness}
 
     if check == "fish":
-        fam = _families(args)[0]
+        fam = _family(args)
         if fam not in FISH_VARIANTS:
             raise InputError(f"fish variants exist for families {sorted(FISH_VARIANTS)}")
         scheme = make_scheme(args.scheme or "generic", fam, 1)
@@ -196,7 +204,7 @@ def _verify(args) -> tuple:
         return v.ok and bool(v.closed_form_ok), v.to_json()
 
     if check == "jellyfish":
-        fam = _families(args)[0]
+        fam = _family(args)
         if fam not in JELLY_VARIANTS:
             raise InputError(f"jellyfish variants exist for families {sorted(JELLY_VARIANTS)}")
         n = 2 if fam == "BC" else 1
@@ -205,7 +213,7 @@ def _verify(args) -> tuple:
         return v.ok and bool(v.closed_form_ok), v.to_json()
 
     if check == "caduceus":
-        fam = _families(args)[0]
+        fam = _family(args)
         n = 2 if fam == "BC" else 1
         if central_label(fam, n) is None:
             raise InputError("caduceus needs a central row: families Bstar, C, BC")
@@ -214,7 +222,7 @@ def _verify(args) -> tuple:
         return v.ok, {"checked": v.checked, "witness": v.witness}
 
     if check == "divisibility":
-        fam = _families(args)[0]
+        fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         regime = args.scheme or "deformation"
         try:
@@ -236,7 +244,7 @@ def _verify(args) -> tuple:
 
     if check == "okada":
         n = _rank(args)
-        fams = [f for f in _families(args)]
+        fams = _families(args)
         results = _pool_map(_okada_case, [(f, n) for f in fams], workers)
         data = {f: ok for f, ok in results}
         return all(data.values()), data
@@ -248,7 +256,7 @@ def _verify(args) -> tuple:
         return r["ok"], {"checked": r["checked"]}
 
     if check == "character":
-        fam = _families(args)[0]
+        fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         r = character_theorem_check(fam, lam)
         return r["ok"], {"chi": r["chi"].to_latex()}

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .laurent import GI, GInt, LaurentPoly, Var, monomial_sort_key
+from .laurent import GI, GInt, LaurentPoly, Var, dense_key
 from .models import build_model
 from .relations import _crossing
 from .states import partition_function
@@ -198,7 +198,8 @@ def divisibility_check(family: str, lam, regime: str,
     """
     spec = build_model(family, lam)
     factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
-    factors = sorted(factors, key=lambda f: monomial_sort_key(f.leading()[0]))
+    order = sorted({v for f in factors for v, _ in f.leading()[0]})
+    factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
     z = partition_function(spec, make_scheme(regime, family, spec.n))
     rng = random.Random(seed)
     quotient = z

@@ -16,13 +16,18 @@ Conventions baked into the representation:
   ``q_j**2`` so that square roots of ``t`` demanded by specializations
   remain inside the ring.  LaTeX rendering folds even ``q`` powers back
   into ``t``.
+- Monomials are stored sparse, as sorted ``(Var, exponent)`` pairs.  They
+  are ordered lexicographically over the ``Var`` order (bank, symbol,
+  index), with implicit zero exponents: for one operation at a time,
+  ``dense_key`` lays each monomial out as a dense exponent tuple over the
+  sorted variables involved, and native tuple order is the monomial order.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from operator import add, sub
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 GENERIC = 0
 DEFORMATION = 1
@@ -42,9 +47,9 @@ class ZeroDivisorError(ZeroDivisionError):
     """Division by the zero polynomial; distinct from 'not divisible'."""
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A named variable with a fixed position in the global ordering."""
+class Var(NamedTuple):
+    """A named variable; as a plain tuple (bank, sym, idx) its native order
+    is the global variable order."""
 
     bank: int
     sym: int
@@ -214,38 +219,10 @@ def _mono_pow(m: Monomial, k: int) -> Monomial:
     return tuple((v, e * k) for v, e in m)
 
 
-def _mono_divides(d: Monomial, m: Monomial) -> bool:
+def dense_key(m: Monomial, order: list) -> tuple:
+    """m's exponents over the sorted variables in order, zeros included."""
     exps = dict(m)
-    return all(exps.get(v, 0) >= e for v, e in d)
-
-
-def _mono_div(m: Monomial, d: Monomial) -> Monomial:
-    return _mono_mul(m, tuple((v, -e) for v, e in d))
-
-
-def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Lexicographic comparison over the global variable order."""
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        if i < len(m1) and (j >= len(m2) or m1[i][0] < m2[j][0]):
-            v, e1, e2 = m1[i][0], m1[i][1], 0
-            i += 1
-        elif j < len(m2) and (i >= len(m1) or m2[j][0] < m1[i][0]):
-            v, e1, e2 = m2[j][0], 0, m2[j][1]
-            j += 1
-        else:
-            v, e1, e2 = m1[i][0], m1[i][1], m2[j][1]
-            i += 1
-            j += 1
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-    return 0
-
-
-_mono_key = functools.cmp_to_key(_mono_cmp)
-
-#: public handle for sorting monomials by the global order
-monomial_sort_key = _mono_key
+    return tuple(exps.get(v, 0) for v in order)
 
 
 def _add_term(terms: dict, m: Monomial, c: GInt) -> None:
@@ -415,11 +392,11 @@ class LaurentPoly:
         return len(degs) <= 1
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
+        order = sorted(self.variables())
+        return sorted(self.terms.items(), key=lambda it: dense_key(it[0], order))
 
     def leading(self) -> tuple:
-        m = max(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        return self.sorted_terms()[-1]
 
     # -- substitution / evaluation --------------------------------------
     def substitute(self, images: Mapping[Var, "LaurentPoly"]) -> "LaurentPoly":
@@ -432,19 +409,8 @@ class LaurentPoly:
 
         A variable that occurs with a negative exponent must map to a
         single-term polynomial with unit coefficient, so the image stays
-        in the ring.
+        in the ring; any other image raises ValueError (from ``**``).
         """
-        for v in images:
-            if any(e < 0 for m in self.terms for w, e in m if w == v):
-                img = images[v]
-                if len(img.terms) != 1:
-                    raise ValueError(
-                        f"{v.name()} occurs with negative exponent; image must be a single term")
-                _, c = next(iter(img.terms.items()))
-                if not c.is_unit():
-                    raise ValueError(
-                        f"{v.name()} occurs with negative exponent; image coefficient must be a unit")
-
         def image(m: Monomial, c: GInt) -> "LaurentPoly":
             piece = LaurentPoly.const(c)
             rest = []
@@ -494,7 +460,8 @@ class LaurentPoly:
         """Quotient self/d when d divides exactly, else None.
 
         Both operands are shifted by monomials to clear negative
-        exponents, then single-divisor multivariate division runs under
+        exponents and laid out as dense exponent tuples over their joint
+        variables, then single-divisor multivariate division runs under
         the lexicographic order; remainder zero iff divisible (for one
         divisor the leading term of d must divide the leading term of
         the remainder at every step).  The quotient is shifted back, so
@@ -508,27 +475,28 @@ class LaurentPoly:
         _check_bank(self.bank, d.bank)
 
         mp, md = self.clearing_shift(), d.clearing_shift()
-        num = {_mono_mul(m, mp): c for m, c in self.terms.items()}
-        den = {_mono_mul(m, md): c for m, c in d.terms.items()}
+        order = sorted(self.variables() | d.variables())
+        rem = {dense_key(_mono_mul(m, mp), order): c for m, c in self.terms.items()}
+        den = {dense_key(_mono_mul(m, md), order): c for m, c in d.terms.items()}
 
-        dlead = max(den, key=_mono_key)
+        dlead = max(den)
         dlc = den[dlead]
-        rem = dict(num)
         quo: dict = {}
         while rem:
-            rlead = max(rem, key=_mono_key)
-            if not _mono_divides(dlead, rlead):
+            rlead = max(rem)
+            qm = tuple(map(sub, rlead, dlead))
+            if min(qm, default=0) < 0:
                 return None
             qc = rem[rlead].exact_div(dlc)
             if qc is None:
                 return None
-            qm = _mono_div(rlead, dlead)
             quo[qm] = qc
             for m, c in den.items():
-                _add_term(rem, _mono_mul(m, qm), -(qc * c))
+                _add_term(rem, tuple(map(add, m, qm)), -(qc * c))
         # undo the clearing shifts: quotient picks up md / mp
-        shift = _mono_div(md, mp)
-        return LaurentPoly({_mono_mul(m, shift): c for m, c in quo.items()})
+        shift = _mono_mul(md, _mono_pow(mp, -1))
+        return LaurentPoly({_mono_mul(tuple((v, e) for v, e in zip(order, qm) if e), shift): c
+                            for qm, c in quo.items()})
 
     # -- rendering ---------------------------------------------------------
     def to_json(self) -> dict:

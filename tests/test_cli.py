@@ -130,6 +130,24 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"] == f"--n must be at least 1, got {n}"
 
+    @pytest.mark.parametrize("argv", [
+        ["character", "--mu", "1,0"],
+        ["enumerate", "--lambda", "2,1", "--emit", "count"],
+        ["partition", "--lambda", "2,1"],
+        ["asm", "--lambda", "2,1"],
+        ["verify", "ybe"],
+        ["verify", "bend"],
+        ["verify", "fish"],
+        ["verify", "jellyfish"],
+        ["verify", "caduceus"],
+        ["verify", "divisibility", "--lambda", "2,1"],
+        ["verify", "character", "--lambda", "2,1"],
+    ], ids=" ".join)
+    def test_family_all_on_a_single_family_verb_is_input_error(self, capsys, argv):
+        code, report = invoke(capsys, *argv, "--family", "all")
+        assert code == EXIT_INPUT
+        assert "'verify rho' and 'verify okada'" in report["error"]
+
     def test_character_honours_the_rank_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("BENTICE_MAX_N", raising=False)
         code, report = invoke(capsys, "character", "--family", "B",

@@ -2,14 +2,16 @@
 
 Random Laurent polynomials with Gaussian-integer coefficients are built
 both as LaurentPoly values and as sympy expressions; every operation must
-agree after expansion.  sympy is a test-only oracle.
+agree after expansion.  sympy is a test-only oracle; the monomial order
+is checked against a copy of the comparator it replaced.
 """
 
+import functools
 import random
 
 import pytest
 
-from bentice.laurent import GInt, LaurentPoly, MixedBankError, Var
+from bentice.laurent import GInt, LaurentPoly, MixedBankError, Var, dense_key
 
 sympy = pytest.importorskip("sympy")
 
@@ -84,3 +86,111 @@ def test_mixed_banks_raise_even_when_the_generic_terms_cancel():
     with pytest.raises(MixedBankError):
         LaurentPoly.sum([generic, -generic, LaurentPoly.const(2), deformation])
     assert LaurentPoly.sum([LaurentPoly.const(1), deformation]).bank == deformation.bank
+
+
+UNITS = [GInt(1), GInt(-1), GInt(0, 1), GInt(0, -1)]
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_power(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, 3)
+    k = rng.randint(0, 3)
+    assert same(p ** k, to_sympy(p) ** k)
+    # negative powers stay in the ring for unit monomials only
+    unit = LaurentPoly.term(UNITS[seed % 4], [(v, rng.randint(-2, 2)) for v in VARS])
+    k = -1 - seed % 5
+    assert same(unit ** k, to_sympy(unit) ** k)
+    assert (unit ** k) * (unit ** -k) == LaurentPoly.const(1)
+    with pytest.raises(ValueError):
+        (unit * GInt(1, 1)) ** k
+
+
+def divisor_with_constant_term(rng):
+    """A random Laurent divisor that keeps a nonzero constant term.
+
+    Clearing its negative exponents then leaves no monomial factor in the
+    divisor, so division of the cleared operands decides divisibility.
+    """
+    terms = dict(random_poly(rng, 4).terms)
+    terms[()] = GInt(rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2))
+    return LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_exact_divide_recovers_the_cofactor(seed):
+    rng = random.Random(seed)
+    a, b = random_poly(rng), divisor_with_constant_term(rng)
+    q = (a * b).exact_divide(b)
+    assert q == a
+    assert same(q * b, to_sympy(a) * to_sympy(b))
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_exact_divide_leaves_a_remainder(seed):
+    rng = random.Random(seed)
+    a, b = random_poly(rng), divisor_with_constant_term(rng)
+    if len(b.terms) == 1:
+        b = b + LaurentPoly.var(Var.x(1))
+    # a divisor of two or more terms divides no monomial, so no a*b + m
+    m = LaurentPoly.term(rng.choice(UNITS), [(v, rng.randint(-2, 2)) for v in VARS])
+    assert (a * b + m).exact_divide(b) is None
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_exact_divide_by_a_constant(seed):
+    rng = random.Random(seed)
+    a = random_poly(rng)
+    c = GInt(rng.choice([-3, -2, 2, 3]), rng.randint(-3, 3))
+    assert (a * c).exact_divide(LaurentPoly.const(c)) == a
+    # a unit coefficient is not a multiple of a non-unit constant
+    assert (a * c + LaurentPoly.const(1)).exact_divide(LaurentPoly.const(c)) is None
+
+
+def _mono_cmp(m1, m2):
+    """Oracle: the comparator that ordered monomials before dense keys."""
+    i = j = 0
+    while i < len(m1) or j < len(m2):
+        if i < len(m1) and (j >= len(m2) or m1[i][0] < m2[j][0]):
+            v, e1, e2 = m1[i][0], m1[i][1], 0
+            i += 1
+        elif j < len(m2) and (i >= len(m1) or m2[j][0] < m1[i][0]):
+            v, e1, e2 = m2[j][0], 0, m2[j][1]
+            j += 1
+        else:
+            v, e1, e2 = m1[i][0], m1[i][1], m2[j][1]
+            i += 1
+            j += 1
+        if e1 != e2:
+            return 1 if e1 > e2 else -1
+    return 0
+
+
+ORACLE_KEY = functools.cmp_to_key(_mono_cmp)
+BANKS = {
+    "generic": [Var.a0(), Var.b0(), Var.a1(1), Var.a2(2), Var.b1(1), Var.b2(3), Var.a1(2)],
+    "deformation": [Var.x(1), Var.x(2), Var.x(3), Var.q(1), Var.q(2), Var.qshared()],
+}
+
+
+def random_bank_poly(rng, bank):
+    pool = BANKS[bank]
+    terms = [LaurentPoly.term(GInt(rng.randint(-3, 3), rng.randint(-3, 3)),
+                              [(v, rng.randint(-3, 3)) for v in rng.sample(pool, rng.randint(0, len(pool)))])
+             for _ in range(rng.randint(1, 12))]
+    return LaurentPoly.sum(terms)
+
+
+@pytest.mark.parametrize("bank", sorted(BANKS))
+@pytest.mark.parametrize("seed", range(20))
+def test_order_matches_the_comparator(bank, seed):
+    rng = random.Random(seed)
+    p = random_bank_poly(rng, bank)
+    if p.is_zero():
+        return
+    assert [m for m, _ in p.sorted_terms()] == sorted(p.terms, key=ORACLE_KEY)
+    assert p.leading()[0] == max(p.terms, key=ORACLE_KEY)
+    order = sorted(p.variables())
+    for m1, m2 in zip(p.terms, list(p.terms)[1:]):
+        k1, k2 = dense_key(m1, order), dense_key(m2, order)
+        assert (k1 > k2) - (k1 < k2) == _mono_cmp(m1, m2)
