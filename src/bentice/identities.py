@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 from .laurent import GI, GInt, LaurentPoly, Var, dense_key
 from .models import build_model
-from .relations import _crossing
 from .states import partition_function
-from .weights import WeightScheme, central_label, make_scheme, regular_row_count
+from .weights import WeightScheme, central_label, crossing, make_scheme, regular_row_count
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -68,11 +67,11 @@ def _crossing_factors(scheme: WeightScheme) -> list:
                 w = scheme.row_weights(row)
                 factors.append(w["a2"] + I * w["b1"])
             else:
-                factors.append(_crossing(scheme, row, partner_rows[partner]))
+                factors.append(crossing(scheme, row, partner_rows[partner]))
     for j in range(1, m + 1):
         for k in range(j + 1, m + 1):
-            factors.append(_crossing(scheme, str(j), str(k)))
-            factors.append(_crossing(scheme, str(j), str(k) + "b"))
+            factors.append(crossing(scheme, str(j), str(k)))
+            factors.append(crossing(scheme, str(j), str(k) + "b"))
     return factors
 
 
@@ -101,8 +100,9 @@ def known_factor(family: str, n: int, regime: str, lambda_has_1: bool = True) ->
 def _type_a_factors(n: int) -> list:
     """Root factors of the deformed type-A denominator, one shared t.
 
-    The monomial x^rho also divides (it is handled as an exponent shift
-    in divisibility_check, since monomials fail plain division).
+    The monomial x^rho also divides: divisibility_check strips it and
+    requires that no exponent goes negative (a monomial, a unit of the
+    Laurent ring, always divides exactly).
     """
     t = LaurentPoly.term(1, [(Var.qshared(), 2)])
     factors = []
@@ -170,10 +170,11 @@ def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
                           rng: random.Random, trials: int = 5):
     """False only with a witness point: cleared-value non-divisibility.
 
-    Clears negative exponents from both polynomials, evaluates at random
-    Gaussian-integer points, and tests exact value divisibility in Z[i].
-    Divisibility of the cleared polynomials implies value divisibility,
-    so a refuting point is conclusive; True is only probabilistic.
+    Clears both polynomials (see LaurentPoly.clearing_shift), evaluates
+    at random Gaussian-integer points, and tests exact value divisibility
+    in Z[i].  Divisibility of the cleared polynomials implies value
+    divisibility, so a refuting point is conclusive; True is only
+    probabilistic.
     """
     nc, dc = (p * LaurentPoly.term(1, p.clearing_shift()) for p in (num, den))
     variables = nc.variables() | dc.variables()
@@ -216,7 +217,7 @@ def divisibility_check(family: str, lam, regime: str,
     if family == "A":
         # strip x^rho; the result must be an honest polynomial in the x's
         quotient = quotient * _x_rho_shift(spec.n)
-        if quotient.clearing_shift():
+        if any(e < 0 for m in quotient.terms for _, e in m):
             raise DivisibilityError(
                 f"x^rho does not divide Z(A^{list(lam)}) [{regime}]")
     return quotient

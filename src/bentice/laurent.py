@@ -447,13 +447,24 @@ class LaurentPoly:
         return total
 
     def clearing_shift(self) -> Monomial:
-        """The least monomial whose product with self has no negative exponent."""
+        """The unit monomial that shifts each variable by minus its least exponent.
+
+        Its product with self has no negative exponent and no monomial
+        factor, so a cleared divisor divides a cleared dividend exactly when
+        the Laurent polynomials divide.
+        """
         mins: dict = {}
         for m in self.terms:
             for v, e in m:
                 if e < mins.get(v, 0):
                     mins[v] = e
-        return tuple(sorted((v, -e) for v, e in mins.items()))
+        # the monomial factor: each variable with a positive exponent in every term
+        common = dict(next(iter(self.terms), ()))
+        for m in self.terms:
+            if not common:
+                break
+            common = {v: min(e, common[v]) for v, e in m if e > 0 and v in common}
+        return tuple(sorted((v, -e) for v, e in {**mins, **common}.items()))
 
     # -- division --------------------------------------------------------
     def exact_divide(self, d: "LaurentPoly") -> Optional["LaurentPoly"]:
@@ -464,9 +475,9 @@ class LaurentPoly:
         variables, then single-divisor multivariate division runs under
         the lexicographic order; remainder zero iff divisible (for one
         divisor the leading term of d must divide the leading term of
-        the remainder at every step).  The quotient is shifted back, so
-        Laurent operands whose cleared forms stay divisible (the case
-        for every partition-function factor here) work transparently.
+        the remainder at every step).  The quotient is shifted back.
+        Clearing also removes every monomial factor (see clearing_shift),
+        so this decides divisibility in the Laurent ring: 1 / x_1 is x_1^-1.
         """
         if d.is_zero():
             raise ZeroDivisorError("division by the zero polynomial")

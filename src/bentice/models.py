@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 FAMILIES = ("A", "B", "Bstar", "C", "Cstar", "D", "BC")
@@ -58,10 +59,6 @@ class Vertex:
     e_edge: EdgeId
     s_edge: EdgeId
     w_edge: EdgeId
-
-    @property
-    def vid(self):
-        return (self.row, self.col)
 
 
 @dataclass(frozen=True)
@@ -106,6 +103,16 @@ class ModelSpec:
     def edge_index(self) -> dict:
         """Edge id -> position in ``edges``."""
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def unit_table(self) -> tuple:
+        """(unit, getter of its edge bits from a state's orientation) for
+        every unit: vertices by (row, col), then the bends, then the corner."""
+        from .states import model_units   # states builds units from a spec
+        units = model_units(self)
+        vertices = sorted((u for u in units if u.kind == "vertex"), key=lambda u: u.label)
+        return tuple((u, itemgetter(*(self.edge_index[e] for e, _ in u.edges)))
+                     for u in vertices + [u for u in units if u.kind != "vertex"])
 
     def to_json(self) -> dict:
         return {

@@ -3,21 +3,11 @@
 Each check builds the two sides of a local identity as tiny unit graphs
 (crossings, six-vertex cells, bends, corners), enumerates every interior
 filling for every assignment of the free boundary arrows with the same
-engine that drives full models, and compares exact polynomials.
-
-A crossing of strands j (entering top-left, leaving bottom-right) and k
-carries the interpolating weights
-
-    in at NW,SW:  a1(k) a2(j) + b1(j) b2(k)
-    in at NE,SE:  a1(j) a2(k) + b1(k) b2(j)
-    in at SW,NE:  c1(j) c2(k)
-    in at NW,SE:  c1(k) c2(j)
-    in at NW,NE:  a1(j) b2(k) - a1(k) b2(j)
-    in at SW,SE:  a2(j) b1(k) - a2(k) b1(j)
-
-which satisfy the star-triangle identity exactly when both rows are
-free-fermionic.  Verdicts are exact polynomial statements; a failing
-assignment is reported as a witness.
+engine that drives full models, weighs each unit with
+``weights.unit_weight`` (crossings carry ``weights.cross_weights``, which
+satisfy the star-triangle identity exactly when both rows are
+free-fermionic), and compares exact polynomials.  Verdicts are exact
+polynomial statements; a failing assignment is reported as a witness.
 """
 
 from __future__ import annotations
@@ -31,44 +21,17 @@ from .laurent import GI, LaurentPoly
 from .states import (
     bend_unit, corner_unit, cross_unit, enumerate_orientations, unit_tag, vertex_unit,
 )
-from .weights import WeightScheme, central_label
+from .weights import WeightScheme, central_label, crossing, unit_weight
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
 
-def cross_weights(wj: dict, wk: dict) -> dict:
-    return {
-        frozenset({"NW", "SW"}): wk["a1"] * wj["a2"] + wj["b1"] * wk["b2"],
-        frozenset({"NE", "SE"}): wj["a1"] * wk["a2"] + wk["b1"] * wj["b2"],
-        frozenset({"SW", "NE"}): wj["c1"] * wk["c2"],
-        frozenset({"NW", "SE"}): wk["c1"] * wj["c2"],
-        frozenset({"NW", "NE"}): wj["a1"] * wk["b2"] - wk["a1"] * wj["b2"],
-        frozenset({"SW", "SE"}): wj["a2"] * wk["b1"] - wk["a2"] * wj["b1"],
-    }
-
-
-def _crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
-    """Crossing weight of rows j and k with both arrows in at NW and SW."""
-    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
-
-
-def _unit_weight(u, orientation: dict, scheme: WeightScheme) -> LaurentPoly:
-    tag = unit_tag(u, orientation)
-    if u.kind == "vertex":
-        return scheme.vertex[(tag, u.label[0])]
-    if u.kind == "bend":
-        return (scheme.bend_down if tag == "D" else scheme.bend_up)[u.label[0]]
-    if u.kind == "corner":
-        return scheme.corner_r if tag == "R" else scheme.corner_l
-    j, k = u.label  # cross
-    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[tag]
-
-
 def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
     return LaurentPoly.sum(
-        math.prod((_unit_weight(u, orientation, scheme) for u in units), start=ONE)
+        math.prod((unit_weight(u, unit_tag(u, orientation), scheme) for u in units),
+                  start=ONE)
         for orientation in enumerate_orientations(units, fixed))
 
 
@@ -175,8 +138,8 @@ def fish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
         r = scheme.row_weights(jl)
         return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"])
     if variant == "Cstar_D_no1":
-        return _crossing(scheme, jl, jb)
-    return _crossing(scheme, jb, jl)
+        return crossing(scheme, jl, jb)
+    return crossing(scheme, jb, jl)
 
 
 def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
@@ -229,13 +192,13 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
 def jellyfish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
     jl, jb = str(j), str(j) + "b"
     star = central_label(variant, scheme.n)
-    pair = _crossing(scheme, jl, star) * _crossing(scheme, jb, star)
+    pair = crossing(scheme, jl, star) * crossing(scheme, jb, star)
     if variant == "C":
         # the C jellyfish carries the bend pair of the B fish
         return fish_closed_form(scheme, j, "B") * pair
     if variant == "Bstar":
-        return pair * _crossing(scheme, jb, jl)
-    return pair * _crossing(scheme, jl, jb)
+        return pair * crossing(scheme, jb, jl)
+    return pair * crossing(scheme, jl, jb)
 
 
 def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:

@@ -11,6 +11,10 @@ degree-two units need one each.  Enumeration fills units in a fixed order
 (bends and rightmost columns first, which prunes hardest), trying local
 configurations in a fixed sequence, so the resulting state list is
 deterministic and stable across runs.
+
+A state stores only its edge bits.  Its vertex kinds, bend and corner
+directions, and its weight (``weights.unit_weight`` per unit) are read
+through ``ModelSpec.unit_table``, built once per model.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .laurent import LaurentPoly
 from .models import ModelSpec
+from .weights import unit_weight
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_COLS = 8
@@ -36,7 +42,6 @@ VERTEX_CONFIGS = {
     "c2": (True, False, False, True),
 }
 KIND_ORDER = ("a1", "a2", "b1", "b2", "c1", "c2")
-_KIND_OF_BITS = {bits: kind for kind, bits in VERTEX_CONFIGS.items()}
 
 
 class EnumerationCapError(RuntimeError):
@@ -58,6 +63,11 @@ class Unit:
     edges: tuple          # ((edge_id, polarity_bool), ...)
     configs: tuple        # ((bit, ...), ...)
     tags: tuple
+
+    @cached_property
+    def tag_of(self) -> dict:
+        """Local configuration (bits in edge order) -> tag."""
+        return dict(zip(self.configs, self.tags))
 
 
 def vertex_unit(row, col, n_edge, e_edge, s_edge, w_edge) -> Unit:
@@ -127,11 +137,10 @@ def enumerate_orientations(units, fixed: dict):
 
 
 def unit_tag(unit: Unit, orientation: dict) -> object:
-    bits = tuple(orientation[e] for e, _ in unit.edges)
-    for cfg, tag in zip(unit.configs, unit.tags):
-        if cfg == bits:
-            return tag
-    raise ValueError(f"orientation not admissible at {unit.kind}{unit.label}")
+    tag = unit.tag_of.get(tuple(orientation[e] for e, _ in unit.edges))
+    if tag is None:
+        raise ValueError(f"orientation not admissible at {unit.kind}{unit.label}")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +157,21 @@ class IceState:
     def bit(self, edge) -> bool:
         return self.orientation[self.spec.edge_index[edge]]
 
+    def _tags(self, kind: str) -> dict:
+        """Map label -> tag for every unit of the given kind."""
+        return {u.label: u.tag_of[bits_of(self.orientation)]
+                for u, bits_of in self.spec.unit_table if u.kind == kind}
+
     def vertex_kinds(self) -> dict:
         """Map (row, col) -> kind for every tetravalent vertex."""
-        bits, index = self.orientation, self.spec.edge_index
-        return {v.vid: _KIND_OF_BITS[(bits[index[v.n_edge]], bits[index[v.e_edge]],
-                                      bits[index[v.s_edge]], bits[index[v.w_edge]])]
-                for v in self.spec.vertices}
+        return self._tags("vertex")
 
     def bend_dirs(self) -> dict:
         """Map unbarred row label -> 'U' or 'D'."""
-        out = {}
-        for b in self.spec.bends:
-            out[b.row] = "D" if self.bit(b.top_edge) else "U"
-        return out
+        return {row: tag for (row,), tag in self._tags("bend").items()}
 
     def corner_dir(self) -> Optional[str]:
-        c = self.spec.corner
-        if c is None:
-            return None
-        return "R" if self.bit(c.h_edge) else "L"
+        return self._tags("corner").get(())
 
     def to_json(self) -> dict:
         return {
@@ -220,23 +225,12 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
 
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:
-    """Product of Boltzmann weights over all vertices, bends, and corner."""
+    """Product of Boltzmann weights over all vertices (by row and column), bends, and corner."""
     total = LaurentPoly.const(1)
-    kinds = state.vertex_kinds()
-    for (row, col), kind in sorted(kinds.items()):
-        w = scheme.vertex_weight(kind, row)
-        if w is None:
-            raise KeyError(f"scheme has no weight for kind {kind} in row {row}")
-        total = total * w
+    for unit, bits_of in state.spec.unit_table:
+        total = total * unit_weight(unit, unit.tag_of[bits_of(state.orientation)], scheme)
         if total.is_zero():
             return total
-    for row, direction in sorted(state.bend_dirs().items()):
-        total = total * (scheme.bend_down[row] if direction == "D" else scheme.bend_up[row])
-    cd = state.corner_dir()
-    if cd == "R":
-        total = total * scheme.corner_r
-    elif cd == "L":
-        total = total * scheme.corner_l
     return total
 
 
@@ -287,11 +281,10 @@ def state_tikz(state: IceState) -> str:
                      f"({_coord(x - 1)},{_coord(y)}) -- ({_coord(x + 1)},{_coord(y)});")
         lines.append(f"\\draw [{tip_v(n)}-{tip_v(s)}] "
                      f"({_coord(x)},{_coord(y + 1)}) -- ({_coord(x)},{_coord(y - 1)});")
-    for b in spec.bends:
-        yt, yb = yof[b.row], yof[b.row + "b"]
+    for row, tag in state.bend_dirs().items():
+        yt, yb = yof[row], yof[row + "b"]
         x = max(xof.values()) + 1
-        tag = "D" if state.bit(b.top_edge) else "U"
-        lines.append(f"% bend {b.row}: {tag}")
+        lines.append(f"% bend {row}: {tag}")
         lines.append(f"\\draw ({_coord(x)},{_coord(yt)}) arc (90:-90:{_coord((yt - yb) // 2)});")
     if spec.corner is not None:
         tag = state.corner_dir()

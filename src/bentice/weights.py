@@ -1,12 +1,15 @@
 """The Boltzmann weight regimes and their structural constraints.
 
-Four built-in schemes share one shape: an entry table (kind, row) -> value,
-u-turn weights per bend row, and corner weights for the C family.
+Four built-in schemes share one shape, built by ``_free_fermion``: an entry
+table (kind, row) -> value, u-turn weights per bend row, and corner
+weights for the C family.  Each regular row j gets its own a1, a2, b1, b2,
+with c1 = a1*a2 + b1*b2 and c2 = 1 so the free-fermion condition holds
+identically; barred rows follow by the first symmetry assumption, and the
+central row is degenerate, (a0, a0, b0, b0).  The regimes differ only in
+the a and b weights:
 
-* generic: free symbols a1,a2,b1,b2 per unbarred row, c2 normalized to 1,
-  c1 forced to a1*a2 + b1*b2 so the free-fermion condition holds
-  identically; barred rows filled in by the first symmetry assumption.
-* deformation: a1=a2=1, b1 = i*t_j*x_j, b2 = i*t_j/x_j, c1 = 1 - t_j^2,
+* generic: free symbols a1,a2,b1,b2 per unbarred row (a0, b0 centrally).
+* deformation: a1=a2=1, b1 = i*t_j*x_j, b2 = i*t_j/x_j, so c1 = 1 - t_j^2,
   with t_j carried as q_j^2.
 * okada: the deformation weights with one shared t, where four families
   take t_j = i*sqrt(t); sqrt(t) is the shared q variable.
@@ -14,8 +17,13 @@ u-turn weights per bend row, and corner weights for the C family.
   (and the corner L weight in family C).
 
 Bend weights follow the summary table: U = 1, R = 1 everywhere, D = i in
-families B and C and 1 elsewhere, L = a0 - i*b0 in family C.  Overrides
-exist so the necessity direction of each local relation can be probed.
+families B and C and 1 elsewhere, L = a0 - i*b0 in family C.  To probe
+the necessity direction of each local relation, tests perturb a built
+scheme with ``dataclasses.replace``.
+
+``unit_weight`` is the one weight lookup: the weight of any unit (vertex,
+bend, corner, or the crossing of two rows, whose weights ``cross_weights``
+gives) in a given local configuration.
 """
 
 from __future__ import annotations
@@ -24,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .laurent import GI, LaurentPoly, Var
-from .models import FAMILIES, ModelSpec, bar
+from .models import FAMILIES, ModelSpec
 
 ONE = LaurentPoly.const(1)
-ZERO = LaurentPoly.zero()
 I = LaurentPoly.const(GI)
 
 KINDS = ("a1", "a2", "b1", "b2", "c1", "c2")
@@ -59,9 +66,6 @@ class WeightScheme:
     corner_r: Optional[LaurentPoly] = None
     corner_l: Optional[LaurentPoly] = None
 
-    def vertex_weight(self, kind: str, row: str) -> Optional[LaurentPoly]:
-        return self.vertex.get((kind, row))
-
     def row_weights(self, row: str) -> dict:
         return {k: self.vertex[(k, row)] for k in KINDS if (k, row) in self.vertex}
 
@@ -86,154 +90,124 @@ class WeightScheme:
         }
 
 
-def _with_barred_rows(entries: dict, m: int) -> dict:
-    """Fill barred-row entries from the symmetry assumption."""
-    for j in range(1, m + 1):
-        r, rb = str(j), str(j) + "b"
-        entries[("a1", rb)] = entries[("a2", r)]
-        entries[("a2", rb)] = entries[("a1", r)]
-        entries[("b1", rb)] = entries[("b2", r)]
-        entries[("b2", rb)] = entries[("b1", r)]
-        entries[("c1", rb)] = entries[("c1", r)]
-        entries[("c2", rb)] = entries[("c2", r)]
-    return entries
+def cross_weights(wj: dict, wk: dict) -> dict:
+    """Weights of the crossing of strands j (in at NW, out at SE) and k (SW to NE).
+
+    Keyed by the set of ports whose arrows point in:
+
+        in at NW,SW:  a1(k) a2(j) + b1(j) b2(k)
+        in at NE,SE:  a1(j) a2(k) + b1(k) b2(j)
+        in at SW,NE:  c1(j) c2(k)
+        in at NW,SE:  c1(k) c2(j)
+        in at NW,NE:  a1(j) b2(k) - a1(k) b2(j)
+        in at SW,SE:  a2(j) b1(k) - a2(k) b1(j)
+    """
+    return {
+        frozenset({"NW", "SW"}): wk["a1"] * wj["a2"] + wj["b1"] * wk["b2"],
+        frozenset({"NE", "SE"}): wj["a1"] * wk["a2"] + wk["b1"] * wj["b2"],
+        frozenset({"SW", "NE"}): wj["c1"] * wk["c2"],
+        frozenset({"NW", "SE"}): wk["c1"] * wj["c2"],
+        frozenset({"NW", "NE"}): wj["a1"] * wk["b2"] - wk["a1"] * wj["b2"],
+        frozenset({"SW", "SE"}): wj["a2"] * wk["b1"] - wk["a2"] * wj["b1"],
+    }
 
 
-def _bend_maps(family: str, n: int, bend_down_override=None, bend_up_override=None):
-    m = regular_row_count(family, n)
-    up, down = {}, {}
-    default_down = TABLE_BEND_DOWN.get(family, ONE)
-    for j in range(1, m + 1):
-        for r in (str(j), str(j) + "b"):
-            up[r] = ONE
-            down[r] = default_down
-    for src, dst in ((bend_up_override, up), (bend_down_override, down)):
-        if src is None:
-            continue
-        if isinstance(src, LaurentPoly):
-            for r in dst:
-                dst[r] = src
-        else:
-            for r, w in src.items():
-                dst[r] = w
-                if bar(r) not in src:
-                    dst[bar(r)] = w
-    return up, down
+def crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
+    """Crossing weight of rows j and k with both arrows in at NW and SW."""
+    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
 
 
-def _scheme(name, family, n, entries, central_ab=None,
-            bend_down_override=None, bend_up_override=None, corner_l_override=None):
-    up, down = _bend_maps(family, n, bend_down_override, bend_up_override)
+def unit_weight(unit, tag, scheme: WeightScheme) -> LaurentPoly:
+    """The weight of a unit (see states.Unit) in the local configuration named by tag."""
+    if unit.kind == "vertex":
+        return scheme.vertex[(tag, unit.label[0])]
+    if unit.kind == "bend":
+        return (scheme.bend_down if tag == "D" else scheme.bend_up)[unit.label[0]]
+    if unit.kind == "corner":
+        return scheme.corner_r if tag == "R" else scheme.corner_l
+    j, k = unit.label  # cross
+    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[tag]
+
+
+_CENTRAL_X = {"Bstar": ONE, "C": -ONE, "BC": ONE}   # central x, okada and character weights
+
+
+def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightScheme:
+    """The one shape of every free-fermion scheme, from each row's a and b weights.
+
+    Regular row j takes (a1, a2, b1, b2) = row_ab(j), c1 = a1 a2 + b1 b2 and
+    c2 = 1; its bar swaps 1 and 2 (the first symmetry assumption).  The
+    central row, with index 0 or n, takes (a0, a0, b0, b0) from
+    (a0, b0) = central_ab(index).  Bends and the C corner follow the table.
+    """
+    _check(family, n)
+    rows = {}
+    for j in range(1, regular_row_count(family, n) + 1):
+        a1, a2, b1, b2 = row_ab(j)
+        rows[str(j)], rows[str(j) + "b"] = (a1, a2, b1, b2), (a2, a1, b2, b1)
+    bend_rows = list(rows)
+    c = central_label(family, n)
+    if c is not None:
+        a0, b0 = central_ab(0 if c == "0" else n)
+        rows[c] = (a0, a0, b0, b0)
+    vertex = {}
+    for r, (a1, a2, b1, b2) in rows.items():
+        for k, w in zip(KINDS, (a1, a2, b1, b2, a1 * a2 + b1 * b2, ONE)):
+            vertex[(k, r)] = w
     corner_r = corner_l = None
     if family == "C":
-        a0, b0 = central_ab
-        corner_r = ONE
-        corner_l = (a0 - I * b0) if corner_l_override is None else corner_l_override
-    return WeightScheme(name=name, family=family, n=n, vertex=entries,
-                        bend_up=up, bend_down=down,
+        corner_r, corner_l = ONE, a0 - I * b0
+    return WeightScheme(name=name, family=family, n=n, vertex=vertex,
+                        bend_up=dict.fromkeys(bend_rows, ONE),
+                        bend_down=dict.fromkeys(bend_rows, TABLE_BEND_DOWN.get(family, ONE)),
                         corner_r=corner_r, corner_l=corner_l)
 
 
-def make_generic(family: str, n: int, bend_down_override=None,
-                 bend_up_override=None, corner_l_override=None) -> WeightScheme:
+def _t_x_row(t: LaurentPoly, x: LaurentPoly) -> tuple:
+    """a1 = a2 = 1, b1 = i t x, b2 = i t / x."""
+    return ONE, ONE, I * t * x, I * t * x ** -1
+
+
+def _t(j: int) -> LaurentPoly:
+    return LaurentPoly.term(1, [(Var.q(j), 2)])
+
+
+def _x(j: int) -> LaurentPoly:
+    return LaurentPoly.term(1, [(Var.x(j), 2)])
+
+
+def make_generic(family: str, n: int) -> WeightScheme:
     """Free-fermion weights with independent symbols per unbarred row."""
-    _check(family, n)
-    m = regular_row_count(family, n)
-    entries: dict = {}
-    for j in range(1, m + 1):
-        r = str(j)
-        a1, a2 = LaurentPoly.var(Var.a1(j)), LaurentPoly.var(Var.a2(j))
-        b1, b2 = LaurentPoly.var(Var.b1(j)), LaurentPoly.var(Var.b2(j))
-        entries[("a1", r)] = a1
-        entries[("a2", r)] = a2
-        entries[("b1", r)] = b1
-        entries[("b2", r)] = b2
-        entries[("c1", r)] = a1 * a2 + b1 * b2
-        entries[("c2", r)] = ONE
-    _with_barred_rows(entries, m)
-    central_ab = None
-    c = central_label(family, n)
-    if c is not None:
-        idx = 0 if c == "0" else n
-        a0, b0 = LaurentPoly.var(Var.a0(idx)), LaurentPoly.var(Var.b0(idx))
-        central_ab = (a0, b0)
-        for k, w in (("a1", a0), ("a2", a0), ("b1", b0), ("b2", b0),
-                     ("c1", a0 * a0 + b0 * b0), ("c2", ONE)):
-            entries[(k, c)] = w
-    return _scheme("generic", family, n, entries, central_ab,
-                   bend_down_override, bend_up_override, corner_l_override)
+    return _free_fermion(
+        "generic", family, n,
+        lambda j: tuple(LaurentPoly.var(v(j)) for v in (Var.a1, Var.a2, Var.b1, Var.b2)),
+        lambda idx: (LaurentPoly.var(Var.a0(idx)), LaurentPoly.var(Var.b0(idx))))
 
 
-def _deformation_entries(family, n, tj, central_t, central_x):
-    """Shared builder: tj(j) gives the t-value polynomial of row j."""
-    m = regular_row_count(family, n)
-    entries: dict = {}
-    for j in range(1, m + 1):
-        r = str(j)
-        t = tj(j)
-        xj = LaurentPoly.term(1, [(Var.x(j), 2)])
-        xj_inv = LaurentPoly.term(1, [(Var.x(j), -2)])
-        entries[("a1", r)] = ONE
-        entries[("a2", r)] = ONE
-        entries[("b1", r)] = I * t * xj
-        entries[("b2", r)] = I * t * xj_inv
-        entries[("c1", r)] = ONE - t * t
-        entries[("c2", r)] = ONE
-    _with_barred_rows(entries, m)
-    central_ab = None
-    c = central_label(family, n)
-    if c is not None:
-        t, x = central_t, central_x
-        a0, b0 = ONE, I * t * x
-        central_ab = (a0, b0)
-        for k, w in (("a1", a0), ("a2", a0), ("b1", b0), ("b2", b0),
-                     ("c1", ONE - t * t * x * x), ("c2", ONE)):
-            entries[(k, c)] = w
-    return entries, central_ab
-
-
-def make_deformation(family: str, n: int, **overrides) -> WeightScheme:
+def make_deformation(family: str, n: int) -> WeightScheme:
     """Row parameters t_j (as q_j^2) and x_j; the workhorse regime."""
-    _check(family, n)
-    star = 0 if central_label(family, n) == "0" else n
-
-    def tj(j):
-        return LaurentPoly.term(1, [(Var.q(j), 2)])
-
-    entries, central_ab = _deformation_entries(
-        family, n, tj,
-        central_t=LaurentPoly.term(1, [(Var.q(star), 2)]),
-        central_x=LaurentPoly.term(1, [(Var.x(star), 2)]))
-    return _scheme("deformation", family, n, entries, central_ab, **overrides)
+    return _free_fermion("deformation", family, n, lambda j: _t_x_row(_t(j), _x(j)),
+                         lambda idx: (ONE, I * _t(idx) * _x(idx)))
 
 
-def make_okada(family: str, n: int, **overrides) -> WeightScheme:
+def make_okada(family: str, n: int) -> WeightScheme:
     """One shared t; families Bstar, Cstar, D, BC take t_j = i*sqrt(t).
 
     sqrt(t) is the shared q variable, so per-state weights stay in the
     ring; partition functions come out in even powers of q, i.e. in t.
     """
-    _check(family, n)
     if family == "A":
         raise ValueError("family A has no okada weights")
     q = LaurentPoly.var(Var.qshared())
-    if family in ("B", "C"):
-        t_row = q * q
-    else:
-        t_row = I * q
-    central_x = {"Bstar": ONE, "C": -ONE, "BC": ONE}.get(family)
-    entries, central_ab = _deformation_entries(
-        family, n, lambda j: t_row, central_t=t_row, central_x=central_x)
-    return _scheme("okada", family, n, entries, central_ab, **overrides)
+    t = q * q if family in ("B", "C") else I * q
+    return _free_fermion("okada", family, n, lambda j: _t_x_row(t, _x(j)),
+                         lambda idx: (ONE, I * t * _CENTRAL_X[family]))
 
 
-def make_character(family: str, n: int, **overrides) -> WeightScheme:
+def make_character(family: str, n: int) -> WeightScheme:
     """Deformation weights at every t_j = 1; c1 vanishes identically."""
-    _check(family, n)
-    central_x = {"Bstar": ONE, "C": -ONE, "BC": ONE}.get(family)
-    entries, central_ab = _deformation_entries(
-        family, n, lambda j: ONE, central_t=ONE, central_x=central_x)
-    return _scheme("character", family, n, entries, central_ab, **overrides)
+    return _free_fermion("character", family, n, lambda j: _t_x_row(ONE, _x(j)),
+                         lambda idx: (ONE, I * _CENTRAL_X[family]))
 
 
 def make_tokuyama(n: int) -> WeightScheme:
@@ -246,7 +220,7 @@ def make_tokuyama(n: int) -> WeightScheme:
     entries = {}
     for j in range(1, n + 1):
         r = str(j)
-        xj = LaurentPoly.term(1, [(Var.x(j), 2)])
+        xj = _x(j)
         entries[("a1", r)] = ONE
         entries[("a2", r)] = xj
         entries[("b1", r)] = t

@@ -9,6 +9,7 @@ see the notes accompanying the build for the analysis.
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,11 @@ from bentice.weights import WeightScheme, make_deformation, make_generic
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GInt(0, 1))
+
+
+def with_bend_down(scheme, w):
+    """The scheme with D^(r) = w in every bend row."""
+    return replace(scheme, bend_down=dict.fromkeys(scheme.bend_down, w))
 
 
 def report(number, label, ok, detail="", capsys=None):
@@ -75,7 +81,8 @@ def test_criterion_2_local_relations(capsys):
     v = bend_ybe_check(make_generic("B", 2), 1, 2)
     if not v.ok:
         failures.append("bend ybe")
-    v = bend_ybe_check(make_generic("B", 2, bend_down_override={"1": I, "2": ONE}), 1, 2)
+    v = bend_ybe_check(replace(make_generic("B", 2),
+                               bend_down={"1": I, "1b": I, "2": ONE, "2b": ONE}), 1, 2)
     if v.ok or v.witness is None:
         failures.append("bend ybe necessity")
 
@@ -97,8 +104,7 @@ def test_criterion_2_local_relations(capsys):
         v = fish_check(make_generic(family, 1), 1, variant)
         if not (v.ok and v.closed_form_ok):
             failures.append(f"fish {variant}")
-        v = fish_check(make_generic(family, 1, bend_down_override=LaurentPoly.const(3)),
-                       1, variant)
+        v = fish_check(with_bend_down(make_generic(family, 1), LaurentPoly.const(3)), 1, variant)
         if v.ok:
             failures.append(f"fish {variant} necessity")
 
@@ -107,12 +113,12 @@ def test_criterion_2_local_relations(capsys):
         v = jellyfish_check(make_generic(family, n), 1, variant)
         if not (v.ok and v.closed_form_ok):
             failures.append(f"jellyfish {variant}")
-        v = jellyfish_check(make_generic(family, n, bend_down_override=LaurentPoly.const(2)),
+        v = jellyfish_check(with_bend_down(make_generic(family, n), LaurentPoly.const(2)),
                             1, variant)
         if v.ok:
             failures.append(f"jellyfish {variant} necessity (D/U)")
     a0, b0 = LaurentPoly.var(Var.a0(0)), LaurentPoly.var(Var.b0(0))
-    v = jellyfish_check(make_generic("C", 1, corner_l_override=a0 + I * b0), 1, "C")
+    v = jellyfish_check(replace(make_generic("C", 1), corner_l=a0 + I * b0), 1, "C")
     if v.ok and v.closed_form_ok:
         failures.append("jellyfish C necessity (L/R)")
 

@@ -1,10 +1,15 @@
-"""Golden states transcribed from printed figures, plus duality counts."""
+"""Golden states transcribed from printed figures, duality counts, and
+pinned digests of every built-in weight scheme."""
+
+import hashlib
+import json
 
 import pytest
 
 from bentice.asm import state_to_matrix
-from bentice.models import build_model
+from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states
+from bentice.weights import BUILTIN_SCHEMES
 
 # The printed admissible state of the 3x5 rectangular model with partition
 # [5,4,2]: horizontal bits are east=True west to east per row, vertical bits
@@ -152,3 +157,49 @@ def test_c_rho_counts_are_odd_half_turn_numbers():
     counts = [len(enumerate_states(build_model("C", list(range(n, 0, -1)))))
               for n in (1, 2)]
     assert counts == [3, 25]
+
+
+# sha256 of the canonical JSON of [scheme.to_json() for n = 1..4], one
+# digest per (regime, family); family A has no okada weights.
+SCHEME_DIGESTS = {
+    "generic-A": "977679d297a9a2e6ba912b8e7ad49b919d8f01fb7b7d4202ad4c9c5116ef79e3",
+    "generic-B": "e1aef722bd646e967399c0394daf0196b562dbb719ac0ea647e0af83096a0311",
+    "generic-Bstar": "a2caf52730f9cb9df82541bce7f0811f7ed232301330fe382f1d750aa4a2fc09",
+    "generic-C": "7955ddb88a4058aad45191998be96ef06bf107a0c45bf4b80e3d13844e57b657",
+    "generic-Cstar": "42ce7f61552ce49a08dbb33318514ef590bcccfc1632b8956a9cb32dddd7275b",
+    "generic-D": "8c21b73a3b5963d63f7c9f8d0d920133682740b3c93bf52b130875988ee84125",
+    "generic-BC": "b27f57c6350492695f9ebb2f9b9fe90fee8ac290f9a080c3f649a6682c0ebd86",
+    "deformation-A": "5a5f822daa9e566debf1725122dd6553dc34fc6d92d701b5f72986cd1ced31d0",
+    "deformation-B": "528f1620ad5a49af724f3ab83e056b592d3e5b5109e85d20e75315794e2a88a0",
+    "deformation-Bstar": "d4b52a00601ae0abaff51dc1f5dad4b311289803552f6ab7658c5878ba0160b5",
+    "deformation-C": "a4133b476574a7e0afc183b50c51fdfa755f2982d48cb0014cc0f255c18a7a94",
+    "deformation-Cstar": "e90d1a517a8e2d12766f8704606850bda54dc6ef121636e896a25f0acbd11c39",
+    "deformation-D": "4b7d20a06813b9316ac1f00af3acb4b3fdff85eac61a21418efa8d44bebf8937",
+    "deformation-BC": "7266fd8a60e86ed4bd6c371293ae89f974b221fe9de8a0efac3cc144394bb00c",
+    "okada-B": "16737e7c02e51e125a6ad8dbe730dc0084ace4a1d5de3d67041c8b49ca692652",
+    "okada-Bstar": "c7f05c16606493fb81722f3fc8ef94b4b1bfc8b1eeac25d35b92af47614326e6",
+    "okada-C": "fe39a79471533fe21f1df5223539f5b5471101e850447f79e5faa32ea331026b",
+    "okada-Cstar": "f1cbb4d6e5340823cc015aaf5ce45b67be151c61d324b66172a335f2263cb6c2",
+    "okada-D": "758cc26d24c54a0917ceabdb19617ad69d95acb576fa5d661d5c56e4028f8e14",
+    "okada-BC": "97c7cd665231c2a3ac6ebdad1f46b50ade7303fb1d4439484cfbb472456d0b9a",
+    "character-A": "6c9e2b5472df9731d857928d6eef1d89587ce9fd527a0cef303694c0f4a27517",
+    "character-B": "a717243d435df2809ce807ca74605d9706955aee374b665497dd8b184868dd9b",
+    "character-Bstar": "1f071c640ea3c9cc6154140bf2745b528e5f28577854369a3d2382be53ab312a",
+    "character-C": "25679e2b6a842c3e21afcccff5992cf0f44e1744933f397c9c1d6726c0eedcdb",
+    "character-Cstar": "086e7fab4624bb47241fe54359a96cc9316d6f9275cad87fce1908823d2e433d",
+    "character-D": "a526c9e6d41b09df46aef2c08972ce47601aceedf60b5dbce3bcde4b717819ae",
+    "character-BC": "bea01d23b135fbfb3646e16869bf5c1feb1fc58b4e6c8b1d73e599ef4fdde97c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCHEME_DIGESTS))
+def test_builtin_scheme_digest(key):
+    regime, family = key.split("-")
+    schemes = [BUILTIN_SCHEMES[regime](family, n).to_json() for n in range(1, 5)]
+    blob = json.dumps(schemes, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SCHEME_DIGESTS[key]
+
+
+def test_scheme_digests_cover_every_builtin_scheme():
+    expected = {f"{regime}-{family}" for regime in BUILTIN_SCHEMES for family in FAMILIES}
+    assert set(SCHEME_DIGESTS) == expected - {"okada-A"}

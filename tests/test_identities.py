@@ -292,8 +292,8 @@ class TestIndexActions:
         act = IndexAction("bar", 1)
         s = make_generic("B", 1)
         for kind in ("a1", "a2", "b1", "b2", "c1", "c2"):
-            barred = s.vertex_weight(kind, "1b")
-            assert act.apply(s.vertex_weight(kind, "1"), "generic") == barred
+            barred = s.vertex[(kind, "1b")]
+            assert act.apply(s.vertex[(kind, "1")], "generic") == barred
 
 
 class TestOkada:

@@ -86,9 +86,16 @@ class TestExactDivide:
         assert num.exact_divide(den) == P((1, [(X, 2)]), (1, []))
 
     def test_constant_term_obstructs(self):
-        num = P((1, [(X, 2), (Y, 2)]), (1, []))
-        den = P((1, [(X, 2)]))
+        # (1 + x^2) y^2 + 1: the constant term leaves a remainder
+        num = P((1, [(Y, 2)]), (1, [(X, 2), (Y, 2)]), (1, []))
+        den = P((1, []), (1, [(X, 2)]))
         assert num.exact_divide(den) is None
+
+    def test_a_monomial_divides_in_the_laurent_ring(self):
+        x = LaurentPoly.var(X)
+        assert LaurentPoly.const(1).exact_divide(x) == x ** -1
+        num = P((1, [(X, 2), (Y, 2)]), (1, []))
+        assert num.exact_divide(P((1, [(X, 2)]))) == P((1, [(Y, 2)]), (1, [(X, -2)]))
 
     def test_zero_divisor_distinct_error(self):
         with pytest.raises(ZeroDivisorError):
@@ -224,6 +231,10 @@ class TestClearingShift:
     def test_nothing_to_clear(self):
         assert P((1, [(X, 2)]), (5, [])).clearing_shift() == ()
         assert LaurentPoly.zero().clearing_shift() == ()
+
+    def test_monomial_factor_is_cleared(self):
+        p = P((1, [(X, 2), (Y, -1)]), (3, [(X, 3)]))
+        assert p.clearing_shift() == ((X, -2), (Y, 1))
 
 
 class TestRendering:

@@ -127,6 +127,16 @@ def test_exact_divide_recovers_the_cofactor(seed):
 
 
 @pytest.mark.parametrize("seed", CASES)
+def test_exact_divide_by_a_monomial(seed):
+    rng = random.Random(seed)
+    a = random_poly(rng)
+    b = LaurentPoly.term(rng.choice(UNITS), [(v, rng.randint(-2, 2)) for v in VARS])
+    q = (a * b).exact_divide(b)
+    assert q == a
+    assert same(q * b, to_sympy(a) * to_sympy(b))
+
+
+@pytest.mark.parametrize("seed", CASES)
 def test_exact_divide_leaves_a_remainder(seed):
     rng = random.Random(seed)
     a, b = random_poly(rng), divisor_with_constant_term(rng)

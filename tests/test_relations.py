@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bentice.laurent import GI, LaurentPoly, Var
@@ -11,6 +13,11 @@ from bentice.weights import (
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
+
+
+def with_bend_down(scheme, w):
+    """The scheme with D^(r) = w in every bend row."""
+    return replace(scheme, bend_down=dict.fromkeys(scheme.bend_down, w))
 
 
 def const_rows(**kinds):
@@ -47,13 +54,13 @@ class TestBendYbe:
         assert v.ok and v.checked == 16
 
     def test_mismatched_ratio_fails(self):
-        s = make_generic("B", 2, bend_down_override={"1": I, "2": ONE})
+        s = replace(make_generic("B", 2), bend_down={"1": I, "1b": I, "2": ONE, "2b": ONE})
         v = bend_ybe_check(s, 1, 2)
         assert not v.ok and v.witness is not None
 
     def test_character_weights_pass_despite_ratios(self):
         # c1 = 0 makes the identity unconditional
-        s = make_character("B", 2, bend_down_override={"1": I, "2": ONE})
+        s = replace(make_character("B", 2), bend_down={"1": I, "1b": I, "2": ONE, "2b": ONE})
         assert bend_ybe_check(s, 1, 2).ok
 
     def test_missing_bend_row_is_named(self):
@@ -62,7 +69,8 @@ class TestBendYbe:
             bend_ybe_check(make_generic("BC", 2), 1, 2)
 
     def test_zero_bend_is_not_a_missing_one(self):
-        s = make_generic("B", 2, bend_down_override={"2": LaurentPoly.zero()})
+        zero = LaurentPoly.zero()
+        s = replace(make_generic("B", 2), bend_down={"1": I, "1b": I, "2": zero, "2b": zero})
         with pytest.raises(ValueError, match=r"^D\^\(2\) must be nonzero$"):
             bend_ybe_check(s, 1, 2)
 
@@ -91,7 +99,7 @@ class TestFish:
         assert fish_closed_form(s, 1, "D_with1") == a1 * a1 + b2 * b2
 
     def test_b_with_unit_ratio_fails(self):
-        s = make_generic("B", 1, bend_down_override=ONE)
+        s = with_bend_down(make_generic("B", 1), ONE)
         v = fish_check(s, 1, "B")
         assert not v.ok and v.witness is not None
 
@@ -100,7 +108,7 @@ class TestFish:
         assert fish_check(s, 2, "B").ok
 
     def test_zero_bend_is_error(self):
-        s = make_generic("B", 1, bend_down_override=LaurentPoly.zero())
+        s = with_bend_down(make_generic("B", 1), LaurentPoly.zero())
         with pytest.raises(ValueError):
             fish_check(s, 1, "B")
 
@@ -123,18 +131,18 @@ class TestJellyfish:
 
     def test_bstar_negated_bend_still_constant(self):
         # only D^2 = U^2 is forced; D = -U keeps the ratio constant
-        s = make_generic("Bstar", 1, bend_down_override=-ONE)
+        s = with_bend_down(make_generic("Bstar", 1), -ONE)
         v = jellyfish_check(s, 1, "Bstar")
         assert v.ok
 
     def test_bstar_non_square_ratio_fails(self):
-        s = make_generic("Bstar", 1, bend_down_override=LaurentPoly.const(2))
+        s = with_bend_down(make_generic("Bstar", 1), LaurentPoly.const(2))
         v = jellyfish_check(s, 1, "Bstar")
         assert not v.ok
 
     def test_c_perturbed_corner_fails(self):
         a0, b0 = LaurentPoly.var(Var.a0(0)), LaurentPoly.var(Var.b0(0))
-        s = make_generic("C", 1, corner_l_override=a0 + I * b0)
+        s = replace(make_generic("C", 1), corner_l=a0 + I * b0)
         v = jellyfish_check(s, 1, "C")
         assert not v.ok or not v.closed_form_ok
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bentice.laurent import GI, GInt, LaurentPoly, Var
@@ -22,14 +24,14 @@ def t_of(j):
 class TestGeneric:
     def test_barred_entries_forced_by_symmetry(self):
         s = make_generic("B", 2)
-        assert s.vertex_weight("b2", "1b") == v(Var.b1(1))
-        assert s.vertex_weight("a1", "2b") == v(Var.a2(2))
-        assert s.vertex_weight("c1", "1b") == s.vertex_weight("c1", "1")
+        assert s.vertex[("b2", "1b")] == v(Var.b1(1))
+        assert s.vertex[("a1", "2b")] == v(Var.a2(2))
+        assert s.vertex[("c1", "1b")] == s.vertex[("c1", "1")]
 
     def test_c1_free_fermion_normalization(self):
         s = make_generic("B", 2)
         want = v(Var.a1(1)) * v(Var.a2(1)) + v(Var.b1(1)) * v(Var.b2(1))
-        assert s.vertex_weight("c1", "1") == want
+        assert s.vertex[("c1", "1")] == want
 
     def test_delta_zero_by_construction(self):
         s = make_generic("C", 2)
@@ -39,13 +41,13 @@ class TestGeneric:
     def test_central_degeneracy(self):
         s = make_generic("Bstar", 2)
         a0, b0 = v(Var.a0(0)), v(Var.b0(0))
-        assert s.vertex_weight("a1", "0") == a0
-        assert s.vertex_weight("b2", "0") == b0
-        assert s.vertex_weight("c1", "0") == a0 * a0 + b0 * b0
+        assert s.vertex[("a1", "0")] == a0
+        assert s.vertex[("b2", "0")] == b0
+        assert s.vertex[("c1", "0")] == a0 * a0 + b0 * b0
 
     def test_bc_central_uses_index_n(self):
         s = make_generic("BC", 3)
-        assert s.vertex_weight("a1", "3") == v(Var.a0(3))
+        assert s.vertex[("a1", "3")] == v(Var.a0(3))
 
     def test_table_bends(self):
         assert make_generic("B", 1).bend_down["1"] == LaurentPoly.const(GI)
@@ -61,12 +63,12 @@ class TestGeneric:
 class TestDeformation:
     def test_b1_entry(self):
         s = make_deformation("B", 2)
-        assert s.vertex_weight("b1", "2") == LaurentPoly.const(GI) * t_of(2) * xpow(2)
+        assert s.vertex[("b1", "2")] == LaurentPoly.const(GI) * t_of(2) * xpow(2)
 
     def test_central_c1_bstar(self):
         s = make_deformation("Bstar", 1)
         want = ONE - LaurentPoly.term(1, [(Var.q(0), 4), (Var.x(0), 4)])
-        assert s.vertex_weight("c1", "0") == want
+        assert s.vertex[("c1", "0")] == want
 
     def test_delta_zero(self):
         for fam in ("B", "Bstar", "C", "Cstar", "D"):
@@ -82,17 +84,17 @@ class TestOkada:
     def test_b_family_keeps_t(self):
         s = make_okada("B", 2)
         q2 = LaurentPoly.term(1, [(Var.qshared(), 2)])
-        assert s.vertex_weight("b1", "1") == LaurentPoly.const(GI) * q2 * xpow(1)
+        assert s.vertex[("b1", "1")] == LaurentPoly.const(GI) * q2 * xpow(1)
 
     def test_bstar_c1_is_one_plus_t(self):
         s = make_okada("Bstar", 2)
         want = ONE + LaurentPoly.term(1, [(Var.qshared(), 2)])
-        assert s.vertex_weight("c1", "1") == want
+        assert s.vertex[("c1", "1")] == want
 
     def test_c_central_b_is_minus_i_t(self):
         s = make_okada("C", 2)
         want = LaurentPoly.term(GInt(0, -1), [(Var.qshared(), 2)])
-        assert s.vertex_weight("b1", "0") == want
+        assert s.vertex[("b1", "0")] == want
 
     def test_delta_zero(self):
         for fam in ("B", "Bstar", "C", "Cstar", "D", "BC"):
@@ -105,17 +107,17 @@ class TestOkada:
 class TestCharacter:
     def test_c1_vanishes(self):
         s = make_character("B", 2)
-        assert s.vertex_weight("c1", "1").is_zero()
-        assert s.vertex_weight("c1", "2b").is_zero()
+        assert s.vertex[("c1", "1")].is_zero()
+        assert s.vertex[("c1", "2b")].is_zero()
 
     def test_l_vertex_vanishes_in_c(self):
         s = make_character("C", 2)
         assert s.corner_l.is_zero()
-        assert s.vertex_weight("c1", "0").is_zero()
+        assert s.vertex[("c1", "0")].is_zero()
 
     def test_b1_is_i_x(self):
         s = make_character("B", 2)
-        assert s.vertex_weight("b1", "1") == LaurentPoly.const(GI) * xpow(1)
+        assert s.vertex[("b1", "1")] == LaurentPoly.const(GI) * xpow(1)
 
     def test_exactly_two_zero_weight_kinds_in_c(self):
         s = make_character("C", 2)
@@ -141,7 +143,7 @@ class TestDelta:
 
 class TestCheckScheme:
     def test_symmetry2_violation(self):
-        s = make_generic("B", 1, bend_down_override={"1": ONE, "1b": LaurentPoly.const(GI)})
+        s = replace(make_generic("B", 1), bend_down={"1": ONE, "1b": LaurentPoly.const(GI)})
         report = check_scheme(s)
         assert any("symmetry-2" in line for line in report)
 
@@ -156,7 +158,7 @@ class TestCheckScheme:
         assert any("free-fermion" in line for line in report)
 
     def test_bend_table_violation_reported(self):
-        s = make_generic("B", 1, bend_down_override=ONE)
+        s = replace(make_generic("B", 1), bend_down={"1": ONE, "1b": ONE})
         report = check_scheme(s)
         assert any("bend convention" in line for line in report)
 
