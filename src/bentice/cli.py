@@ -6,7 +6,9 @@ Every invocation prints one JSON report
 
 and exits 0 on pass, 2 on verification failure, 3 on input errors, and 4
 when the enumeration caps would be exceeded.  Reports are byte-identical
-across runs for a fixed seed, up to the elapsed_ms field.
+across runs for a fixed seed, up to the elapsed_ms field.  Each verb
+takes only the --emit formats it renders (EMITS); any other is a usage
+error, printed by argparse, with exit 3.
 
 Caps default to n <= 4 and lambda_1 <= 8 and can be widened per run with
 --max-n/--max-cols or the BENTICE_MAX_N / BENTICE_MAX_COLS environment
@@ -36,7 +38,8 @@ from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
 from .states import (
-    EnumerationCapError, enumerate_states, partition_function, resolve_caps, state_tikz,
+    EnumerationCapError, count_states, enumerate_states, partition_function, resolve_caps,
+    state_tikz,
 )
 from .weights import central_label, make_scheme
 
@@ -44,6 +47,15 @@ EXIT_PASS = 0
 EXIT_FAIL = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
+
+# what each verb can render, for --emit
+EMITS = {
+    "enumerate": ("json", "tikz", "count"),
+    "partition": ("json", "latex"),
+    "asm": ("json", "text"),
+    "character": ("json", "latex"),
+    "verify": ("json",),
+}
 
 FISH_VARIANTS = {"B": "B", "Cstar": "Cstar_D_no1", "D": "D_with1"}
 JELLY_VARIANTS = {"C": "C", "Bstar": "Bstar", "BC": "BC"}
@@ -124,9 +136,10 @@ def run(args) -> tuple:
     if verb == "enumerate":
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
-        states = enumerate_states(build_model(fam, lam), args.max_n, args.max_cols)
+        spec = build_model(fam, lam)
         if args.emit == "count":
-            return None, {"count": len(states)}
+            return None, {"count": count_states(spec, args.max_n, args.max_cols)}
+        states = enumerate_states(spec, args.max_n, args.max_cols)
         if args.emit == "tikz":
             return None, {"count": len(states),
                           "tikz": [state_tikz(s) for s in states]}
@@ -278,17 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lam", help="comma-separated strict partition")
     common.add_argument("--mu", help="comma-separated dominant weight")
     common.add_argument("--scheme", help="generic, deformation, okada, character, tokuyama")
-    common.add_argument("--emit", default="json",
-                        choices=["json", "latex", "tikz", "count", "text"])
     common.add_argument("--n", type=int, help="rank for rho/okada/bijection checks")
     common.add_argument("--max-n", type=int, default=None)
     common.add_argument("--max-cols", type=int, default=None)
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
-    for verb in ("enumerate", "partition", "asm", "character"):
-        sub.add_parser(verb, parents=[common])
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("check", choices=[
+    verbs = {verb: sub.add_parser(verb, parents=[common]) for verb in EMITS}
+    for verb, emits in EMITS.items():
+        verbs[verb].add_argument("--emit", default="json", choices=emits)
+    verbs["verify"].add_argument("check", choices=[
         "ybe", "bend", "fish", "jellyfish", "caduceus", "divisibility",
         "rho", "okada", "bijection", "character", "tokuyama"])
     return parser

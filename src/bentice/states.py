@@ -1,16 +1,24 @@
-"""Admissible-state enumeration and partition functions.
+"""Admissible states, state counts and partition functions.
 
-One backtracking engine serves both full lattice models and the small
-local diagrams used by the relation checks.  A graph is a list of units
-(tetravalent vertices, u-turn bends, corner joints, and strand crossings
-for the local diagrams), each listing its edges together with a polarity
-bit: polarity True means "edge bit True points into this unit".
+A graph is a list of units (tetravalent vertices, u-turn bends, corner
+joints, and strand crossings for the local diagrams), each listing its
+edges together with a polarity bit: polarity True means "edge bit True
+points into this unit".  Admissibility is local: a vertex needs two
+arrows in and two out, the degree-two units need one each.
 
-Admissibility is local: a vertex needs two arrows in and two out, the
-degree-two units need one each.  Enumeration fills units in a fixed order
-(bends and rightmost columns first, which prunes hardest), trying local
-configurations in a fixed sequence, so the resulting state list is
-deterministic and stable across runs.
+Two engines sweep the units in one fixed order (bends and rightmost
+columns first, which prunes hardest):
+
+- ``enumerate_orientations`` backtracks, trying local configurations in
+  a fixed sequence, and yields every state, so state lists are
+  deterministic and stable across runs.  It serves whatever needs the
+  states themselves: JSON/TikZ export, the ASM dictionary, the state
+  bijection, ``partition_function`` and the local diagrams of
+  ``relations.local_z``.
+- ``contract`` never builds a state.  It keeps only the frontier, the
+  bits of the edges a processed unit touched and a later unit still
+  reads, with one accumulated value per frontier key (a transfer-matrix
+  sum).  ``count_states`` runs it with every unit worth 1.
 
 A state stores only its edge bits.  Its vertex kinds, bend and corner
 directions, and its weight (``weights.unit_weight`` per unit) are read
@@ -23,6 +31,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .laurent import LaurentPoly
@@ -143,6 +152,57 @@ def unit_tag(unit: Unit, orientation: dict) -> object:
     return tag
 
 
+def contract(units, fixed: dict, unit_value):
+    """Sum, over every orientation consistent with the units and the fixed
+    edges, of the product of ``unit_value(unit, tag)`` over the units.
+
+    The units are swept in order.  The frontier maps each key, the bits of
+    the open edges (touched by a swept unit, not fixed, and read by a unit
+    still to come), to the sum of the products over the swept units; an
+    edge leaves the key after its last unit.  Values need only ``+`` and
+    ``*``: as with ``sum`` and ``math.prod``, the empty sum is 0 and the
+    empty product is 1.
+    """
+    last = {}
+    for i, unit in enumerate(units):
+        for edge, _pol in unit.edges:
+            last[edge] = i
+    open_edges = ()
+    frontier = {(): 1}
+    for i, unit in enumerate(units):
+        edges = dict.fromkeys(e for e, _pol in unit.edges)
+        reads = [k for k, e in enumerate(open_edges) if e in edges]
+        new_edges = tuple(e for e in edges if e not in fixed and e not in open_edges)
+        scope = open_edges + new_edges
+        kept = [k for k, e in enumerate(scope) if last[e] > i]
+        # open bits a config reads -> [(bits it gives the new edges, its value)]
+        moves = {}
+        for bits, tag in zip(unit.configs, unit.tags):
+            local = {}
+            if all(local.setdefault(e, b) == b for (e, _pol), b in zip(unit.edges, bits)) \
+                    and all(fixed[e] == b for e, b in local.items() if e in fixed):
+                moves.setdefault(tuple(local[open_edges[k]] for k in reads), []).append(
+                    (tuple(local[e] for e in new_edges), unit_value(unit, tag)))
+        read, keep = _picker(reads), _picker(kept)
+        out = {}
+        for key, value in frontier.items():
+            for new, weight in moves.get(read(key), ()):
+                nxt = keep(key + new)
+                term = value * weight
+                out[nxt] = out[nxt] + term if nxt in out else term
+        frontier, open_edges = out, tuple(scope[k] for k in kept)
+    return frontier.get((), 0)
+
+
+def _picker(positions):
+    """seq -> the tuple of its items at positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return lambda seq, p=positions[0]: (seq[p],)
+    return lambda seq: ()
+
+
 # ---------------------------------------------------------------------------
 # full models
 
@@ -208,12 +268,17 @@ def model_units(spec: ModelSpec) -> list:
     return units
 
 
-def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> list:
-    """All admissible states, complete and in a stable deterministic order."""
+def check_caps(spec: ModelSpec, max_n: int = None, max_cols: int = None):
+    """Raise EnumerationCapError if the model exceeds the caps in force."""
     max_n, max_cols = resolve_caps(max_n, max_cols)
     if spec.n > max_n or spec.lam[0] > max_cols:
         raise EnumerationCapError(
             f"model {spec.family}^{list(spec.lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
+
+
+def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> list:
+    """All admissible states, complete and in a stable deterministic order."""
+    check_caps(spec, max_n, max_cols)
     index = spec.edge_index
     states = []
     for orientation in enumerate_orientations(model_units(spec), spec.boundary):
@@ -222,6 +287,12 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
             bits[index[e]] = b
         states.append(IceState(spec=spec, orientation=tuple(bits)))
     return states
+
+
+def count_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> int:
+    """The number of admissible states, by contraction: no state is built."""
+    check_caps(spec, max_n, max_cols)
+    return contract(model_units(spec), spec.boundary, lambda unit, tag: 1)
 
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:

@@ -20,6 +20,16 @@ class TestVerbs:
         assert code == EXIT_PASS
         assert report["data"]["count"] == 2
 
+    def test_enumerate_count_builds_no_state(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate --emit count enumerated the states")
+
+        monkeypatch.setattr(cli, "enumerate_states", refuse)
+        code, report = invoke(capsys, "enumerate", "--family", "B",
+                              "--lambda", "4,3,2,1", "--emit", "count")
+        assert code == EXIT_PASS
+        assert report["data"] == {"count": 5544}
+
     def test_partition_latex(self, capsys):
         code, report = invoke(capsys, "partition", "--family", "B", "--lambda", "1",
                               "--scheme", "deformation", "--emit", "latex")
@@ -97,6 +107,37 @@ class TestExitCodes:
         code, _ = invoke(capsys, "enumerate", "--family", "A", "--lambda", "9,1",
                          "--max-cols", "9", "--emit", "count")
         assert code == EXIT_PASS
+
+    def test_count_honours_the_caps(self, capsys, monkeypatch):
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
+        argv = ["enumerate", "--family", "C", "--lambda", "5,3,1", "--emit", "count"]
+        error = {"verb": "enumerate",
+                 "error": "model C^[5, 3, 1] exceeds caps n<=4, lambda_1<=2"}
+        assert invoke(capsys, *argv, "--max-cols", "2") == (EXIT_CAP, error)
+        monkeypatch.setenv("BENTICE_MAX_COLS", "2")
+        assert invoke(capsys, *argv) == (EXIT_CAP, error)
+
+    @pytest.mark.parametrize("verb, emit", [
+        (verb, emit) for verb, emits in cli.EMITS.items()
+        for emit in ("json", "latex", "tikz", "count", "text") if emit not in emits])
+    def test_emit_the_verb_cannot_render_is_input_error(self, capsys, verb, emit):
+        argv = [verb, "--family", "B", "--lambda", "2,1", "--mu", "1,0", "--emit", emit]
+        if verb == "verify":
+            argv.insert(1, "ybe")
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"invalid choice: {emit!r}" in err
+        named = err.split("choose from", 1)[1]
+        assert all(allowed in named for allowed in cli.EMITS[verb])
+
+    @pytest.mark.parametrize("verb", cli.EMITS)
+    def test_every_rendered_emit_is_accepted(self, verb):
+        for emit in cli.EMITS[verb]:
+            args = cli.build_parser().parse_args([verb, "--emit", emit] + (
+                ["ybe"] if verb == "verify" else []))
+            assert args.emit == emit
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT

@@ -6,7 +6,8 @@ traced layer is renamed away (it lands in `missing`) and also when a
 counter's layer is never called: `states.nonzero_weight_ratio` exists
 only if `states.state_weight` runs in the workload.  Each op is a cheap
 one from one workload: divisibility, the character theorem (products) and
-the HTSASM bijection (states).
+the HTSASM bijection (states).  The states workload is also traced whole,
+as run.py traces it, with its state count answered by contraction.
 """
 
 import json
@@ -45,3 +46,22 @@ def test_traced_op_reports_every_declared_per_layer_metric(capsys, op):
     assert code == 0
     assert tracer.missing == []
     assert sorted(DECLARED - ADDED_BY_RUN_PY - set(tracer.summary())) == []
+
+
+def test_traced_states_workload_counts_without_enumerating(capsys):
+    ops = [("enumerate", "--family", "B", "--lambda", "2,1", "--emit", "count"),
+           ("verify", "bijection", "--family", "B", "--n", "2")]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        codes = [tracer.run_op(op_id, bentice.cli.main, [*op, "--workers", "1", "--seed", "0"])
+                 for op_id, op in enumerate(ops)]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert tracer.missing == []
+    assert sorted(DECLARED - ADDED_BY_RUN_PY - set(tracer.summary())) == []
+    opened = {(name, op_id) for name, _, _, _, op_id in tracer.spans}
+    assert ("states.enumerate_states", 0) not in opened
+    assert ("states.enumerate_states", 1) in opened
