@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .laurent import LaurentPoly, Var
 from .models import build_model
-from .states import IceState, enumerate_states
+from .states import IceState, enumerate_states, state_weight
+from .weights import make_okada
 
 _CELL = {"c2": 1, "c1": -1}
 
@@ -35,7 +36,6 @@ def state_to_matrix(state: IceState) -> tuple:
         raise AsmError("BC states export via transposition of the D family; "
                        "no direct matrix dictionary")
     kinds = state.vertex_kinds()
-    lam1 = spec.lam[0]
     nrows = len(spec.rows)
 
     def cell(row, col):
@@ -209,9 +209,6 @@ def okada_matrix_weight(matrix) -> LaurentPoly:
 
 def bijection_check(family: str, n: int, scheme=None) -> dict:
     """wt(matrix) == wt(state) for every state, plus the counting lemmas."""
-    from .states import state_weight
-    from .weights import make_okada
-
     if family != "B":
         raise AsmError("the matrix statistics are printed for family B only")
     rho = list(range(n, 0, -1))

@@ -281,7 +281,6 @@ def phi_statistic(state: IceState) -> int:
     if family not in ("B", "BC"):
         raise ValueError("phi is defined for the B and BC families")
     w = state_to_weyl(state)
-    kinds = state.vertex_kinds()
     bends = state.bend_dirs()
     total = 0
     m = regular_row_count(family, n)

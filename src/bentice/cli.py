@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", help="A, B, Bstar, C, Cstar, D, BC, or all")
-    common.add_argument("--lambda", dest="lam", help="comma-separated strict partition")
+    common.add_argument("--lambda", help="comma-separated strict partition")
     common.add_argument("--mu", help="comma-separated dominant weight")
     common.add_argument("--scheme", help="generic, deformation, okada, character, tokuyama")
     common.add_argument("--n", type=int, help="rank for rho/okada/bijection checks")
@@ -313,17 +313,16 @@ def main(argv=None) -> int:
     if args.verb is None:
         build_parser().print_usage()
         return EXIT_INPUT
-    # expose --lambda under the name the verbs use
-    setattr(args, "lambda", getattr(args, "lam", None))
+    verb = args.verb if args.verb != "verify" else f"verify {args.check}"
     started = time.monotonic()
     try:
         verdict, data = run(args)
     except (InputError, ModelError, ValueError) as exc:
-        report = {"verb": args.verb, "error": str(exc)}
+        report = {"verb": verb, "error": str(exc)}
         print(json.dumps(report, indent=2))
         return EXIT_INPUT
     except EnumerationCapError as exc:
-        report = {"verb": args.verb, "error": str(exc)}
+        report = {"verb": verb, "error": str(exc)}
         print(json.dumps(report, indent=2))
         return EXIT_CAP
     elapsed = int((time.monotonic() - started) * 1000)
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
         "n": args.n, "seed": args.seed, "workers": args.workers,
     }
     report = {
-        "verb": args.verb if args.verb != "verify" else f"verify {args.check}",
+        "verb": verb,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
         "verdict": None if verdict is None else ("pass" if verdict else "fail"),
         "data": data,

@@ -1,22 +1,34 @@
-"""Lattice model construction: compile (family, partition) into a graph.
+"""Lattice model construction: compile (family, partition) into its units.
 
 Seven families share one grid language.  Rows are labelled top to bottom
 ("1".."n", optionally a central row, then "nb".."1b" for the barred rows);
-columns are labelled by descending integers left to right.  Families with a
-u-turn boundary join the right ends of rows j and jb with a bend vertex;
-two families add a half column through the barred rows, and one adds a
-corner vertex joining the central row to its half column.
+columns are labelled by descending integers left to right.  Edge
+identifiers are ("h", row, i) / ("v", col, k); orientation bits mean east
+for horizontal edges and up (north) for vertical ones.
 
-Edge identifiers are ("h", row, i) / ("v", col, k); orientation bits mean
-east for horizontal edges and up (north) for vertical ones.  Boundary
-orientations are fixed by the partition:
+The families differ only by the three columns of ``SHAPES``:
 
-- west edge of every row points inward (east);
-- top edge of a column points outward (up) iff the column label is a part
-  of the partition, half column included for family D;
-- bottom edges all point outward (down);
-- family-specific ends: Bstar's central row exits east, BC's central row
-  points inward at both ends, Cstar's half-column top always points in.
+- central row: None, "0" (an extra row between the unbarred and the
+  barred rows) or "n" (row n keeps no bar and becomes the central row);
+- half column: None, or the label of a column that crosses only the
+  barred rows, right of the full columns;
+- east arrow of a row without a bar: the fixed bit at its east end
+  (False: west, inward; True: east, outward).  Every row of family A is
+  such a row; elsewhere only the central row is.  None in family C, whose
+  central row turns down into its half column through a corner unit.
+
+Outside family A, each unbarred row j other than the central row has a
+barred row jb, and a u-turn bend joins their right ends.  The rest of the boundary is fixed by the partition: the west edge
+of every row points inward (east), the top edge of a column points
+outward (up) iff its label is a part, half column included (so Cstar's
+column 0 always points in), and every bottom edge points outward (down).
+
+A graph is a tuple of units (tetravalent vertices, u-turn bends, corner
+joints, and strand crossings for the local diagrams of ``relations``),
+each listing its edges together with a polarity bit: polarity True means
+"edge bit True points into this unit".  ``build_model`` emits a model's
+units in the order the engines of ``states`` sweep them: bends, the
+corner, then the columns right to left with rows top to bottom.
 """
 
 from __future__ import annotations
@@ -27,6 +39,17 @@ from operator import itemgetter
 from typing import Optional
 
 FAMILIES = ("A", "B", "Bstar", "C", "Cstar", "D", "BC")
+
+# family -> (central row, half column, east arrow of a row without a bar)
+SHAPES = {
+    "A": (None, None, False),
+    "B": (None, None, None),
+    "Bstar": ("0", None, True),
+    "C": ("0", 0, None),
+    "Cstar": (None, 0, None),
+    "D": (None, 1, None),
+    "BC": ("n", None, False),
+}
 
 EdgeId = tuple
 RowLabel = str
@@ -51,31 +74,73 @@ def bar(label: RowLabel) -> RowLabel:
     return label[:-1] if label.endswith("b") else label + "b"
 
 
-@dataclass(frozen=True)
-class Vertex:
-    row: RowLabel
-    col: int
-    n_edge: EdgeId
-    e_edge: EdgeId
-    s_edge: EdgeId
-    w_edge: EdgeId
+# vertex kind -> orientation bits in N,E,S,W order (True = up / east)
+VERTEX_CONFIGS = {
+    "a1": (False, True, False, True),
+    "a2": (True, False, True, False),
+    "b1": (True, True, True, True),
+    "b2": (False, False, False, False),
+    "c1": (False, True, True, False),
+    "c2": (True, False, False, True),
+}
+KINDS = tuple(VERTEX_CONFIGS)
 
 
 @dataclass(frozen=True)
-class Bend:
+class Unit:
+    """One local constraint: a vertex, bend, corner, or crossing.
+
+    ``edges`` pairs each edge id with its polarity; ``configs`` is the
+    tuple of admissible local assignments (bit per edge, in edge order),
+    and ``tags`` names each config (vertex kind, U/D, R/L, crossing
+    in-set) for weighting.
+    """
+
+    kind: str
+    label: tuple
+    edges: tuple          # ((edge_id, polarity_bool), ...)
+    configs: tuple        # ((bit, ...), ...)
+    tags: tuple
+
+    @cached_property
+    def tag_of(self) -> dict:
+        """Local configuration (bits in edge order) -> tag."""
+        return dict(zip(self.configs, self.tags))
+
+
+def vertex_unit(row, col, n_edge, e_edge, s_edge, w_edge) -> Unit:
+    edges = ((n_edge, False), (e_edge, False), (s_edge, True), (w_edge, True))
+    return Unit("vertex", (row, col), edges, tuple(VERTEX_CONFIGS.values()), KINDS)
+
+
+def bend_unit(row, top_edge, bottom_edge) -> Unit:
     """U-turn joining the right ends of rows j and jb; j is unbarred."""
+    # both edges point east into the bend when their bit is True
+    return Unit("bend", (row,), ((top_edge, True), (bottom_edge, True)),
+                ((True, False), (False, True)), ("D", "U"))
 
-    row: RowLabel
-    top_edge: EdgeId
-    bottom_edge: EdgeId
 
-
-@dataclass(frozen=True)
-class Corner:
+def corner_unit(h_edge, v_edge) -> Unit:
     """Right-angle joint between the central row and the half column (C)."""
+    # horizontal-in/vertical-out is R, the reverse is L
+    return Unit("corner", (), ((h_edge, True), (v_edge, True)),
+                ((True, False), (False, True)), ("R", "L"))
 
-    h_edge: EdgeId
-    v_edge: EdgeId
+
+CROSS_INSETS = (
+    frozenset({"NW", "SW"}), frozenset({"NE", "SE"}),
+    frozenset({"SW", "NE"}), frozenset({"NW", "SE"}),
+    frozenset({"NW", "NE"}), frozenset({"SW", "SE"}),
+)
+
+
+def cross_unit(j, k, nw, ne, sw, se) -> Unit:
+    """Crossing of strands j (enters NW, leaves SE) and k (SW to NE)."""
+    ports = ("NW", "NE", "SW", "SE")
+    polarity = {"NW": True, "SW": True, "NE": False, "SE": False}
+    edges = tuple((e, polarity[p]) for p, e in zip(ports, (nw, ne, sw, se)))
+    configs = tuple(tuple((p in inset) == polarity[p] for p in ports) for inset in CROSS_INSETS)
+    return Unit("cross", (j, k), edges, configs, CROSS_INSETS)
 
 
 @dataclass(frozen=True)
@@ -89,15 +154,13 @@ class ModelSpec:
     half_rows: tuple       # rows crossed by the half column, top to bottom
     central: Optional[RowLabel]
     bend_rows: tuple       # unbarred labels carrying bends, outermost first
-    vertices: tuple
-    bends: tuple
-    corner: Optional[Corner]
+    units: tuple           # bends, corner, then columns right to left, rows top to bottom
     boundary: dict         # EdgeId -> bool (east / up)
     edges: tuple           # every edge id, deterministic order
 
     def vertex_count(self) -> int:
         """Tetravalent vertices only; bends and corners excluded."""
-        return len(self.vertices)
+        return sum(u.kind == "vertex" for u in self.units)
 
     @cached_property
     def edge_index(self) -> dict:
@@ -108,11 +171,9 @@ class ModelSpec:
     def unit_table(self) -> tuple:
         """(unit, getter of its edge bits from a state's orientation) for
         every unit: vertices by (row, col), then the bends, then the corner."""
-        from .states import model_units   # states builds units from a spec
-        units = model_units(self)
-        vertices = sorted((u for u in units if u.kind == "vertex"), key=lambda u: u.label)
+        vertices = sorted((u for u in self.units if u.kind == "vertex"), key=lambda u: u.label)
         return tuple((u, itemgetter(*(self.edge_index[e] for e, _ in u.edges)))
-                     for u in vertices + [u for u in units if u.kind != "vertex"])
+                     for u in vertices + [u for u in self.units if u.kind != "vertex"])
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +196,7 @@ def _edge_name(e: EdgeId) -> str:
 
 def _outward(spec: ModelSpec, e: EdgeId) -> bool:
     """Render a fixed boundary bit as inward/outward relative to the grid."""
-    kind, label, k = e
+    kind, _, k = e
     bit = spec.boundary[e]
     if kind == "h":
         return bit if k > 0 else not bit       # east at the right end is out
@@ -148,130 +209,44 @@ def build_model(family: str, lam_parts) -> ModelSpec:
         raise ModelError(f"unknown family {family!r}")
     lam = check_strict_partition(lam_parts)
     n = len(lam)
-    lam1 = lam[0]
-
+    central, half_col, east = SHAPES[family]
     top = [str(j) for j in range(1, n + 1)]
-    bot = [str(j) + "b" for j in range(n, 0, -1)]
-    central: Optional[str] = None
-    half_col: Optional[int] = None
-    half_rows: tuple = ()
-    full_cols = tuple(range(lam1, 0, -1))
-    bend_rows = tuple(str(j) for j in range(1, n + 1))
+    if family == "A":                         # no row has a bar
+        rows, bend_rows, unbarred = top, [], top
+    else:
+        if central == "n":
+            central = top.pop()
+        bend_rows = top
+        unbarred = [central] if central else []
+        rows = top + unbarred + [bar(j) for j in reversed(top)]
+    half_rows = tuple(bar(j) for j in reversed(bend_rows)) if half_col is not None else ()
+    full_cols = tuple(c for c in range(lam[0], 0, -1) if c != half_col)
+    cols = full_cols + (() if half_col is None else (half_col,))
+    corner = central is not None and half_col is not None
 
-    if family == "A":
-        rows = tuple(top)
-        bend_rows = ()
-    elif family == "B":
-        rows = tuple(top + bot)
-    elif family == "Bstar":
-        central = "0"
-        rows = tuple(top + [central] + bot)
-    elif family == "C":
-        central = "0"
-        half_col = 0
-        rows = tuple(top + [central] + bot)
-        half_rows = tuple(bot)
-    elif family == "Cstar":
-        half_col = 0
-        rows = tuple(top + bot)
-        half_rows = tuple(bot)
-    elif family == "D":
-        half_col = 1
-        full_cols = tuple(range(lam1, 1, -1))
-        rows = tuple(top + bot)
-        half_rows = tuple(bot)
-    else:  # BC
-        central = str(n)
-        rows = tuple(top[:-1] + [central] + [str(j) + "b" for j in range(n - 1, 0, -1)])
-        bend_rows = tuple(str(j) for j in range(1, n))
+    def width(row):
+        """The number of columns a row crosses, so ("h", row, width) is its east end."""
+        return len(full_cols) + (row in half_rows)
 
-    spec_rows = rows
-
-    # column -> rows it crosses, in top-to-bottom order
-    def col_rows(col: int):
-        if half_col is not None and col == half_col:
-            return list(half_rows)
-        return list(spec_rows)
-
-    all_cols = list(full_cols) + ([half_col] if half_col is not None else [])
-
-    vertices = []
-    for r_idx, row in enumerate(spec_rows):
-        cols_here = list(full_cols)
-        if half_col is not None and row in half_rows:
-            cols_here.append(half_col)
-        for c_idx, col in enumerate(cols_here):
-            rows_of_col = col_rows(col)
-            k = rows_of_col.index(row)
-            vertices.append(Vertex(
-                row=row, col=col,
-                n_edge=("v", col, k),
-                s_edge=("v", col, k + 1),
-                w_edge=("h", row, c_idx),
-                e_edge=("h", row, c_idx + 1),
-            ))
-
-    boundary: dict = {}
-    bends = []
-    corner = None
-
-    # west ends point inward for every row
-    for row in spec_rows:
-        boundary[("h", row, 0)] = True
-
-    # right ends
-    for row in spec_rows:
-        m = len(full_cols) + (1 if (half_col is not None and row in half_rows) else 0)
-        east = ("h", row, m)
-        if family == "A":
-            boundary[east] = False                      # west, inward
-        elif row == central:
-            if family == "Bstar":
-                boundary[east] = True                   # east, outward
-            elif family == "BC":
-                boundary[east] = False                  # west, inward
-            # C: handled by the corner below
-        # bend rows: both ends feed the bend, added after the loop
-
-    for j in bend_rows:
-        jb = j + "b"
-        m_top = len(full_cols)
-        m_bot = len(full_cols) + (1 if (half_col is not None and jb in half_rows) else 0)
-        bends.append(Bend(row=j,
-                          top_edge=("h", j, m_top),
-                          bottom_edge=("h", jb, m_bot)))
-
-    # column tops and bottoms
-    for col in all_cols:
-        rows_of_col = col_rows(col)
-        top_edge = ("v", col, 0)
-        bottom_edge = ("v", col, len(rows_of_col))
-        boundary[bottom_edge] = False                   # down, outward
-        if family == "C" and col == half_col:
-            pass                                        # top edge is the corner's
-        elif family == "Cstar" and col == half_col:
-            boundary[top_edge] = False                  # down, always inward
-        else:
-            boundary[top_edge] = (col in lam)
-
-    if family == "C":
-        # the central row ends in the corner: its east edge is internal
-        corner = Corner(h_edge=("h", central, len(full_cols)), v_edge=("v", half_col, 0))
-
-    edge_set = set(boundary)
-    for v in vertices:
-        edge_set.update((v.n_edge, v.e_edge, v.s_edge, v.w_edge))
-    for b in bends:
-        edge_set.update((b.top_edge, b.bottom_edge))
-    if corner is not None:
-        edge_set.update((corner.h_edge, corner.v_edge))
-
+    units = [bend_unit(j, ("h", j, width(j)), ("h", bar(j), width(bar(j)))) for j in bend_rows]
+    boundary = {("h", row, 0): True for row in rows}         # west ends point inward
+    if corner:                                              # the central row turns down
+        units.append(corner_unit(("h", central, width(central)), ("v", half_col, 0)))
+    else:
+        boundary.update((("h", row, width(row)), east) for row in unbarred)
+    for x in reversed(range(len(cols))):                    # columns right to left
+        col = cols[x]
+        col_rows = half_rows if col == half_col else rows
+        for k, row in enumerate(col_rows):
+            units.append(vertex_unit(row, col, ("v", col, k), ("h", row, x + 1),
+                                     ("v", col, k + 1), ("h", row, x)))
+        boundary[("v", col, len(col_rows))] = False         # bottoms point out
+        if not (corner and col == half_col):
+            boundary[("v", col, 0)] = col in lam
+    edges = set(boundary).union(e for u in units for e, _ in u.edges)
     return ModelSpec(
-        family=family, lam=lam, n=n,
-        rows=spec_rows, full_cols=full_cols,
-        half_col=half_col, half_rows=half_rows,
-        central=central, bend_rows=bend_rows,
-        vertices=tuple(vertices), bends=tuple(bends), corner=corner,
-        boundary=boundary,
-        edges=tuple(sorted(edge_set, key=_edge_name)),
+        family=family, lam=lam, n=n, rows=tuple(rows), full_cols=full_cols,
+        half_col=half_col, half_rows=half_rows, central=central,
+        bend_rows=tuple(bend_rows), units=tuple(units), boundary=boundary,
+        edges=tuple(sorted(edges, key=_edge_name)),
     )

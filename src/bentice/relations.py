@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import GI, LaurentPoly
-from .states import (
-    bend_unit, corner_unit, cross_unit, enumerate_orientations, unit_tag, vertex_unit,
-)
+from .models import bend_unit, corner_unit, cross_unit, vertex_unit
+from .states import enumerate_orientations, unit_tag
 from .weights import WeightScheme, central_label, crossing, unit_weight
 
 ONE = LaurentPoly.const(1)

@@ -1,13 +1,13 @@
 """Admissible states, state counts and partition functions.
 
-A graph is a list of units (tetravalent vertices, u-turn bends, corner
-joints, and strand crossings for the local diagrams), each listing its
-edges together with a polarity bit: polarity True means "edge bit True
-points into this unit".  Admissibility is local: a vertex needs two
-arrows in and two out, the degree-two units need one each.
+A graph is a sequence of units (``models.Unit``: tetravalent vertices,
+u-turn bends, corner joints, and strand crossings for the local
+diagrams).  Admissibility is local: a vertex needs two arrows in and two
+out, the degree-two units need one each.
 
-Two engines sweep the units in one fixed order (bends and rightmost
-columns first, which prunes hardest):
+Two engines sweep the units in the order given, for a model the order of
+``ModelSpec.units`` (bends and rightmost columns first, which prunes
+hardest):
 
 - ``enumerate_orientations`` backtracks, trying local configurations in
   a fixed sequence, and yields every state, so state lists are
@@ -30,90 +30,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
 from .laurent import LaurentPoly
-from .models import ModelSpec
+from .models import ModelSpec, Unit
 from .weights import unit_weight
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_COLS = 8
 
-# vertex kind -> orientation bits in N,E,S,W order (True = up / east)
-VERTEX_CONFIGS = {
-    "a1": (False, True, False, True),
-    "a2": (True, False, True, False),
-    "b1": (True, True, True, True),
-    "b2": (False, False, False, False),
-    "c1": (False, True, True, False),
-    "c2": (True, False, False, True),
-}
-KIND_ORDER = ("a1", "a2", "b1", "b2", "c1", "c2")
-
 
 class EnumerationCapError(RuntimeError):
     """Raised instead of silently attempting a too-large enumeration."""
-
-
-@dataclass(frozen=True)
-class Unit:
-    """One local constraint: a vertex, bend, corner, or crossing.
-
-    ``edges`` pairs each edge id with its polarity; ``configs`` is the
-    tuple of admissible local assignments (bit per edge, in edge order),
-    and ``tags`` names each config (vertex kind, U/D, R/L, crossing
-    in-set) for weighting.
-    """
-
-    kind: str
-    label: tuple
-    edges: tuple          # ((edge_id, polarity_bool), ...)
-    configs: tuple        # ((bit, ...), ...)
-    tags: tuple
-
-    @cached_property
-    def tag_of(self) -> dict:
-        """Local configuration (bits in edge order) -> tag."""
-        return dict(zip(self.configs, self.tags))
-
-
-def vertex_unit(row, col, n_edge, e_edge, s_edge, w_edge) -> Unit:
-    edges = ((n_edge, False), (e_edge, False), (s_edge, True), (w_edge, True))
-    configs = tuple(VERTEX_CONFIGS[k] for k in KIND_ORDER)
-    return Unit("vertex", (row, col), edges, configs, KIND_ORDER)
-
-
-def bend_unit(row, top_edge, bottom_edge) -> Unit:
-    # both edges point east into the bend when their bit is True
-    return Unit("bend", (row,), ((top_edge, True), (bottom_edge, True)),
-                ((True, False), (False, True)), ("D", "U"))
-
-
-def corner_unit(h_edge, v_edge) -> Unit:
-    # horizontal-in/vertical-out is R, the reverse is L
-    return Unit("corner", (), ((h_edge, True), (v_edge, True)),
-                ((True, False), (False, True)), ("R", "L"))
-
-
-CROSS_INSETS = (
-    frozenset({"NW", "SW"}), frozenset({"NE", "SE"}),
-    frozenset({"SW", "NE"}), frozenset({"NW", "SE"}),
-    frozenset({"NW", "NE"}), frozenset({"SW", "SE"}),
-)
-
-
-def cross_unit(j, k, nw, ne, sw, se) -> Unit:
-    """Crossing of strands j (enters NW, leaves SE) and k (SW to NE)."""
-    ports = ("NW", "NE", "SW", "SE")
-    polarity = {"NW": True, "SW": True, "NE": False, "SE": False}
-    edges = tuple((e, polarity[p]) for p, e in zip(ports, (nw, ne, sw, se)))
-    configs = []
-    for inset in CROSS_INSETS:
-        bits = tuple((p in inset) == polarity[p] for p in ports)
-        configs.append(bits)
-    return Unit("cross", (j, k), edges, tuple(configs), CROSS_INSETS)
 
 
 def enumerate_orientations(units, fixed: dict):
@@ -254,20 +183,6 @@ def resolve_caps(max_n: int = None, max_cols: int = None) -> tuple:
     return max_n, max_cols
 
 
-def model_units(spec: ModelSpec) -> list:
-    """Units in enumeration order: bends/corner, then columns right to left."""
-    units = [bend_unit(b.row, b.top_edge, b.bottom_edge) for b in spec.bends]
-    if spec.corner is not None:
-        units.append(corner_unit(spec.corner.h_edge, spec.corner.v_edge))
-    xpos = {col: i for i, col in enumerate(spec.full_cols)}
-    if spec.half_col is not None:
-        xpos[spec.half_col] = len(spec.full_cols)
-    row_pos = {r: i for i, r in enumerate(spec.rows)}
-    for v in sorted(spec.vertices, key=lambda v: (-xpos[v.col], row_pos[v.row])):
-        units.append(vertex_unit(v.row, v.col, v.n_edge, v.e_edge, v.s_edge, v.w_edge))
-    return units
-
-
 def check_caps(spec: ModelSpec, max_n: int = None, max_cols: int = None):
     """Raise EnumerationCapError if the model exceeds the caps in force."""
     max_n, max_cols = resolve_caps(max_n, max_cols)
@@ -281,7 +196,7 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
     check_caps(spec, max_n, max_cols)
     index = spec.edge_index
     states = []
-    for orientation in enumerate_orientations(model_units(spec), spec.boundary):
+    for orientation in enumerate_orientations(spec.units, spec.boundary):
         bits = [False] * len(spec.edges)
         for e, b in orientation.items():
             bits[index[e]] = b
@@ -292,7 +207,7 @@ def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -
 def count_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> int:
     """The number of admissible states, by contraction: no state is built."""
     check_caps(spec, max_n, max_cols)
-    return contract(model_units(spec), spec.boundary, lambda unit, tag: 1)
+    return contract(spec.units, spec.boundary, lambda unit, tag: 1)
 
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:
@@ -344,10 +259,13 @@ def state_tikz(state: IceState) -> str:
     def tip_v(bit):
         return "<" if bit else ">"   # path is drawn downward; up-arrow is a back-tip
 
-    for v in spec.vertices:
-        x, y = xof[v.col], yof[v.row]
-        w, e = state.bit(v.w_edge), state.bit(v.e_edge)
-        n, s = state.bit(v.n_edge), state.bit(v.s_edge)
+    # rows top to bottom, each left to right
+    vertices = sorted((u for u in spec.units if u.kind == "vertex"),
+                      key=lambda u: (-yof[u.label[0]], -u.label[1]))
+    for v in vertices:
+        row, col = v.label
+        x, y = xof[col], yof[row]
+        n, e, s, w = (state.bit(edge) for edge, _ in v.edges)
         lines.append(f"\\draw [{tip_h(w)}-{tip_h(e)}] "
                      f"({_coord(x - 1)},{_coord(y)}) -- ({_coord(x + 1)},{_coord(y)});")
         lines.append(f"\\draw [{tip_v(n)}-{tip_v(s)}] "
@@ -357,8 +275,8 @@ def state_tikz(state: IceState) -> str:
         x = max(xof.values()) + 1
         lines.append(f"% bend {row}: {tag}")
         lines.append(f"\\draw ({_coord(x)},{_coord(yt)}) arc (90:-90:{_coord((yt - yb) // 2)});")
-    if spec.corner is not None:
-        tag = state.corner_dir()
+    tag = state.corner_dir()
+    if tag is not None:
         lines.append(f"% corner: {tag}")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines)

@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .laurent import GI, LaurentPoly, Var
-from .models import FAMILIES, ModelSpec
+from .models import FAMILIES, KINDS, ModelSpec
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
-KINDS = ("a1", "a2", "b1", "b2", "c1", "c2")
 
 TABLE_BEND_DOWN = {"B": I, "Bstar": ONE, "C": I, "Cstar": ONE, "D": ONE, "BC": ONE}
 
@@ -118,7 +117,7 @@ def crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
 
 
 def unit_weight(unit, tag, scheme: WeightScheme) -> LaurentPoly:
-    """The weight of a unit (see states.Unit) in the local configuration named by tag."""
+    """The weight of a unit (see models.Unit) in the local configuration named by tag."""
     if unit.kind == "vertex":
         return scheme.vertex[(tag, unit.label[0])]
     if unit.kind == "bend":
@@ -233,7 +232,7 @@ def make_tokuyama(n: int) -> WeightScheme:
 def all_ones_scheme(spec: ModelSpec) -> WeightScheme:
     """Every weight 1: the partition function counts states."""
     entries = {(k, r): ONE for r in spec.rows for k in KINDS}
-    up = {r: ONE for b in spec.bends for r in (b.row, b.row + "b")}
+    up = {r: ONE for j in spec.bend_rows for r in (j, j + "b")}
     return WeightScheme(name="ones", family=spec.family, n=spec.n,
                         vertex=entries, bend_up=dict(up), bend_down=dict(up),
                         corner_r=ONE, corner_l=ONE)

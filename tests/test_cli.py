@@ -139,6 +139,21 @@ class TestExitCodes:
                 ["ybe"] if verb == "verify" else []))
             assert args.emit == emit
 
+    def test_verify_error_reports_name_the_check(self, capsys, monkeypatch):
+        # pass, fail and error reports all name the verb as "verify <check>"
+        code, report = invoke(capsys, "verify", "divisibility", "--family", "Z",
+                              "--lambda", "2,1")
+        assert code == EXIT_INPUT
+        assert report == {"verb": "verify divisibility", "error":
+                          "unknown family 'Z'; choose from "
+                          "('A', 'B', 'Bstar', 'C', 'Cstar', 'D', 'BC') or 'all'"}
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
+        code, report = invoke(capsys, "verify", "bijection", "--family", "B", "--n", "5")
+        assert code == EXIT_CAP
+        assert report == {"verb": "verify bijection",
+                          "error": "model B^[5, 4, 3, 2, 1] exceeds caps n<=4, lambda_1<=8"}
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT
 
@@ -298,13 +313,16 @@ class TestWorkers:
 # passing reports (fish D and jellyfish C under deformation and okada
 # weights, fish D under character weights) were re-recorded when division
 # became complete over the Laurent ring: their constant ratio, which
-# equals the closed form, used to print as null.
+# equals the closed form, used to print as null.  The 70 input-error
+# reports (exit 3) were re-recorded when their "verb" field became
+# "verify <check>", as in pass and fail reports, instead of "verify"; the
+# rest of each of those reports is unchanged.
 RELATION_REPORTS = {
     ('ybe', 'A', None): (0, 'd2e51a5d09d10ac8a10c15216ae1c6e17fbd8c8c689166d514e48aec7cc13ca2'),
     ('ybe', 'A', 'generic'): (0, '7b5b4774ba8d6a016a58fce0fcc961ac53e52cb43177653e2e3259d175d71a14'),
     ('ybe', 'A', 'deformation'): (0, '261fd79d38fbae5380def71c4750c250d9c73356a051ac65fb1c4d06f806b565'),
-    ('ybe', 'A', 'okada'): (3, '24c0e6410759d98884118c04dee5dad3df0effd39014f39f6222506c309b6c2c'),
-    ('ybe', 'A', 'character'): (3, '95d15f7ec3c9393559ca91cfeb0f8f6c32bf885bf0e2dce54fe1cfc61e0e93ae'),
+    ('ybe', 'A', 'okada'): (3, 'ca383667314cf2231dceaa34885d332b90693e624d661984e7f088a9981d6edb'),
+    ('ybe', 'A', 'character'): (3, '32ddbe0ffbd490f776d5755862d592fc751447c46e920501fef813d783eef0fe'),
     ('ybe', 'B', None): (0, 'e954d6f4d8781dc4bdf4d11677625a34ea1358d6c88c97022b7439ad2e088f00'),
     ('ybe', 'B', 'generic'): (0, '53dd4f092c2e4285424b7a1a232b5aebbdca4e08b44b4da4051d5517e65b9eaf'),
     ('ybe', 'B', 'deformation'): (0, 'dab51a6abbe6a8454007fd3d713b6e64dc0d6815fe5b776d63ac42c40efddc6c'),
@@ -337,9 +355,9 @@ RELATION_REPORTS = {
     ('ybe', 'BC', 'character'): (0, '712469063011e3e244c466ea86aa7ca712564f2a1b52f649c14d928c1f8dc8a8'),
     ('bend', 'A', None): (0, '56510caabac2d608e7832c1a26cefcbd5d0ee2b12f5cb11c599199ae980dbc47'),
     ('bend', 'A', 'generic'): (0, 'd7bbcd8a4d1ac0f7445f830bb5cee87671ffeac7624f3f0797fb8c2d29ef8a6b'),
-    ('bend', 'A', 'deformation'): (3, '00c35d378378a9afd518c326fd01733268bd0b182e3aa385d539a287801d5074'),
-    ('bend', 'A', 'okada'): (3, '24c0e6410759d98884118c04dee5dad3df0effd39014f39f6222506c309b6c2c'),
-    ('bend', 'A', 'character'): (3, '95d15f7ec3c9393559ca91cfeb0f8f6c32bf885bf0e2dce54fe1cfc61e0e93ae'),
+    ('bend', 'A', 'deformation'): (3, '65e54aff08383f4bcf1be0d5c2654d4eeb4a82b58aaf3170078e3b77d99786c1'),
+    ('bend', 'A', 'okada'): (3, '81e02bd6602aa4dd5ab3c889f9552de39510b4c51259d51d6c953fcdca10d923'),
+    ('bend', 'A', 'character'): (3, '566c2a61373f7ffdaad146d111ded925cb3794350cfa3739f9b4e0eb811c6f03'),
     ('bend', 'B', None): (0, '9dab57b965f9c436ec918b6e803cc64bf8718095fbfffa3263be9c166dc08fe3'),
     ('bend', 'B', 'generic'): (0, '038480f47ca90ea12217d4a1ea5b0e5cb321f2d3bd1f0d8bb4ecfefcf7c0690b'),
     ('bend', 'B', 'deformation'): (0, '16c5182169c13d96a1e6e8dcefe58048cc946385b4db859b42e8caffa8a8aa1e'),
@@ -365,31 +383,31 @@ RELATION_REPORTS = {
     ('bend', 'D', 'deformation'): (0, 'e3cec395dd77c8b8a60aee796a57dddc485eb1c59aa9597d37cf0326a90c857e'),
     ('bend', 'D', 'okada'): (0, '13f9714a9daa6972fd07aa0553d1a2390082cce43175bde63fb12d1993b420e4'),
     ('bend', 'D', 'character'): (0, '21a51d76322deebcd0ab266fdca3e18b667458e601dd5ac6fbd9ffea3bfb0c3d'),
-    ('bend', 'BC', None): (3, '01c1468bb78e4b9db4118a53be384168975239df977f402f8518d4a28c03e793'),
-    ('bend', 'BC', 'generic'): (3, '01c1468bb78e4b9db4118a53be384168975239df977f402f8518d4a28c03e793'),
-    ('bend', 'BC', 'deformation'): (3, '01ee334f29679f718e3e07658dfdc7ab68dea46a87ae16e2789ec173a846abb3'),
-    ('bend', 'BC', 'okada'): (3, '88f42c28531051b6c3b3c3916b9079df897c6d5d5c230c8c87c9d3225c30c4b7'),
-    ('bend', 'BC', 'character'): (3, 'e769c3d1492d8428821d265650a9dee22b68a685eb248309a9bec77586c0b77f'),
-    ('fish', 'A', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'A', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'A', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'A', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'A', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('bend', 'BC', None): (3, '5ddddc1adf06c85c758e0c8c68176332699bd2beb41d9bb815708a77b33fb4de'),
+    ('bend', 'BC', 'generic'): (3, '5ddddc1adf06c85c758e0c8c68176332699bd2beb41d9bb815708a77b33fb4de'),
+    ('bend', 'BC', 'deformation'): (3, '427a81f655404a8189ef4a87fc961605c099d7678fbf0a90f78be6172b84c40f'),
+    ('bend', 'BC', 'okada'): (3, '8964877e46698a1f27466d101fc6a6e576d4e7cb85ff9625a020ebab232e6177'),
+    ('bend', 'BC', 'character'): (3, '3eefead6e01859b3abe14dfdac61166c36ce7286eebb0d3fab2f9e154b870d34'),
+    ('fish', 'A', None): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'A', 'generic'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'A', 'deformation'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'A', 'okada'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'A', 'character'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
     ('fish', 'B', None): (0, 'be0c3a7f8627bd7698b1e302043d2a4146178ca504b693f91459a5ab30c76833'),
     ('fish', 'B', 'generic'): (0, 'efcac1896d08108bf07dc9b362a8e194d6d790890aaaf133901c920183bd8180'),
     ('fish', 'B', 'deformation'): (0, '367ef548ee672a66566f4a9a97626771ad546a061bae5f5ee8f2cdb12296f7c9'),
     ('fish', 'B', 'okada'): (0, 'd22d4015bf51628fc6840ff7c1b4e8476dcbbdf3bb2a1a2a65491bdd7a1b445e'),
     ('fish', 'B', 'character'): (0, '18804a95d01bb96e21242828ea18763e0dfd84903dc18d27b1b7822adc92f267'),
-    ('fish', 'Bstar', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'Bstar', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'Bstar', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'Bstar', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'Bstar', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'C', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'C', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'C', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'C', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'C', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
+    ('fish', 'Bstar', None): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'Bstar', 'generic'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'Bstar', 'deformation'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'Bstar', 'okada'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'Bstar', 'character'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'C', None): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'C', 'generic'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'C', 'deformation'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'C', 'okada'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'C', 'character'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
     ('fish', 'Cstar', None): (0, 'ed9ce3d6ad92300a991b9625a754ca04c3ab0d356bf68df8f6e4f423707f72ff'),
     ('fish', 'Cstar', 'generic'): (0, '003e4ffec7e684de3404dec141c7ad4a548748c7cf11655ffadf6dc0e606e316'),
     ('fish', 'Cstar', 'deformation'): (0, '6615310facced17e8f63fd554eb2df5dbaefdab676fd831efd154880ae8a5a2d'),
@@ -400,21 +418,21 @@ RELATION_REPORTS = {
     ('fish', 'D', 'deformation'): (0, 'b8dff143553dda4ed1fddb150a4922683481e02741d301eca58405c637d8e679'),
     ('fish', 'D', 'okada'): (0, 'a02fc389b712591937eeafd6029d4b962557c982aceb61dba07d509f7353cdfa'),
     ('fish', 'D', 'character'): (0, '5fe0d9a56616de070d64bf29a77e1967e76e6c6f4424d4a90a7647a86c0c1d5a'),
-    ('fish', 'BC', None): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'BC', 'generic'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'BC', 'deformation'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'BC', 'okada'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('fish', 'BC', 'character'): (3, '43c8b5f9f0909a394ef393cef89653fa4e8e2653662543be63d7ffd20b8d94de'),
-    ('jellyfish', 'A', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'A', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'A', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'A', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'A', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'B', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'B', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'B', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'B', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'B', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('fish', 'BC', None): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'BC', 'generic'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'BC', 'deformation'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'BC', 'okada'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('fish', 'BC', 'character'): (3, '7da729b023831a71df05f2892fc3ed011bc12b2428b3f6667cbe6f51cb842c9a'),
+    ('jellyfish', 'A', None): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'A', 'generic'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'A', 'deformation'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'A', 'okada'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'A', 'character'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'B', None): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'B', 'generic'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'B', 'deformation'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'B', 'okada'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'B', 'character'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
     ('jellyfish', 'Bstar', None): (0, 'dda2646f5b16aa3b7e03bb6087ede1e03afead306676ff379cae60fe7c08f8f0'),
     ('jellyfish', 'Bstar', 'generic'): (0, 'e37c48fb612bf464955a69a5d1bac34cae307087c140650e108b7844dc070cb2'),
     ('jellyfish', 'Bstar', 'deformation'): (0, 'a56c4c17ad3a908d9ae2d039cda72a95640b8c5c16e864aa22877f3fc962707d'),
@@ -425,31 +443,31 @@ RELATION_REPORTS = {
     ('jellyfish', 'C', 'deformation'): (0, '1af2c551770c741c2fe4f7aff947cccf2fb249d1208ba1c876dd7e19fe9f057a'),
     ('jellyfish', 'C', 'okada'): (0, '2526683037d4774df53accb734522b8c87f637d6c48578f42ba3946852acf732'),
     ('jellyfish', 'C', 'character'): (0, 'd679954fa7d6456ec431d43c78827943e9494ef24e6e21c06e9f822f2bbb5a95'),
-    ('jellyfish', 'Cstar', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'Cstar', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'Cstar', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'Cstar', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'Cstar', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'D', None): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'D', 'generic'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'D', 'deformation'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'D', 'okada'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
-    ('jellyfish', 'D', 'character'): (3, 'dd5ae62d5ad219bfe9618450336b6f67fa66d7c7c7d0f38279cfa45351992a1e'),
+    ('jellyfish', 'Cstar', None): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'Cstar', 'generic'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'Cstar', 'deformation'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'Cstar', 'okada'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'Cstar', 'character'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'D', None): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'D', 'generic'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'D', 'deformation'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'D', 'okada'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
+    ('jellyfish', 'D', 'character'): (3, '4411994b32bce3f85e8f0760c21df33d97c6f2e2ff40ae1944db1a5c10837c3c'),
     ('jellyfish', 'BC', None): (0, 'a38352d551b95f30e70dd687d4ad0a6dd00744750f3075df4e01e280b1a5d608'),
     ('jellyfish', 'BC', 'generic'): (0, 'b792ba5a24ab5a489f0316c5eef0774271b7b8de701841cf581925e566714beb'),
     ('jellyfish', 'BC', 'deformation'): (0, '399707b52248dcf0bd5671dda53c9e00ee979ed83896bbce4cf168702f77238b'),
     ('jellyfish', 'BC', 'okada'): (0, '62aa7d5a2011c0b429c0a9b39bcdd213236620d6bd5db7836777e0891998e3e9'),
     ('jellyfish', 'BC', 'character'): (0, '2039bb80078ca19bde49c05c9b411d350b7b4fd90e2b70d1e44953f20bc37f2d'),
-    ('caduceus', 'A', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'A', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'A', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'A', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'A', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'B', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'B', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'B', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'B', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'B', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'A', None): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'A', 'generic'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'A', 'deformation'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'A', 'okada'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'A', 'character'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'B', None): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'B', 'generic'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'B', 'deformation'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'B', 'okada'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'B', 'character'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
     ('caduceus', 'Bstar', None): (0, '66be94890be7eef0db7f2e4c27eeeadea4bb65eb390e87b0efcd168e1dbbd5b0'),
     ('caduceus', 'Bstar', 'generic'): (0, '98a8ad1792dbc26dc84f6a0e37bec0d29e7345042c5e9282ad7d3a52da48869f'),
     ('caduceus', 'Bstar', 'deformation'): (0, '5c00f48ec9783f12216a5e927eaddd2d24b9f61f75944369eea2c0c8e14f8079'),
@@ -460,16 +478,16 @@ RELATION_REPORTS = {
     ('caduceus', 'C', 'deformation'): (0, '16f448bd92ff2a260e3853014d9de4ba4b58f32fd5ef01a8674da561a3a75a20'),
     ('caduceus', 'C', 'okada'): (0, '6fdbcd9f603868a10ccc45fc638b83d81f56779280d655d643deeee436831864'),
     ('caduceus', 'C', 'character'): (0, '1d84355a0d165ffc984d0b0ad3f7cbce84ceffb8ecfa3f443f7cde9bbb352f3e'),
-    ('caduceus', 'Cstar', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'Cstar', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'Cstar', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'Cstar', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'Cstar', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'D', None): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'D', 'generic'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'D', 'deformation'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'D', 'okada'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
-    ('caduceus', 'D', 'character'): (3, 'c589de8eebf58fe5adf93795e763e133a075e40be8b2b4873af12729155e9918'),
+    ('caduceus', 'Cstar', None): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'Cstar', 'generic'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'Cstar', 'deformation'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'Cstar', 'okada'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'Cstar', 'character'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'D', None): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'D', 'generic'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'D', 'deformation'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'D', 'okada'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
+    ('caduceus', 'D', 'character'): (3, '434e722510dd3a596b0721b71db1b5d075e52c684f3066cc10c9ee55b1332a4f'),
     ('caduceus', 'BC', None): (0, 'dd94003d66e50c89864866e1831da4ea8e22b1a06b295426096b56b351502557'),
     ('caduceus', 'BC', 'generic'): (0, '85cb6ceff2168206f293ca499dd0fa0b8bf70b75817a260ec439b04a0a9b3cc8'),
     ('caduceus', 'BC', 'deformation'): (0, 'aa5dece23cef462af61993541768b6d775535a93d724184162a9dea6555cf72c'),

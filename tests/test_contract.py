@@ -13,8 +13,7 @@ import pytest
 from bentice import states
 from bentice.models import FAMILIES, build_model
 from bentice.states import (
-    EnumerationCapError, contract, count_states, enumerate_states, model_units,
-    partition_function,
+    EnumerationCapError, contract, count_states, enumerate_states, partition_function,
 )
 from bentice.weights import BUILTIN_SCHEMES, unit_weight
 
@@ -69,7 +68,7 @@ def test_values_need_only_sum_and_product():
     spec = build_model("B", [2, 1])
     edge = ("v", 2, 0)
     fixed = {**spec.boundary, edge: not spec.boundary[edge]}
-    assert contract(model_units(spec), fixed, lambda unit, tag: 1) == 0
+    assert contract(spec.units, fixed, lambda unit, tag: 1) == 0
 
 
 def test_each_unit_is_weighed_once_per_tag():
@@ -80,7 +79,7 @@ def test_each_unit_is_weighed_once_per_tag():
         calls.append((id(unit), tag))
         return 1
 
-    contract(model_units(spec), spec.boundary, value)
+    contract(spec.units, spec.boundary, value)
     assert len(calls) == len(set(calls))
 
 
@@ -93,6 +92,6 @@ SCHEME_CASES = [(family, name) for family in FAMILIES for name in BUILTIN_SCHEME
 def test_contraction_gives_the_partition_function(family, name, lam):
     spec = build_model(family, lam)
     scheme = BUILTIN_SCHEMES[name](family, len(lam))
-    z = contract(model_units(spec), spec.boundary,
+    z = contract(spec.units, spec.boundary,
                  lambda unit, tag: unit_weight(unit, tag, scheme))
     assert z == partition_function(spec, scheme)

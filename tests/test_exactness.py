@@ -1,4 +1,5 @@
-"""Source-level guard: the package computes exactly, with no floats."""
+"""Source-level guards: the package computes exactly, with no floats, and
+imports every module it uses at the top, where import cycles show."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,16 @@ def test_no_module_imports_sympy():
             else:
                 continue
             assert all(name.split(".")[0] != "sympy" for name in names), path.name
+
+
+def nested_imports(tree: ast.Module) -> list:
+    """Lines of the imports that are not statements of the module body."""
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def test_every_import_is_at_module_level():
+    offenders = {path.name: lines for path in SOURCES
+                 if (lines := nested_imports(ast.parse(path.read_text())))}
+    assert offenders == {}

@@ -1,7 +1,8 @@
 """Golden states transcribed from printed figures, duality counts, and
-pinned digests of every built-in weight scheme."""
+pinned digests of every built-in weight scheme and every small model."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -203,3 +204,36 @@ def test_builtin_scheme_digest(key):
 def test_scheme_digests_cover_every_builtin_scheme():
     expected = {f"{regime}-{family}" for regime in BUILTIN_SCHEMES for family in FAMILIES}
     assert set(SCHEME_DIGESTS) == expected - {"okada-A"}
+
+
+# sha256 of the canonical JSON of every model of a family with n <= 4 and
+# lambda_1 <= 8: its shape, boundary, edges and units in sweep order.
+MODEL_DIGESTS = {
+    "A": "f0493759ff5077eeb8b69f28f0774f3557bdc9d605463140d87d3d6ce1d18c9c",
+    "B": "ce3eb35ba9b8274711b9f5c2bac209b94f6d534b899960d54b2f129fe074b8c6",
+    "Bstar": "31d85ffa04bf0edb9a916685bfe47a17aabc30e4bb07e350c4512ba8b0a127e2",
+    "C": "1751d73045a67230fda46cdb4d8882ad71f8de77d11446514a37b247c8368d5f",
+    "Cstar": "ab9e3badfe6b986b2dcaed40da1f402fa659129b165b46903f1eeb61072954f3",
+    "D": "433b15d8c694615b302662a75531c056662ab0ebf7019ce167dedc3644f875c0",
+    "BC": "e34ac84d75ded20a9e8f12edaf5a0cf6161b9e0a7a71b2d3d73bff8f82a4e43f",
+}
+
+
+def _model_json(spec):
+    def name(e):
+        return f"{e[0]}:{e[1]}:{e[2]}"
+    return {
+        "rows": spec.rows, "full_cols": spec.full_cols, "half_col": spec.half_col,
+        "half_rows": spec.half_rows, "central": spec.central, "bend_rows": spec.bend_rows,
+        "boundary": [[e, spec.boundary[e]] for e in sorted(spec.boundary, key=name)],
+        "edges": spec.edges,
+        "units": [[u.kind, u.label, u.edges, u.configs, u.tags] for u in spec.units],
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_model_digest(family):
+    models = [_model_json(build_model(family, lam)) for n in range(1, 5)
+              for lam in itertools.combinations(range(8, 0, -1), n)]
+    blob = json.dumps(models, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == MODEL_DIGESTS[family]

@@ -31,7 +31,7 @@ class TestTypeA:
         assert spec.rows == ("1", "2", "3")
         assert spec.full_cols == (5, 4, 3, 2, 1)
         assert spec.vertex_count() == 15
-        assert not spec.bends and spec.corner is None
+        assert {u.kind for u in spec.units} == {"vertex"}
 
     def test_boundary_tops(self):
         spec = build_model("A", [5, 4, 2])
@@ -52,7 +52,7 @@ class TestTypeB:
         spec = build_model("B", [1])
         assert spec.rows == ("1", "1b")
         assert spec.full_cols == (1,)
-        assert len(spec.bends) == 1
+        assert [u.kind for u in spec.units].count("bend") == 1
         assert spec.vertex_count() == 2
 
     def test_rho_vertex_count(self):
@@ -64,9 +64,12 @@ class TestTypeB:
 
     def test_bend_edges_are_internal(self):
         spec = build_model("B", [2, 1])
-        for b in spec.bends:
-            assert b.top_edge not in spec.boundary
-            assert b.bottom_edge not in spec.boundary
+        bends = [u for u in spec.units if u.kind == "bend"]
+        assert len(bends) == 2
+        for b in bends:
+            (top_edge, _), (bottom_edge, _) = b.edges
+            assert top_edge not in spec.boundary
+            assert bottom_edge not in spec.boundary
 
 
 class TestCentralRowFamilies:
@@ -87,9 +90,11 @@ class TestCentralRowFamilies:
     def test_c_has_corner_and_half_column(self):
         spec = build_model("C", [2, 1])
         assert spec.half_col == 0
-        assert spec.corner is not None
-        assert spec.corner.h_edge == ("h", "0", 2)
-        assert spec.corner.v_edge == ("v", 0, 0)
+        corners = [u for u in spec.units if u.kind == "corner"]
+        assert len(corners) == 1
+        (h_edge, _), (v_edge, _) = corners[0].edges
+        assert h_edge == ("h", "0", 2)
+        assert v_edge == ("v", 0, 0)
         assert ("v", 0, 0) not in spec.boundary          # internal edge
         assert spec.boundary[("v", 0, 2)] is False       # bottom out
         assert spec.vertex_count() == 2 * 5 + 2

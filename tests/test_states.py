@@ -5,15 +5,15 @@ import pytest
 from bentice.laurent import LaurentPoly
 from bentice.models import build_model
 from bentice.states import (
-    EnumerationCapError, enumerate_states, model_units, partition_function,
-    state_tikz, state_weight, unit_tag,
+    EnumerationCapError, enumerate_states, partition_function, state_tikz,
+    state_weight, unit_tag,
 )
 from bentice.weights import all_ones_scheme, make_deformation, make_generic
 
 
 def brute_force_orientations(spec):
     """Oracle: try every assignment of the free edges, filter admissible."""
-    units = model_units(spec)
+    units = spec.units
     free = [e for e in spec.edges if e not in spec.boundary]
     found = set()
     for bits in itertools.product([False, True], repeat=len(free)):
