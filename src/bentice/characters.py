@@ -26,7 +26,7 @@ from .identities import known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
 from .models import ModelSpec, build_model, check_strict_partition
 from .states import IceState, enumerate_states, partition_function, state_weight
-from .weights import make_character, make_tokuyama, regular_row_count
+from .weights import make_character, make_tokuyama
 
 ONE = LaurentPoly.const(1)
 
@@ -216,10 +216,9 @@ def state_to_weyl(state: IceState) -> SignedPermutation:
     part_index = {part: k + 1 for k, part in enumerate(lam)}
     sigma = [0] * n
     signs = [0] * n
-    m = regular_row_count(family, n)
-    for j in range(1, m + 1):
+    for j, label in enumerate(spec.bend_rows, 1):
         locations = [(r, c) for (r, c), kind in kinds.items()
-                     if kind == "c2" and r in (str(j), str(j) + "b")]
+                     if kind == "c2" and r in (label, label + "b")]
         if len(locations) != 1:
             raise CharacterBijectionError(f"row pair {j} must hold exactly one c2")
         row, col = locations[0]
@@ -229,7 +228,7 @@ def state_to_weyl(state: IceState) -> SignedPermutation:
         if family == "D" and col == 1:
             signs[j - 1] = 0          # resolved by parity below
         else:
-            signs[j - 1] = -1 if row == str(j) else 1
+            signs[j - 1] = -1 if row == label else 1
     if family == "BC":
         locations = [(r, c) for (r, c), kind in kinds.items()
                      if kind == "c2" and r == str(n)]
@@ -256,7 +255,7 @@ def weyl_state_weight(w: SignedPermutation, family: str, lam) -> LaurentPoly:
     rho = weyl_vector(vec, n)
     alpha = tuple(2 * m + r for m, r in zip(mu, rho))
     sign = (-1) ** (length(w, group) % 2)
-    if family in ("B", "Bstar", "C", "Cstar"):
+    if group == HYPEROCTAHEDRAL:
         sign *= (-1) ** (n % 2)
     coeff = gpow_i(sum(mu)) * GInt(sign)
     out = LaurentPoly.const(coeff) * _x_monomial(rho) * _x_monomial(w.act(alpha))
@@ -283,16 +282,15 @@ def phi_statistic(state: IceState) -> int:
     w = state_to_weyl(state)
     bends = state.bend_dirs()
     total = 0
-    m = regular_row_count(family, n)
-    for j in range(1, m + 1):
+    for j, row in enumerate(spec.bend_rows, 1):
         lam_sig = lam[w.sigma[j - 1] - 1]
-        if bends[str(j)] == "U":
-            gap = _row_gap_edge(spec, str(j), above=True)
+        if bends[row] == "U":
+            gap = _row_gap_edge(spec, row, above=True)
             s_j = [p for p in lam if state.bit(("v", p, gap))]
             ell_plus = sum(1 for p in s_j if p > lam_sig)
             total += ell_plus - n
         else:
-            gap = _row_gap_edge(spec, str(j) + "b", above=False)
+            gap = _row_gap_edge(spec, row + "b", above=False)
             s_jb = [p for p in lam if state.bit(("v", p, gap))]
             ell_plus = sum(1 for p in s_jb if p > lam_sig)
             total += ell_plus - j + 1

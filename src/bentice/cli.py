@@ -33,7 +33,7 @@ from .identities import (
     BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
     okada_product_check, quotient_symmetry_check, rho_check,
 )
-from .models import FAMILIES, ModelError, build_model
+from .models import FAMILIES, ModelError, build_model, row_layout
 from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
@@ -41,7 +41,7 @@ from .states import (
     EnumerationCapError, count_states, enumerate_states, partition_function, resolve_caps,
     state_tikz,
 )
-from .weights import central_label, make_scheme
+from .weights import make_scheme
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -58,7 +58,6 @@ EMITS = {
 }
 
 FISH_VARIANTS = {"B": "B", "Cstar": "Cstar_D_no1", "D": "D_with1"}
-JELLY_VARIANTS = {"C": "C", "Bstar": "Bstar", "BC": "BC"}
 
 
 class InputError(ValueError):
@@ -218,17 +217,17 @@ def _verify(args) -> tuple:
 
     if check == "jellyfish":
         fam = _family(args)
-        if fam not in JELLY_VARIANTS:
-            raise InputError(f"jellyfish variants exist for families {sorted(JELLY_VARIANTS)}")
         n = 2 if fam == "BC" else 1
+        if row_layout(fam, n)[1] is None:
+            raise InputError("jellyfish variants exist for families ['BC', 'Bstar', 'C']")
         scheme = make_scheme(args.scheme or "generic", fam, n)
-        v = jellyfish_check(scheme, 1, JELLY_VARIANTS[fam])
+        v = jellyfish_check(scheme, 1)
         return v.ok and bool(v.closed_form_ok), v.to_json()
 
     if check == "caduceus":
         fam = _family(args)
         n = 2 if fam == "BC" else 1
-        if central_label(fam, n) is None:
+        if row_layout(fam, n)[1] is None:
             raise InputError("caduceus needs a central row: families Bstar, C, BC")
         scheme = make_scheme(args.scheme or "generic", fam, n)
         v = caduceus_check(scheme, 1)
@@ -264,7 +263,7 @@ def _verify(args) -> tuple:
 
     if check == "bijection":
         n = _rank(args)
-        fam = args.family or "B"
+        fam = "B" if args.family is None else _family(args)
         r = bijection_check(fam, n)
         return r["ok"], {"checked": r["checked"]}
 

@@ -25,9 +25,9 @@ import random
 from dataclasses import dataclass
 
 from .laurent import GI, GInt, LaurentPoly, Var, dense_key
-from .models import build_model
+from .models import build_model, row_layout
 from .states import partition_function
-from .weights import WeightScheme, central_label, crossing, make_scheme, regular_row_count
+from .weights import WeightScheme, crossing, make_scheme
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -56,11 +56,9 @@ BENT_FAMILIES = tuple(_PARTNERS)
 
 def _crossing_factors(scheme: WeightScheme) -> list:
     """Each factor is a crossing weight of a row against a partner row."""
-    m = regular_row_count(scheme.family, scheme.n)
-    central = central_label(scheme.family, scheme.n)
+    rows, central = row_layout(scheme.family, scheme.n)
     factors = []
-    for j in range(1, m + 1):
-        row = str(j)
+    for row in rows:
         partner_rows = {"c": central, "bar": row + "b"}
         for partner in _PARTNERS[scheme.family]:
             if partner == "short":
@@ -68,10 +66,10 @@ def _crossing_factors(scheme: WeightScheme) -> list:
                 factors.append(w["a2"] + I * w["b1"])
             else:
                 factors.append(crossing(scheme, row, partner_rows[partner]))
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            factors.append(crossing(scheme, str(j), str(k)))
-            factors.append(crossing(scheme, str(j), str(k) + "b"))
+    for i, j in enumerate(rows):
+        for k in rows[i + 1:]:
+            factors.append(crossing(scheme, j, k))
+            factors.append(crossing(scheme, j, k + "b"))
     return factors
 
 
@@ -149,7 +147,7 @@ class IndexAction:
 
 
 def spectral_actions(family: str, n: int) -> list:
-    m = regular_row_count(family, n) if family != "A" else n
+    m = len(row_layout(family, n)[0])
     acts = [IndexAction("swap", j, j + 1) for j in range(1, m)]
     if family != "A":
         acts.extend(IndexAction("bar", j) for j in range(1, m + 1))

@@ -17,11 +17,13 @@ The families differ only by the three columns of ``SHAPES``:
   such a row; elsewhere only the central row is.  None in family C, whose
   central row turns down into its half column through a corner unit.
 
-Outside family A, each unbarred row j other than the central row has a
-barred row jb, and a u-turn bend joins their right ends.  The rest of the boundary is fixed by the partition: the west edge
-of every row points inward (east), the top edge of a column points
-outward (up) iff its label is a part, half column included (so Cstar's
-column 0 always points in), and every bottom edge points outward (down).
+Outside family A, each regular row j (an unbarred row other than the
+central row; ``row_layout`` lists them) has a barred row jb, and a u-turn
+bend joins their right ends.  The rest of the boundary is fixed by the
+partition: the west edge of every row points inward (east), the top
+edge of a column points outward (up) iff its label is a part, half column
+included (so Cstar's column 0 always points in), and every bottom edge
+points outward (down).
 
 A graph is a tuple of units (tetravalent vertices, u-turn bends, corner
 joints, and strand crossings for the local diagrams of ``relations``),
@@ -203,22 +205,29 @@ def _outward(spec: ModelSpec, e: EdgeId) -> bool:
     return bit if k == 0 else not bit          # up at the top is out
 
 
+def row_layout(family: str, n: int) -> tuple:
+    """The regular rows "1".."m" at rank n and the central row or None (BC: row n)."""
+    central = SHAPES[family][0]
+    regular = tuple(str(j) for j in range(1, n + 1))
+    if central == "n":
+        regular, central = regular[:-1], regular[-1]
+    return regular, central
+
+
 def build_model(family: str, lam_parts) -> ModelSpec:
     """Construct the lattice graph for one family and strict partition."""
     if family not in FAMILIES:
         raise ModelError(f"unknown family {family!r}")
     lam = check_strict_partition(lam_parts)
     n = len(lam)
-    central, half_col, east = SHAPES[family]
-    top = [str(j) for j in range(1, n + 1)]
+    _, half_col, east = SHAPES[family]
+    regular, central = row_layout(family, n)
     if family == "A":                         # no row has a bar
-        rows, bend_rows, unbarred = top, [], top
+        rows, bend_rows, unbarred = regular, (), regular
     else:
-        if central == "n":
-            central = top.pop()
-        bend_rows = top
-        unbarred = [central] if central else []
-        rows = top + unbarred + [bar(j) for j in reversed(top)]
+        bend_rows = regular
+        unbarred = (central,) if central else ()
+        rows = regular + unbarred + tuple(bar(j) for j in reversed(regular))
     half_rows = tuple(bar(j) for j in reversed(bend_rows)) if half_col is not None else ()
     full_cols = tuple(c for c in range(lam[0], 0, -1) if c != half_col)
     cols = full_cols + (() if half_col is None else (half_col,))
@@ -245,8 +254,8 @@ def build_model(family: str, lam_parts) -> ModelSpec:
             boundary[("v", col, 0)] = col in lam
     edges = set(boundary).union(e for u in units for e, _ in u.edges)
     return ModelSpec(
-        family=family, lam=lam, n=n, rows=tuple(rows), full_cols=full_cols,
+        family=family, lam=lam, n=n, rows=rows, full_cols=full_cols,
         half_col=half_col, half_rows=half_rows, central=central,
-        bend_rows=tuple(bend_rows), units=tuple(units), boundary=boundary,
+        bend_rows=bend_rows, units=tuple(units), boundary=boundary,
         edges=tuple(sorted(edges, key=_edge_name)),
     )

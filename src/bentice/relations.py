@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import GI, LaurentPoly
-from .models import bend_unit, corner_unit, cross_unit, vertex_unit
+from .models import bend_unit, corner_unit, cross_unit, row_layout, vertex_unit
 from .states import enumerate_orientations, unit_tag
-from .weights import WeightScheme, central_label, crossing, unit_weight
+from .weights import WeightScheme, crossing, unit_weight
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -152,10 +152,10 @@ def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 # jellyfish relations: a twist through the central row and the bend
 
 
-def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
+def _jellyfish_sides(scheme: WeightScheme, j: int):
     jl, jb = str(j), str(j) + "b"
-    star = central_label(variant, scheme.n)
-    if variant == "C":
+    star = row_layout(scheme.family, scheme.n)[1]
+    if scheme.family == "C":
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
             cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
@@ -171,8 +171,8 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
         ]
         names = ("A", "B", "G", "D")
         lhs_fixed = rhs_fixed = {}
-    elif variant in ("Bstar", "BC"):
-        inward = variant == "Bstar"      # Bstar central row: west in, east out
+    elif scheme.family in ("Bstar", "BC"):
+        inward = scheme.family == "Bstar"   # Bstar central row: west in, east out
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="MW", se="M2"),
             cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
@@ -184,26 +184,26 @@ def _jellyfish_sides(scheme: WeightScheme, j: int, variant: str):
         lhs_fixed = {"MW": inward, "M6": inward}
         rhs_fixed = {}
     else:
-        raise ValueError(f"unknown jellyfish variant {variant!r}")
+        raise ValueError(f"family {scheme.family} has no central row for a jellyfish")
     return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
 
 
-def jellyfish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
+def jellyfish_closed_form(scheme: WeightScheme, j: int) -> LaurentPoly:
     jl, jb = str(j), str(j) + "b"
-    star = central_label(variant, scheme.n)
+    star = row_layout(scheme.family, scheme.n)[1]
     pair = crossing(scheme, jl, star) * crossing(scheme, jb, star)
-    if variant == "C":
+    if scheme.family == "C":
         # the C jellyfish carries the bend pair of the B fish
         return fish_closed_form(scheme, j, "B") * pair
-    if variant == "Bstar":
+    if scheme.family == "Bstar":
         return pair * crossing(scheme, jb, jl)
     return pair * crossing(scheme, jl, jb)
 
 
-def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
+def jellyfish_check(scheme: WeightScheme, j: int) -> Verdict:
     _require_bends(scheme, j)
-    return _ratio_verdict(scheme, *_jellyfish_sides(scheme, j, variant),
-                          jellyfish_closed_form(scheme, j, variant))
+    return _ratio_verdict(scheme, *_jellyfish_sides(scheme, j),
+                          jellyfish_closed_form(scheme, j))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def jellyfish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
     """Three-strand braid identity over all 256 boundary assignments."""
     jl, jb = str(j), str(j) + "b"
-    star = central_label(scheme.family, scheme.n)
+    star = row_layout(scheme.family, scheme.n)[1]
     lhs_units = [
         cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
         cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),

@@ -32,26 +32,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .laurent import GI, LaurentPoly, Var
-from .models import FAMILIES, KINDS, ModelSpec
+from .models import FAMILIES, KINDS, ModelSpec, row_layout
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
 
 TABLE_BEND_DOWN = {"B": I, "Bstar": ONE, "C": I, "Cstar": ONE, "D": ONE, "BC": ONE}
-
-
-def regular_row_count(family: str, n: int) -> int:
-    """Number of bend row pairs (j, jb)."""
-    return n - 1 if family == "BC" else n
-
-
-def central_label(family: str, n: int) -> Optional[str]:
-    if family in ("Bstar", "C"):
-        return "0"
-    if family == "BC":
-        return str(n)
-    return None
 
 
 @dataclass(frozen=True)
@@ -136,18 +123,19 @@ def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightS
 
     Regular row j takes (a1, a2, b1, b2) = row_ab(j), c1 = a1 a2 + b1 b2 and
     c2 = 1; its bar swaps 1 and 2 (the first symmetry assumption).  The
-    central row, with index 0 or n, takes (a0, a0, b0, b0) from
-    (a0, b0) = central_ab(index).  Bends and the C corner follow the table.
+    central row c ("0", or row n in family BC; see models.row_layout) takes
+    (a0, a0, b0, b0) from (a0, b0) = central_ab(int(c)).  Bends and the C
+    corner follow the table.
     """
     _check(family, n)
+    regular, c = row_layout(family, n)
     rows = {}
-    for j in range(1, regular_row_count(family, n) + 1):
-        a1, a2, b1, b2 = row_ab(j)
-        rows[str(j)], rows[str(j) + "b"] = (a1, a2, b1, b2), (a2, a1, b2, b1)
+    for j in regular:
+        a1, a2, b1, b2 = row_ab(int(j))
+        rows[j], rows[j + "b"] = (a1, a2, b1, b2), (a2, a1, b2, b1)
     bend_rows = list(rows)
-    c = central_label(family, n)
     if c is not None:
-        a0, b0 = central_ab(0 if c == "0" else n)
+        a0, b0 = central_ab(int(c))
         rows[c] = (a0, a0, b0, b0)
     vertex = {}
     for r, (a1, a2, b1, b2) in rows.items():
@@ -269,10 +257,8 @@ def _check(family: str, n: int):
 def check_scheme(scheme: WeightScheme) -> list:
     """Every violated structural constraint, as human-readable strings."""
     report = []
-    m = regular_row_count(scheme.family, scheme.n)
-    rows = [str(j) for j in range(1, m + 1)]
-    c = central_label(scheme.family, scheme.n)
-    for r in rows + ([c] if c else []):
+    rows, c = row_layout(scheme.family, scheme.n)
+    for r in rows + ((c,) if c else ()):
         if not scheme.delta(r).is_zero():
             report.append(f"free-fermion violated in row {r}: delta != 0")
     for j in rows:
@@ -305,8 +291,6 @@ def check_scheme(scheme: WeightScheme) -> list:
     if scheme.family == "C":
         if scheme.corner_r != ONE:
             report.append("corner convention violated: R != 1")
-        a0 = scheme.vertex.get(("a1", c))
-        b0 = scheme.vertex.get(("b1", c))
         if scheme.corner_l != a0 - I * b0:
             report.append("corner convention violated: L != a0 - i b0")
     return report

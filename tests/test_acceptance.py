@@ -108,17 +108,16 @@ def test_criterion_2_local_relations(capsys):
         if v.ok:
             failures.append(f"fish {variant} necessity")
 
-    for family, variant in (("C", "C"), ("Bstar", "Bstar"), ("BC", "BC")):
+    for family in ("C", "Bstar", "BC"):
         n = 2 if family == "BC" else 1
-        v = jellyfish_check(make_generic(family, n), 1, variant)
+        v = jellyfish_check(make_generic(family, n), 1)
         if not (v.ok and v.closed_form_ok):
-            failures.append(f"jellyfish {variant}")
-        v = jellyfish_check(with_bend_down(make_generic(family, n), LaurentPoly.const(2)),
-                            1, variant)
+            failures.append(f"jellyfish {family}")
+        v = jellyfish_check(with_bend_down(make_generic(family, n), LaurentPoly.const(2)), 1)
         if v.ok:
-            failures.append(f"jellyfish {variant} necessity (D/U)")
+            failures.append(f"jellyfish {family} necessity (D/U)")
     a0, b0 = LaurentPoly.var(Var.a0(0)), LaurentPoly.var(Var.b0(0))
-    v = jellyfish_check(replace(make_generic("C", 1), corner_l=a0 + I * b0), 1, "C")
+    v = jellyfish_check(replace(make_generic("C", 1), corner_l=a0 + I * b0), 1)
     if v.ok and v.closed_form_ok:
         failures.append("jellyfish C necessity (L/R)")
 

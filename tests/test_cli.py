@@ -198,11 +198,19 @@ class TestExitCodes:
         ["verify", "caduceus"],
         ["verify", "divisibility", "--lambda", "2,1"],
         ["verify", "character", "--lambda", "2,1"],
+        ["verify", "bijection", "--n", "2"],
     ], ids=" ".join)
     def test_family_all_on_a_single_family_verb_is_input_error(self, capsys, argv):
         code, report = invoke(capsys, *argv, "--family", "all")
         assert code == EXIT_INPUT
         assert "'verify rho' and 'verify okada'" in report["error"]
+
+    def test_unknown_family_on_bijection_is_input_error(self, capsys):
+        code, report = invoke(capsys, "verify", "bijection", "--family", "Z", "--n", "2")
+        assert code == EXIT_INPUT
+        assert report == {"verb": "verify bijection", "error":
+                          "unknown family 'Z'; choose from "
+                          "('A', 'B', 'Bstar', 'C', 'Cstar', 'D', 'BC') or 'all'"}
 
     def test_character_honours_the_rank_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("BENTICE_MAX_N", raising=False)

@@ -1,6 +1,9 @@
 import pytest
 
-from bentice.models import ModelError, bar, build_model, check_strict_partition
+from bentice.models import (
+    FAMILIES, ModelError, bar, build_model, check_strict_partition, row_layout,
+)
+from bentice.weights import BUILTIN_SCHEMES
 
 
 class TestPartition:
@@ -136,3 +139,25 @@ def test_outward_top_arrow_count_is_n():
                 if ("v", col, 0) in spec.boundary and spec.boundary[("v", col, 0)]
             )
             assert outs == spec.n, (family, lam)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_row_layout_is_the_rows_of_model_and_schemes(family):
+    for n in range(1, 5):
+        regular, central = row_layout(family, n)
+        spec = build_model(family, range(n, 0, -1))
+        assert spec.bend_rows == (() if family == "A" else regular), n
+        assert spec.central == central, n
+        bars = {bar(j) for j in regular}
+        for regime, make in BUILTIN_SCHEMES.items():
+            if family == "A":
+                if regime == "okada":
+                    continue
+                # the free-fermion schemes give every row of family A a bar,
+                # which its model does not have
+                assert set(make(family, n).rows()) == set(spec.rows) | bars, (regime, n)
+                continue
+            scheme = make(family, n)
+            assert set(scheme.rows()) == set(spec.rows), (regime, n)
+            bend_rows = set(spec.bend_rows) | {bar(j) for j in spec.bend_rows}
+            assert set(scheme.bend_up) == set(scheme.bend_down) == bend_rows, (regime, n)

@@ -116,41 +116,45 @@ class TestFish:
 class TestJellyfish:
     def test_c_closed_form(self):
         s = make_generic("C", 1)
-        v = jellyfish_check(s, 1, "C")
+        v = jellyfish_check(s, 1)
         assert v.ok and v.closed_form_ok
 
     def test_bstar_closed_form(self):
         s = make_generic("Bstar", 1)
-        v = jellyfish_check(s, 1, "Bstar")
+        v = jellyfish_check(s, 1)
         assert v.ok and v.closed_form_ok
 
     def test_bc_closed_form(self):
         s = make_generic("BC", 2)
-        v = jellyfish_check(s, 1, "BC")
+        v = jellyfish_check(s, 1)
         assert v.ok and v.closed_form_ok
 
     def test_bstar_negated_bend_still_constant(self):
         # only D^2 = U^2 is forced; D = -U keeps the ratio constant
         s = with_bend_down(make_generic("Bstar", 1), -ONE)
-        v = jellyfish_check(s, 1, "Bstar")
+        v = jellyfish_check(s, 1)
         assert v.ok
 
     def test_bstar_non_square_ratio_fails(self):
         s = with_bend_down(make_generic("Bstar", 1), LaurentPoly.const(2))
-        v = jellyfish_check(s, 1, "Bstar")
+        v = jellyfish_check(s, 1)
         assert not v.ok
 
     def test_c_perturbed_corner_fails(self):
         a0, b0 = LaurentPoly.var(Var.a0(0)), LaurentPoly.var(Var.b0(0))
         s = replace(make_generic("C", 1), corner_l=a0 + I * b0)
-        v = jellyfish_check(s, 1, "C")
+        v = jellyfish_check(s, 1)
         assert not v.ok or not v.closed_form_ok
 
     def test_deformation_weights_pass(self):
-        for fam, variant in (("C", "C"), ("Bstar", "Bstar")):
+        for fam in ("C", "Bstar"):
             s = make_deformation(fam, 2)
-            v = jellyfish_check(s, 2, variant)
+            v = jellyfish_check(s, 2)
             assert v.ok and v.closed_form_ok, fam
+
+    def test_family_without_central_row_is_error(self):
+        with pytest.raises(ValueError, match="family B "):
+            jellyfish_check(make_generic("B", 1), 1)
 
 
 class TestCaduceus:
