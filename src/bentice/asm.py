@@ -16,6 +16,8 @@ oracles for the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul
 
 from .laurent import LaurentPoly, Var
 from .models import build_model
@@ -35,31 +37,26 @@ def state_to_matrix(state: IceState) -> tuple:
     if spec.family == "BC":
         raise AsmError("BC states export via transposition of the D family; "
                        "no direct matrix dictionary")
-    kinds = state.vertex_kinds()
     nrows = len(spec.rows)
-
-    def cell(row, col):
-        return _CELL.get(kinds.get((row, col)), 0)
-
-    if spec.family == "A":
-        return tuple(tuple(cell(r, c) for c in spec.full_cols) for r in spec.rows)
-
     n_full = len(spec.full_cols)
     has_center_col = spec.half_col is not None
-    ncols = 2 * n_full + (1 if has_center_col else 0)
+    ncols = n_full if spec.family == "A" else 2 * n_full + (1 if has_center_col else 0)
+    row_at = {r: i for i, r in enumerate(spec.rows)}
+    col_at = {c: j for j, c in enumerate(spec.full_cols)}
+    if has_center_col:
+        col_at[spec.half_col] = n_full
+    # outside family A each vertex also fills its half-turn image, a cell
+    # that no vertex fills
+    half_turn = spec.family != "A"
     grid = [[None] * ncols for _ in range(nrows)]
-    for i, r in enumerate(spec.rows):
-        for j, c in enumerate(spec.full_cols):
-            grid[i][j] = cell(r, c)
-        if has_center_col and r in spec.half_rows:
-            grid[i][n_full] = cell(r, spec.half_col)
-    # complete by half-turn symmetry
-    for i in range(nrows):
-        for j in range(ncols):
-            if grid[i][j] is None:
-                src = grid[nrows - 1 - i][ncols - 1 - j]
-                if src is not None:
-                    grid[i][j] = src
+    orientation = state.orientation
+    for unit, bits_of in spec.unit_table:
+        if unit.kind == "vertex":
+            row, col = unit.label
+            i, j = row_at[row], col_at[col]
+            grid[i][j] = _CELL.get(unit.tag_of[bits_of(orientation)], 0)
+            if half_turn:
+                grid[nrows - 1 - i][ncols - 1 - j] = grid[i][j]
     # C family: the center cell balances its column
     if has_center_col and nrows % 2 == 1:
         ci, cj = nrows // 2, ncols // 2
@@ -169,19 +166,21 @@ def okada_stats(matrix) -> OkadaStats:
     if size % 2:
         raise AsmError("statistics are defined for even size 2n")
     n = size // 2
+    # inv sums matrix[i][j] * matrix[k][l] over i < k and l < j, so row k
+    # pairs each entry l with the suffix sum, past l, of the column sums of
+    # the rows above it
     inv = 0
-    for i in range(size):
-        for k in range(i + 1, size):
-            for j in range(size):
-                for l in range(j):
-                    inv += matrix[i][j] * matrix[k][l]
-    minus_count = sum(1 for row in matrix for v in row if v == -1)
-    i1_plus = sum(1 for i in range(n) for j in range(n, size) if matrix[i][j] == 1)
-    i1_minus = sum(1 for i in range(n) for j in range(n, size) if matrix[i][j] == -1)
+    above = [0] * size
+    for row in matrix:
+        right = list(accumulate(reversed(above[1:])))[::-1]    # right[l] = sum(above[l+1:])
+        inv += sum(map(mul, row, right))
+        above = list(map(add, above, row))
+    minus_count = sum(row.count(-1) for row in matrix)
+    quartile = [v for row in matrix[:n] for v in row[n:]]      # the upper right quarter
+    i1_plus, i1_minus = quartile.count(1), quartile.count(-1)
     i2 = inv - i1_plus - i1_minus
     delta = [2 * (n - i) - 1 for i in range(size)]       # doubled half-integers
-    a_delta = [sum(matrix[i][j] * delta[j] for j in range(size)) for i in range(size)]
-    exponent = tuple(delta[i] - a_delta[i] for i in range(size))
+    exponent = tuple(d - sum(map(mul, row, delta)) for d, row in zip(delta, matrix))
     if any(exponent[size - 1 - i] != -exponent[i] for i in range(size)):
         raise AsmError("exponent vector is not half-turn antisymmetric")
     if minus_count % 2 or (i2 - minus_count) % 2:
@@ -207,8 +206,10 @@ def okada_matrix_weight(matrix) -> LaurentPoly:
 # the weight-preserving bijection (family B at lambda = rho)
 
 
-def bijection_check(family: str, n: int, scheme=None) -> dict:
-    """wt(matrix) == wt(state) for every state, plus the counting lemmas."""
+def bijection_check(family: str, n: int, scheme=None, max_n: int = None,
+                    max_cols: int = None) -> dict:
+    """wt(matrix) == wt(state) for every state, plus the counting lemmas,
+    under the enumeration caps of ``states.enumerate_states``."""
     if family != "B":
         raise AsmError("the matrix statistics are printed for family B only")
     rho = list(range(n, 0, -1))
@@ -216,7 +217,7 @@ def bijection_check(family: str, n: int, scheme=None) -> dict:
     scheme = scheme or make_okada("B", n)
     failures = []
     checked = 0
-    for state in enumerate_states(spec):
+    for state in enumerate_states(spec, max_n, max_cols):
         matrix = state_to_matrix(state)
         st = okada_stats(matrix)
         kinds = list(state.vertex_kinds().values())

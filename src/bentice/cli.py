@@ -264,7 +264,7 @@ def _verify(args) -> tuple:
     if check == "bijection":
         n = _rank(args)
         fam = "B" if args.family is None else _family(args)
-        r = bijection_check(fam, n)
+        r = bijection_check(fam, n, max_n=args.max_n, max_cols=args.max_cols)
         return r["ok"], {"checked": r["checked"]}
 
     if check == "character":

@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .laurent import GI, LaurentPoly
 from .models import bend_unit, corner_unit, cross_unit, row_layout, vertex_unit
-from .states import enumerate_orientations, unit_tag
+from .states import enumerate_orientations
 from .weights import WeightScheme, crossing, unit_weight
 
 ONE = LaurentPoly.const(1)
@@ -28,10 +29,13 @@ I = LaurentPoly.const(GI)
 
 def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
+    index = {e: i for i, e in enumerate(dict.fromkeys(
+        [*fixed, *(e for u in units for e, _pol in u.edges)]))}
+    getters = [(u, itemgetter(*(index[e] for e, _pol in u.edges))) for u in units]
     return LaurentPoly.sum(
-        math.prod((unit_weight(u, unit_tag(u, orientation), scheme) for u in units),
+        math.prod((unit_weight(u, u.tag_of[bits_of(bits)], scheme) for u, bits_of in getters),
                   start=ONE)
-        for orientation in enumerate_orientations(units, fixed))
+        for bits in enumerate_orientations(units, fixed, index))
 
 
 @dataclass
@@ -154,7 +158,7 @@ def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 
 def _jellyfish_sides(scheme: WeightScheme, j: int):
     jl, jb = str(j), str(j) + "b"
-    star = row_layout(scheme.family, scheme.n)[1]
+    star = _central_row(scheme, "jellyfish")
     if scheme.family == "C":
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
@@ -171,7 +175,7 @@ def _jellyfish_sides(scheme: WeightScheme, j: int):
         ]
         names = ("A", "B", "G", "D")
         lhs_fixed = rhs_fixed = {}
-    elif scheme.family in ("Bstar", "BC"):
+    else:                                   # Bstar or BC
         inward = scheme.family == "Bstar"   # Bstar central row: west in, east out
         lhs_units = [
             cross_unit(jb, star, nw="A", ne="M1", sw="MW", se="M2"),
@@ -183,14 +187,12 @@ def _jellyfish_sides(scheme: WeightScheme, j: int):
         names = ("A", "G")
         lhs_fixed = {"MW": inward, "M6": inward}
         rhs_fixed = {}
-    else:
-        raise ValueError(f"family {scheme.family} has no central row for a jellyfish")
     return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
 
 
 def jellyfish_closed_form(scheme: WeightScheme, j: int) -> LaurentPoly:
     jl, jb = str(j), str(j) + "b"
-    star = row_layout(scheme.family, scheme.n)[1]
+    star = _central_row(scheme, "jellyfish")
     pair = crossing(scheme, jl, star) * crossing(scheme, jb, star)
     if scheme.family == "C":
         # the C jellyfish carries the bend pair of the B fish
@@ -213,7 +215,7 @@ def jellyfish_check(scheme: WeightScheme, j: int) -> Verdict:
 def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
     """Three-strand braid identity over all 256 boundary assignments."""
     jl, jb = str(j), str(j) + "b"
-    star = row_layout(scheme.family, scheme.n)[1]
+    star = _central_row(scheme, "caduceus")
     lhs_units = [
         cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
         cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
@@ -235,6 +237,14 @@ def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _central_row(scheme: WeightScheme, relation: str):
+    """The central row that the relation's third strand runs along."""
+    star = row_layout(scheme.family, scheme.n)[1]
+    if star is None:
+        raise ValueError(f"family {scheme.family} has no central row for a {relation}")
+    return star
 
 
 def _require_bends(scheme: WeightScheme, j: int):

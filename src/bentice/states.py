@@ -7,18 +7,23 @@ out, the degree-two units need one each.
 
 Two engines sweep the units in the order given, for a model the order of
 ``ModelSpec.units`` (bends and rightmost columns first, which prunes
-hardest):
+hardest).  Both read one compiled move table per unit (``move_tables``):
+the bits of the unit's edges that earlier units set map to the list of
+its admissible ``(bits of the edges it sets, tag)``, with every
+configuration that clashes with the fixed boundary dropped once, when the
+table is built.
 
-- ``enumerate_orientations`` backtracks, trying local configurations in
-  a fixed sequence, and yields every state, so state lists are
-  deterministic and stable across runs.  It serves whatever needs the
-  states themselves: JSON/TikZ export, the ASM dictionary, the state
-  bijection, ``partition_function`` and the local diagrams of
+- ``enumerate_orientations`` backtracks over a flat bit list, trying each
+  unit's moves in the order of its configurations, and collects every
+  state into a list, so state lists are deterministic and stable across
+  runs.  It serves whatever needs the states themselves: JSON/TikZ
+  export, the ASM dictionary, the state bijection,
+  ``partition_function`` and the local diagrams of
   ``relations.local_z``.
 - ``contract`` never builds a state.  It keeps only the frontier, the
-  bits of the edges a processed unit touched and a later unit still
-  reads, with one accumulated value per frontier key (a transfer-matrix
-  sum).  ``count_states`` runs it with every unit worth 1.
+  bits of the edges a processed unit set and a later unit still reads,
+  with one accumulated value per frontier key (a transfer-matrix sum).
+  ``count_states`` runs it with every unit worth 1.
 
 A state stores only its edge bits.  Its vertex kinds, bend and corner
 directions, and its weight (``weights.unit_weight`` per unit) are read
@@ -34,7 +39,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .laurent import LaurentPoly
-from .models import ModelSpec, Unit
+from .models import ModelSpec
 from .weights import unit_weight
 
 DEFAULT_MAX_N = 4
@@ -45,52 +50,72 @@ class EnumerationCapError(RuntimeError):
     """Raised instead of silently attempting a too-large enumeration."""
 
 
-def enumerate_orientations(units, fixed: dict):
-    """Yield every total orientation consistent with all units, depth first."""
-    n_units = len(units)
-    assignment = dict(fixed)
+def move_tables(units, fixed: dict) -> list:
+    """Compile each unit, in sweep order, into ``(reads, sets, moves)``.
+
+    ``reads`` are the unit's edges that an earlier unit set, ``sets`` its
+    edges that neither an earlier unit nor ``fixed`` set, and ``moves`` maps
+    the bits of ``reads`` to the list of admissible ``(bits of sets, tag)``,
+    in the order of ``unit.configs``.  A configuration that clashes with a
+    fixed edge, or gives one edge two bits, is dropped here, once per unit.
+    """
+    seen = set()
+    tables = []
+    for unit in units:
+        edges = dict.fromkeys(e for e, _pol in unit.edges)
+        reads = tuple(e for e in edges if e in seen)
+        sets = tuple(e for e in edges if e not in seen and e not in fixed)
+        moves = {}
+        for bits, tag in zip(unit.configs, unit.tags):
+            local = {}
+            if all(local.setdefault(e, b) == b for (e, _pol), b in zip(unit.edges, bits)) \
+                    and all(fixed[e] == b for e, b in local.items() if e in fixed):
+                moves.setdefault(tuple(local[e] for e in reads), []).append(
+                    (tuple(local[e] for e in sets), tag))
+        seen.update(sets)
+        tables.append((reads, sets, moves))
+    return tables
+
+
+def enumerate_orientations(units, fixed: dict, index: dict) -> list:
+    """Every orientation consistent with all units and the fixed edges, depth
+    first, trying each unit's configurations in order.  An orientation is the
+    tuple of bits at the positions ``index`` gives the edges; an edge that no
+    unit touches and ``fixed`` omits reads False."""
+    bits = [False] * len(index)
+    for e, b in fixed.items():
+        bits[index[e]] = b
+    steps = [(_picker([index[e] for e in reads]), [index[e] for e in sets], moves)
+             for reads, sets, moves in move_tables(units, fixed)]
+    n_units = len(steps)
+    found = []
 
     def dfs(i: int):
         if i == n_units:
-            yield dict(assignment)
+            found.append(tuple(bits))
             return
-        unit = units[i]
-        for bits in unit.configs:
-            touched = []
-            ok = True
-            for (edge, _pol), bit in zip(unit.edges, bits):
-                cur = assignment.get(edge)
-                if cur is None:
-                    assignment[edge] = bit
-                    touched.append(edge)
-                elif cur != bit:
-                    ok = False
-                    break
-            if ok:
-                yield from dfs(i + 1)
-            for edge in touched:
-                del assignment[edge]
+        read, sets, moves = steps[i]
+        for new, _tag in moves.get(read(bits), ()):
+            # a later unit only reads what this and earlier units set, so
+            # each move overwrites the last and nothing needs undoing
+            for pos, bit in zip(sets, new):
+                bits[pos] = bit
+            dfs(i + 1)
 
-    yield from dfs(0)
-
-
-def unit_tag(unit: Unit, orientation: dict) -> object:
-    tag = unit.tag_of.get(tuple(orientation[e] for e, _ in unit.edges))
-    if tag is None:
-        raise ValueError(f"orientation not admissible at {unit.kind}{unit.label}")
-    return tag
+    dfs(0)
+    return found
 
 
 def contract(units, fixed: dict, unit_value):
     """Sum, over every orientation consistent with the units and the fixed
     edges, of the product of ``unit_value(unit, tag)`` over the units.
 
-    The units are swept in order.  The frontier maps each key, the bits of
-    the open edges (touched by a swept unit, not fixed, and read by a unit
-    still to come), to the sum of the products over the swept units; an
-    edge leaves the key after its last unit.  Values need only ``+`` and
-    ``*``: as with ``sum`` and ``math.prod``, the empty sum is 0 and the
-    empty product is 1.
+    The units are swept in order through their ``move_tables``.  The
+    frontier maps each key, the bits of the open edges (set by a swept
+    unit and read by a unit still to come), to the sum of the products over
+    the swept units; an edge leaves the key after its last unit.  Values
+    need only ``+`` and ``*``: as with ``sum`` and ``math.prod``, the empty
+    sum is 0 and the empty product is 1.
     """
     last = {}
     for i, unit in enumerate(units):
@@ -98,21 +123,12 @@ def contract(units, fixed: dict, unit_value):
             last[edge] = i
     open_edges = ()
     frontier = {(): 1}
-    for i, unit in enumerate(units):
-        edges = dict.fromkeys(e for e, _pol in unit.edges)
-        reads = [k for k, e in enumerate(open_edges) if e in edges]
-        new_edges = tuple(e for e in edges if e not in fixed and e not in open_edges)
-        scope = open_edges + new_edges
+    for i, (unit, (reads, sets, table)) in enumerate(zip(units, move_tables(units, fixed))):
+        scope = open_edges + sets
         kept = [k for k, e in enumerate(scope) if last[e] > i]
-        # open bits a config reads -> [(bits it gives the new edges, its value)]
-        moves = {}
-        for bits, tag in zip(unit.configs, unit.tags):
-            local = {}
-            if all(local.setdefault(e, b) == b for (e, _pol), b in zip(unit.edges, bits)) \
-                    and all(fixed[e] == b for e, b in local.items() if e in fixed):
-                moves.setdefault(tuple(local[open_edges[k]] for k in reads), []).append(
-                    (tuple(local[e] for e in new_edges), unit_value(unit, tag)))
-        read, keep = _picker(reads), _picker(kept)
+        moves = {key: [(new, unit_value(unit, tag)) for new, tag in options]
+                 for key, options in table.items()}
+        read, keep = _picker([open_edges.index(e) for e in reads]), _picker(kept)
         out = {}
         for key, value in frontier.items():
             for new, weight in moves.get(read(key), ()):
@@ -194,14 +210,8 @@ def check_caps(spec: ModelSpec, max_n: int = None, max_cols: int = None):
 def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> list:
     """All admissible states, complete and in a stable deterministic order."""
     check_caps(spec, max_n, max_cols)
-    index = spec.edge_index
-    states = []
-    for orientation in enumerate_orientations(spec.units, spec.boundary):
-        bits = [False] * len(spec.edges)
-        for e, b in orientation.items():
-            bits[index[e]] = b
-        states.append(IceState(spec=spec, orientation=tuple(bits)))
-    return states
+    return [IceState(spec=spec, orientation=bits)
+            for bits in enumerate_orientations(spec.units, spec.boundary, spec.edge_index)]
 
 
 def count_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> int:

@@ -1,7 +1,8 @@
 import pytest
 
+from bentice import asm
 from bentice.asm import (
-    AsmError, asm_matrices, bijection_check, chain_to_c_matrix,
+    AsmError, OkadaStats, asm_matrices, bijection_check, chain_to_c_matrix,
     htsasm_matrices, interleave_chain, is_asm, is_half_turn_symmetric,
     okada_matrix_weight, okada_stats, state_to_matrix,
 )
@@ -137,6 +138,64 @@ class TestOkadaStats:
             assert st.minus_count == 2 * kinds.count("c1")
             assert st.inv - st.minus_count == kinds.count("b1") + kinds.count("b2")
             assert okada_matrix_weight(m) == state_weight(state, scheme)
+
+
+def stats_by_definition(matrix) -> OkadaStats:
+    """Oracle: the statistics of an even half-turn symmetric ASM, with the
+    inversion number summed straight from its O(N^4) definition."""
+    size = len(matrix)
+    n = size // 2
+    inv = 0
+    for i in range(size):
+        for k in range(i + 1, size):
+            for j in range(size):
+                for l in range(j):
+                    inv += matrix[i][j] * matrix[k][l]
+    minus_count = sum(1 for row in matrix for v in row if v == -1)
+    i1_plus = sum(1 for i in range(n) for j in range(n, size) if matrix[i][j] == 1)
+    i1_minus = sum(1 for i in range(n) for j in range(n, size) if matrix[i][j] == -1)
+    delta = [2 * (n - i) - 1 for i in range(size)]
+    a_delta = [sum(matrix[i][j] * delta[j] for j in range(size)) for i in range(size)]
+    exponent = tuple(delta[i] - a_delta[i] for i in range(size))
+    return OkadaStats(inv=inv, minus_count=minus_count, i1_plus=i1_plus,
+                      i1_minus=i1_minus, i2=inv - i1_plus - i1_minus, x_exponent=exponent[:n])
+
+
+class TestOkadaStatsAgainstTheDefinition:
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_every_htsasm(self, size):
+        for m in htsasm_matrices(size):
+            assert okada_stats(m) == stats_by_definition(m), m
+
+    def test_every_b_rho_matrix_at_n_4(self):
+        states = enumerate_states(build_model("B", [4, 3, 2, 1]))
+        assert len(states) == 5544
+        for state in states:
+            m = state_to_matrix(state)
+            assert okada_stats(m) == stats_by_definition(m), m
+
+    @pytest.mark.parametrize("matrix, message", [
+        (((1, 1), (0, -1)), "statistics need a completed square ASM"),
+        (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+         "statistics need half-turn symmetry"),
+        (identity_matrix(3), "statistics are defined for even size 2n"),
+    ])
+    def test_each_rejection_keeps_its_message(self, matrix, message):
+        with pytest.raises(AsmError, match=f"^{message}$"):
+            okada_stats(matrix)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+         "exponent vector is not half-turn antisymmetric"),
+        (((0, 0, 1, 0), (0, 1, 0, 0), (1, -1, 0, 1), (0, 1, 0, 0)),
+         "parity invariant breached in matrix statistics"),
+    ])
+    def test_the_invariant_checks_keep_their_messages(self, monkeypatch, matrix, message):
+        # no half-turn symmetric ASM breaks these, so skip the symmetry check
+        # to reach them with an ASM that has no half-turn symmetry
+        monkeypatch.setattr(asm, "is_half_turn_symmetric", lambda m: True)
+        with pytest.raises(AsmError, match=f"^{message}$"):
+            okada_stats(matrix)
 
 
 class TestBijection:

@@ -118,6 +118,21 @@ class TestExitCodes:
         monkeypatch.setenv("BENTICE_MAX_COLS", "2")
         assert invoke(capsys, *argv) == (EXIT_CAP, error)
 
+    @pytest.mark.parametrize("caps, error", [
+        (["--max-n", "2"], "model B^[3, 2, 1] exceeds caps n<=2, lambda_1<=8"),
+        (["--max-cols", "2"], "model B^[3, 2, 1] exceeds caps n<=4, lambda_1<=2"),
+    ])
+    def test_bijection_honours_the_caps_like_asm(self, capsys, monkeypatch, caps, error):
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
+        assert invoke(capsys, "asm", "--family", "B", "--lambda", "3,2,1", *caps) == \
+            (EXIT_CAP, {"verb": "asm", "error": error})
+        assert invoke(capsys, "verify", "bijection", "--n", "3", *caps) == \
+            (EXIT_CAP, {"verb": "verify bijection", "error": error})
+        code, report = invoke(capsys, "verify", "bijection", "--n", "3", "--max-n", "3",
+                              "--max-cols", "3")
+        assert (code, report["data"]) == (EXIT_PASS, {"checked": 140})
+
     @pytest.mark.parametrize("verb, emit", [
         (verb, emit) for verb, emits in cli.EMITS.items()
         for emit in ("json", "latex", "tikz", "count", "text") if emit not in emits])

@@ -43,10 +43,15 @@ def test_count_equals_the_number_of_enumerated_states(family, lam):
 ])
 def test_workload_counts_without_enumerating(monkeypatch, family, lam, count):
     def refuse(*args, **kwargs):
-        raise AssertionError("count_states enumerated the states")
+        raise AssertionError("the states were enumerated")
 
     monkeypatch.setattr(states, "enumerate_orientations", refuse)
-    assert count_states(build_model(family, lam)) == count
+    spec = build_model(family, lam)
+    # the patch is the entry point enumerate_states goes through ...
+    with pytest.raises(AssertionError, match="the states were enumerated"):
+        enumerate_states(spec, max_n=spec.n, max_cols=spec.lam[0])
+    # ... and count_states never reaches it
+    assert count_states(spec) == count
 
 
 def test_count_honours_the_caps(monkeypatch):

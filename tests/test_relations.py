@@ -5,7 +5,7 @@ import pytest
 from bentice.laurent import GI, LaurentPoly, Var
 from bentice.relations import (
     bend_ybe_check, caduceus_check, fish_check, fish_closed_form,
-    jellyfish_check, ybe_check,
+    jellyfish_check, jellyfish_closed_form, ybe_check,
 )
 from bentice.weights import (
     WeightScheme, make_character, make_deformation, make_generic,
@@ -156,6 +156,10 @@ class TestJellyfish:
         with pytest.raises(ValueError, match="family B "):
             jellyfish_check(make_generic("B", 1), 1)
 
+    def test_closed_form_without_central_row_is_error(self):
+        with pytest.raises(ValueError, match="^family D has no central row for a jellyfish$"):
+            jellyfish_closed_form(make_generic("D", 1), 1)
+
 
 class TestCaduceus:
     def test_deformation_bstar_passes(self):
@@ -171,6 +175,10 @@ class TestCaduceus:
 
     def test_bc_passes(self):
         assert caduceus_check(make_generic("BC", 2), 1).ok
+
+    def test_family_without_central_row_is_error(self):
+        with pytest.raises(ValueError, match="^family B has no central row for a caduceus$"):
+            caduceus_check(make_generic("B", 1), 1)
 
     def test_delta_nonzero_fails(self):
         base = make_generic("Bstar", 1)

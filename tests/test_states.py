@@ -5,8 +5,7 @@ import pytest
 from bentice.laurent import LaurentPoly
 from bentice.models import build_model
 from bentice.states import (
-    EnumerationCapError, enumerate_states, partition_function, state_tikz,
-    state_weight, unit_tag,
+    EnumerationCapError, enumerate_states, partition_function, state_tikz, state_weight,
 )
 from bentice.weights import all_ones_scheme, make_deformation, make_generic
 
@@ -19,12 +18,8 @@ def brute_force_orientations(spec):
     for bits in itertools.product([False, True], repeat=len(free)):
         assignment = dict(spec.boundary)
         assignment.update(zip(free, bits))
-        try:
-            for u in units:
-                unit_tag(u, assignment)
-        except ValueError:
-            continue
-        found.add(tuple(assignment[e] for e in spec.edges))
+        if all(tuple(assignment[e] for e, _ in u.edges) in u.tag_of for u in units):
+            found.add(tuple(assignment[e] for e in spec.edges))
     return found
 
 
