@@ -37,17 +37,17 @@ def state_to_matrix(state: IceState) -> tuple:
     if spec.family == "BC":
         raise AsmError("BC states export via transposition of the D family; "
                        "no direct matrix dictionary")
+    # outside family A each vertex also fills its half-turn image, a cell
+    # that no vertex fills
+    half_turn = spec.family != "A"
     nrows = len(spec.rows)
     n_full = len(spec.full_cols)
     has_center_col = spec.half_col is not None
-    ncols = n_full if spec.family == "A" else 2 * n_full + (1 if has_center_col else 0)
+    ncols = 2 * n_full + (1 if has_center_col else 0) if half_turn else n_full
     row_at = {r: i for i, r in enumerate(spec.rows)}
     col_at = {c: j for j, c in enumerate(spec.full_cols)}
     if has_center_col:
         col_at[spec.half_col] = n_full
-    # outside family A each vertex also fills its half-turn image, a cell
-    # that no vertex fills
-    half_turn = spec.family != "A"
     grid = [[None] * ncols for _ in range(nrows)]
     orientation = state.orientation
     for unit, bits_of in spec.unit_table:
