@@ -189,9 +189,8 @@ def okada_stats(matrix) -> OkadaStats:
                       i1_minus=i1_minus, i2=i2, x_exponent=exponent[:n])
 
 
-def okada_matrix_weight(matrix) -> LaurentPoly:
-    """The statistics-based weight, in the shared t = q**2 and x's."""
-    st = okada_stats(matrix)
+def okada_matrix_weight(st: OkadaStats) -> LaurentPoly:
+    """The statistics-based weight of a matrix, in the shared t = q**2 and x's."""
     n = len(st.x_exponent)
     sign = -1 if (st.i1_plus + (st.i2 - st.minus_count) // 2) % 2 else 1
     q = Var.qshared()
@@ -206,10 +205,8 @@ def okada_matrix_weight(matrix) -> LaurentPoly:
 # the weight-preserving bijection (family B at lambda = rho)
 
 
-def bijection_check(family: str, n: int, scheme=None, max_n: int = None,
-                    max_cols: int = None) -> dict:
-    """wt(matrix) == wt(state) for every state, plus the counting lemmas,
-    under the enumeration caps of ``states.enumerate_states``."""
+def bijection_check(family: str, n: int, scheme=None) -> dict:
+    """wt(matrix) == wt(state) for every state, plus the counting lemmas."""
     if family != "B":
         raise AsmError("the matrix statistics are printed for family B only")
     rho = list(range(n, 0, -1))
@@ -217,7 +214,7 @@ def bijection_check(family: str, n: int, scheme=None, max_n: int = None,
     scheme = scheme or make_okada("B", n)
     failures = []
     checked = 0
-    for state in enumerate_states(spec, max_n, max_cols):
+    for state in enumerate_states(spec):
         matrix = state_to_matrix(state)
         st = okada_stats(matrix)
         kinds = list(state.vertex_kinds().values())
@@ -226,7 +223,7 @@ def bijection_check(family: str, n: int, scheme=None, max_n: int = None,
         b_total = kinds.count("b1") + kinds.count("b2")
         d_bends = sum(1 for d in bends.values() if d == "D")
         lattice = state_weight(state, scheme)
-        from_matrix = okada_matrix_weight(matrix)
+        from_matrix = okada_matrix_weight(st)
         checked += 1
         if st.minus_count != 2 * c1:
             failures.append(("minus-count lemma", matrix))

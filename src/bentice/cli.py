@@ -12,10 +12,13 @@ error, printed by argparse, with exit 3.
 
 Caps default to n <= 4 and lambda_1 <= 8 and can be widened per run with
 --max-n/--max-cols or the BENTICE_MAX_N / BENTICE_MAX_COLS environment
-variables.  --workers fans independent subcases (only present with
---family all) over a process pool of at most one worker per subcase and
-per CPU; results are merged in a fixed order so the report does not
-depend on scheduling.
+variables.  They are decided here and nowhere else: every verb that
+builds a model checks each model it will enumerate, from its inputs and
+before any model is built; the local relations (ybe, bend, fish,
+jellyfish, caduceus) build no model and take no caps.  --workers fans
+independent subcases (only present with --family all) over a process
+pool of at most one worker per subcase and per CPU; results are merged
+in a fixed order so the report does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ from .models import FAMILIES, ModelError, build_model, row_layout
 from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
-from .states import (
-    EnumerationCapError, count_states, enumerate_states, partition_function, resolve_caps,
-    state_tikz,
-)
+from .states import count_states, enumerate_states, partition_function, state_tikz
 from .weights import make_scheme
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
+
+DEFAULT_MAX_N = 4
+DEFAULT_MAX_COLS = 8
 
 # what each verb can render, for --emit
 EMITS = {
@@ -62,6 +65,10 @@ FISH_VARIANTS = {"B": "B", "Cstar": "Cstar_D_no1", "D": "D_with1"}
 
 class InputError(ValueError):
     pass
+
+
+class EnumerationCapError(RuntimeError):
+    """Raised instead of silently attempting a too-large enumeration."""
 
 
 def _parse_partition(text):
@@ -110,6 +117,24 @@ def _rank(args) -> int:
     return n
 
 
+def _caps(args) -> tuple:
+    """The caps in force: each flag, else its environment variable, else the default."""
+    max_n, max_cols = args.max_n, args.max_cols
+    if max_n is None:
+        max_n = int(os.environ.get("BENTICE_MAX_N", DEFAULT_MAX_N))
+    if max_cols is None:
+        max_cols = int(os.environ.get("BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
+    return max_n, max_cols
+
+
+def _check_caps(args, family, lam):
+    """Raise EnumerationCapError if the model family^lam exceeds the caps in force."""
+    max_n, max_cols = _caps(args)
+    if len(lam) > max_n or lam[0] > max_cols:
+        raise EnumerationCapError(
+            f"model {family}^{list(lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
+
+
 def _pool_map(fn, items, workers):
     workers = min(workers or 1, len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -135,10 +160,11 @@ def run(args) -> tuple:
     if verb == "enumerate":
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
+        _check_caps(args, fam, lam)
         spec = build_model(fam, lam)
         if args.emit == "count":
-            return None, {"count": count_states(spec, args.max_n, args.max_cols)}
-        states = enumerate_states(spec, args.max_n, args.max_cols)
+            return None, {"count": count_states(spec)}
+        states = enumerate_states(spec)
         if args.emit == "tikz":
             return None, {"count": len(states),
                           "tikz": [state_tikz(s) for s in states]}
@@ -148,8 +174,9 @@ def run(args) -> tuple:
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
         scheme = make_scheme(args.scheme or "deformation", fam, len(lam))
+        _check_caps(args, fam, lam)
         spec = build_model(fam, lam)
-        states = enumerate_states(spec, args.max_n, args.max_cols)
+        states = enumerate_states(spec)
         z = partition_function(spec, scheme, states=states)
         data = {"scheme": scheme.name, "states": len(states)}
         if args.emit == "latex":
@@ -161,8 +188,9 @@ def run(args) -> tuple:
     if verb == "asm":
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
+        _check_caps(args, fam, lam)
         spec = build_model(fam, lam)
-        states = enumerate_states(spec, args.max_n, args.max_cols)
+        states = enumerate_states(spec)
         matrices = [state_to_matrix(s) for s in states]
         data = {"count": len(matrices)}
         if args.emit == "text":
@@ -177,7 +205,7 @@ def run(args) -> tuple:
     if verb == "character":
         fam = _family(args)
         mu = [int(p) for p in _need(args, "mu").split(",")]
-        max_n, _ = resolve_caps(args.max_n)
+        max_n, _ = _caps(args)
         if len(mu) > max_n:
             raise EnumerationCapError(f"mu of length {len(mu)} exceeds cap n<={max_n}")
         chi = family_character(fam, len(mu), mu)
@@ -236,6 +264,7 @@ def _verify(args) -> tuple:
     if check == "divisibility":
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
+        _check_caps(args, fam, lam)
         regime = args.scheme or "deformation"
         try:
             q = divisibility_check(fam, lam, regime, seed=args.seed)
@@ -250,6 +279,8 @@ def _verify(args) -> tuple:
         # family A has a deformation factor list only
         cases = [(f, n, regime) for f in fams for regime in ("generic", "deformation")
                  if f != "A" or regime == "deformation"]
+        for f in fams:
+            _check_caps(args, f, range(n, 0, -1))
         results = _pool_map(_rho_case, cases, workers)
         data = {f"{f}:{regime}": ok for f, regime, ok in results}
         return all(data.values()), data
@@ -257,6 +288,8 @@ def _verify(args) -> tuple:
     if check == "okada":
         n = _rank(args)
         fams = _families(args)
+        for f in fams:
+            _check_caps(args, f, range(n, 0, -1))
         results = _pool_map(_okada_case, [(f, n) for f in fams], workers)
         data = {f: ok for f, ok in results}
         return all(data.values()), data
@@ -264,17 +297,20 @@ def _verify(args) -> tuple:
     if check == "bijection":
         n = _rank(args)
         fam = "B" if args.family is None else _family(args)
-        r = bijection_check(fam, n, max_n=args.max_n, max_cols=args.max_cols)
+        _check_caps(args, "B", range(n, 0, -1))
+        r = bijection_check(fam, n)
         return r["ok"], {"checked": r["checked"]}
 
     if check == "character":
         fam = _family(args)
         lam = _parse_partition(_need(args, "lambda"))
+        _check_caps(args, fam, lam)
         r = character_theorem_check(fam, lam)
         return r["ok"], {"chi": r["chi"].to_latex()}
 
     if check == "tokuyama":
         lam = _parse_partition(_need(args, "lambda"))
+        _check_caps(args, "A", lam)
         r = tokuyama_check(lam)
         return r["ok"], {"symbolic_ok": r["symbolic_ok"],
                          "t_minus_one_ok": r["t_minus_one_ok"]}
@@ -316,14 +352,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         verdict, data = run(args)
-    except (InputError, ModelError, ValueError) as exc:
-        report = {"verb": verb, "error": str(exc)}
-        print(json.dumps(report, indent=2))
-        return EXIT_INPUT
-    except EnumerationCapError as exc:
-        report = {"verb": verb, "error": str(exc)}
-        print(json.dumps(report, indent=2))
-        return EXIT_CAP
+    except (InputError, ModelError, ValueError, EnumerationCapError) as exc:
+        print(json.dumps({"verb": verb, "error": str(exc)}, indent=2))
+        return EXIT_CAP if isinstance(exc, EnumerationCapError) else EXIT_INPUT
     elapsed = int((time.monotonic() - started) * 1000)
     inputs = {
         "family": args.family, "lambda": getattr(args, "lambda"),

@@ -266,6 +266,5 @@ def okada_product_check(family: str, n: int) -> dict:
     z = partition_function(spec, make_scheme("okada", family, n))
     product = okada_products(family, n)
     ok = z == product
-    diff = z - product
     return {"ok": ok, "z": z, "product": product,
-            "diff": None if ok else diff}
+            "diff": None if ok else z - product}

@@ -33,7 +33,6 @@ through ``ModelSpec.unit_table``, built once per model.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -41,14 +40,6 @@ from typing import Optional
 from .laurent import LaurentPoly
 from .models import ModelSpec
 from .weights import unit_weight
-
-DEFAULT_MAX_N = 4
-DEFAULT_MAX_COLS = 8
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised instead of silently attempting a too-large enumeration."""
-
 
 def move_tables(units, fixed: dict) -> list:
     """Compile each unit, in sweep order, into ``(reads, sets, moves)``.
@@ -190,33 +181,14 @@ class IceState:
         }
 
 
-def resolve_caps(max_n: int = None, max_cols: int = None) -> tuple:
-    """The caps in force: each given value, else its environment variable, else the default."""
-    if max_n is None:
-        max_n = int(os.environ.get("BENTICE_MAX_N", DEFAULT_MAX_N))
-    if max_cols is None:
-        max_cols = int(os.environ.get("BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
-    return max_n, max_cols
-
-
-def check_caps(spec: ModelSpec, max_n: int = None, max_cols: int = None):
-    """Raise EnumerationCapError if the model exceeds the caps in force."""
-    max_n, max_cols = resolve_caps(max_n, max_cols)
-    if spec.n > max_n or spec.lam[0] > max_cols:
-        raise EnumerationCapError(
-            f"model {spec.family}^{list(spec.lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
-
-
-def enumerate_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> list:
+def enumerate_states(spec: ModelSpec) -> list:
     """All admissible states, complete and in a stable deterministic order."""
-    check_caps(spec, max_n, max_cols)
     return [IceState(spec=spec, orientation=bits)
             for bits in enumerate_orientations(spec.units, spec.boundary, spec.edge_index)]
 
 
-def count_states(spec: ModelSpec, max_n: int = None, max_cols: int = None) -> int:
+def count_states(spec: ModelSpec) -> int:
     """The number of admissible states, by contraction: no state is built."""
-    check_caps(spec, max_n, max_cols)
     return contract(spec.units, spec.boundary, lambda unit, tag: 1)
 
 

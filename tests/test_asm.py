@@ -102,7 +102,7 @@ class TestOkadaStats:
         st = okada_stats(identity_matrix(4))
         assert (st.inv, st.minus_count) == (0, 0)
         assert st.x_exponent == (0, 0)
-        assert okada_matrix_weight(identity_matrix(4)) == LaurentPoly.const(1)
+        assert okada_matrix_weight(okada_stats(identity_matrix(4))) == LaurentPoly.const(1)
 
     def test_antidiagonal_matrix(self):
         st = okada_stats(antidiagonal_matrix(4))
@@ -116,7 +116,7 @@ class TestOkadaStats:
         for m in htsasm_matrices(4):
             st = okada_stats(m)
             if st.minus_count == 0 and st.i1_plus == 1 and st.i2 == 0:
-                w = okada_matrix_weight(m)
+                w = okada_matrix_weight(st)
                 expect = -LaurentPoly.term(1, [(Var.qshared(), 2)]) * LaurentPoly.term(
                     1, [(Var.x(j + 1), e) for j, e in enumerate(st.x_exponent)])
                 assert w == expect
@@ -137,7 +137,7 @@ class TestOkadaStats:
             kinds = list(state.vertex_kinds().values())
             assert st.minus_count == 2 * kinds.count("c1")
             assert st.inv - st.minus_count == kinds.count("b1") + kinds.count("b2")
-            assert okada_matrix_weight(m) == state_weight(state, scheme)
+            assert okada_matrix_weight(st) == state_weight(state, scheme)
 
 
 def stats_by_definition(matrix) -> OkadaStats:
@@ -218,6 +218,18 @@ class TestBijection:
     def test_unsupported_family(self):
         with pytest.raises(AsmError):
             bijection_check("C", 1)
+
+    def test_each_matrix_is_measured_once(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return okada_stats(matrix)
+
+        monkeypatch.setattr(asm, "okada_stats", counted)
+        result = bijection_check("B", 2)
+        assert result["ok"] and result["checked"] == 10
+        assert len(calls) == 10
 
 
 class TestInterleaveChain:

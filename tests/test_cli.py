@@ -267,6 +267,63 @@ class TestExitCodes:
         assert report["verdict"] == "fail"
 
 
+# every verb that builds a model, with the first model it would enumerate
+MODEL_VERBS = [
+    (["enumerate", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
+    (["enumerate", "--family", "B", "--lambda", "3,1", "--emit", "tikz"], "B", [3, 1]),
+    (["enumerate", "--family", "B", "--lambda", "3,1", "--emit", "count"], "B", [3, 1]),
+    (["partition", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
+    (["asm", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
+    (["verify", "divisibility", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
+    (["verify", "character", "--family", "C", "--lambda", "3,1"], "C", [3, 1]),
+    (["verify", "tokuyama", "--lambda", "3,1"], "A", [3, 1]),
+    (["verify", "rho", "--family", "B", "--n", "3"], "B", [3, 2, 1]),
+    (["verify", "rho", "--family", "all", "--n", "2"], "B", [2, 1]),
+    (["verify", "okada", "--family", "C", "--n", "3"], "C", [3, 2, 1]),
+    (["verify", "okada", "--family", "all", "--n", "2"], "B", [2, 1]),
+    (["verify", "bijection", "--n", "3"], "B", [3, 2, 1]),
+]
+CAP_ENV = {"--max-n": "BENTICE_MAX_N", "--max-cols": "BENTICE_MAX_COLS"}
+
+
+def set_cap(monkeypatch, cap, source, value) -> list:
+    """Set one cap from the flag or from its environment variable; returns the flags."""
+    for name in CAP_ENV.values():
+        monkeypatch.delenv(name, raising=False)
+    if source == "env":
+        monkeypatch.setenv(CAP_ENV[cap], str(value))
+        return []
+    return [cap, str(value)]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("cap", CAP_ENV)
+@pytest.mark.parametrize("argv, family, lam", MODEL_VERBS,
+                         ids=[" ".join(argv) for argv, _, _ in MODEL_VERBS])
+class TestEveryModelVerbHonoursTheCaps:
+    @staticmethod
+    def reach(cap, lam):
+        return len(lam) if cap == "--max-n" else lam[0]
+
+    def test_one_step_past_the_cap_is_refused_like_enumerate(
+            self, capsys, monkeypatch, argv, family, lam, cap, source):
+        limit = self.reach(cap, lam) - 1
+        flags = set_cap(monkeypatch, cap, source, limit)
+        caps = {"--max-n": 4, "--max-cols": 8, cap: limit}
+        error = (f"model {family}^{lam} exceeds caps "
+                 f"n<={caps['--max-n']}, lambda_1<={caps['--max-cols']}")
+        assert invoke(capsys, "enumerate", "--family", family,
+                      "--lambda", ",".join(map(str, lam)), *flags) == \
+            (EXIT_CAP, {"verb": "enumerate", "error": error})
+        verb = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+        assert invoke(capsys, *argv, *flags) == (EXIT_CAP, {"verb": verb, "error": error})
+
+    def test_at_the_cap_runs(self, capsys, monkeypatch, argv, family, lam, cap, source):
+        flags = set_cap(monkeypatch, cap, source, self.reach(cap, lam))
+        code, _ = invoke(capsys, *argv, *flags)
+        assert code == EXIT_PASS
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         runs = []

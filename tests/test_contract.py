@@ -12,9 +12,7 @@ import pytest
 
 from bentice import states
 from bentice.models import FAMILIES, build_model
-from bentice.states import (
-    EnumerationCapError, contract, count_states, enumerate_states, partition_function,
-)
+from bentice.states import contract, count_states, enumerate_states, partition_function
 from bentice.weights import BUILTIN_SCHEMES, unit_weight
 
 
@@ -49,20 +47,9 @@ def test_workload_counts_without_enumerating(monkeypatch, family, lam, count):
     spec = build_model(family, lam)
     # the patch is the entry point enumerate_states goes through ...
     with pytest.raises(AssertionError, match="the states were enumerated"):
-        enumerate_states(spec, max_n=spec.n, max_cols=spec.lam[0])
+        enumerate_states(spec)
     # ... and count_states never reaches it
     assert count_states(spec) == count
-
-
-def test_count_honours_the_caps(monkeypatch):
-    monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
-    spec = build_model("A", [9, 1])
-    with pytest.raises(EnumerationCapError) as enumerated:
-        enumerate_states(spec)
-    with pytest.raises(EnumerationCapError) as counted:
-        count_states(spec)
-    assert str(counted.value) == str(enumerated.value)
-    assert count_states(spec, max_cols=9) == len(enumerate_states(spec, max_cols=9))
 
 
 def test_values_need_only_sum_and_product():

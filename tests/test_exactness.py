@@ -1,5 +1,6 @@
-"""Source-level guards: the package computes exactly, with no floats, and
-imports every module it uses at the top, where import cycles show."""
+"""Source-level guards: the package computes exactly, with no floats,
+imports every module it uses at the top, where import cycles show, and
+keeps the enumeration caps in the command line alone."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,23 @@ def test_every_import_is_at_module_level():
     offenders = {path.name: lines for path in SOURCES
                  if (lines := nested_imports(ast.parse(path.read_text())))}
     assert offenders == {}
+
+
+def cap_policy(source: str) -> list:
+    """Mentions of the cap variables and raises of EnumerationCapError."""
+    found = [name for name in ("BENTICE_MAX_N", "BENTICE_MAX_COLS") if name in source]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "EnumerationCapError":
+                found.append(f"raise EnumerationCapError at line {node.lineno}")
+    return found
+
+
+def test_only_the_command_line_knows_the_caps():
+    offenders = {path.name: found for path in SOURCES
+                 if path.name != "cli.py" and (found := cap_policy(path.read_text()))}
+    assert offenders == {}
+    # the guard sees the policy where it lives
+    in_cli = cap_policy((Path(bentice.__file__).parent / "cli.py").read_text())
+    assert in_cli[:2] == ["BENTICE_MAX_N", "BENTICE_MAX_COLS"] and len(in_cli) > 2

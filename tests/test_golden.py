@@ -39,7 +39,7 @@ def test_printed_a_542_state_is_admissible():
         for k, b in enumerate(bits):
             orientation[("v", col, k)] = b
     target = tuple(orientation[e] for e in spec.edges)
-    states = enumerate_states(spec, max_n=3, max_cols=8)
+    states = enumerate_states(spec)
     matches = [s for s in states if s.orientation == target]
     assert len(matches) == 1
     matrix = state_to_matrix(matches[0])
@@ -60,7 +60,7 @@ def test_printed_a_542_kinds():
         for k, b in enumerate(bits):
             orientation[("v", col, k)] = b
     target = tuple(orientation[e] for e in spec.edges)
-    state = next(s for s in enumerate_states(spec, max_n=3)
+    state = next(s for s in enumerate_states(spec)
                  if s.orientation == target)
     kinds = state.vertex_kinds()
     assert kinds[("1", 5)] == "b1"
@@ -110,7 +110,7 @@ def _find_state(spec, h_bits, v_bits):
         for k, b in enumerate(bits):
             orientation[("v", col, k)] = b
     target = tuple(orientation[e] for e in spec.edges)
-    matches = [s for s in enumerate_states(spec, max_n=4, max_cols=8)
+    matches = [s for s in enumerate_states(spec)
                if s.orientation == target]
     assert len(matches) == 1, "printed state must be admissible exactly once"
     return matches[0]

@@ -4,9 +4,7 @@ import pytest
 
 from bentice.laurent import LaurentPoly
 from bentice.models import build_model
-from bentice.states import (
-    EnumerationCapError, enumerate_states, partition_function, state_tikz, state_weight,
-)
+from bentice.states import enumerate_states, partition_function, state_tikz, state_weight
 from bentice.weights import all_ones_scheme, make_deformation, make_generic
 
 
@@ -69,19 +67,6 @@ class TestKnownCounts:
         spec = build_model("B", [2, 1])
         runs = [tuple(s.orientation for s in enumerate_states(spec)) for _ in range(2)]
         assert runs[0] == runs[1]
-
-
-class TestCaps:
-    def test_cap_exceeded(self):
-        with pytest.raises(EnumerationCapError):
-            enumerate_states(build_model("A", [9, 1]))
-        with pytest.raises(EnumerationCapError):
-            enumerate_states(build_model("A", [5, 4, 3, 2, 1]))
-
-    def test_cap_override(self):
-        spec = build_model("A", [5, 4, 3, 2, 1])
-        states = enumerate_states(spec, max_n=5, max_cols=8)
-        assert states  # 5x5 ASM-like count, nonzero
 
 
 class TestWeights:
