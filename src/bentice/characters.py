@@ -19,7 +19,6 @@ the partition function, and the type-A anchor identity.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .identities import known_factor
@@ -353,8 +352,8 @@ def tokuyama_check(lam) -> dict:
     mu = tuple(a - b for a, b in zip(lam, rho))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
     x_rho = _x_monomial(tuple(2 * r for r in rho))
-    rhs = math.prod(known_factor("A", n, "deformation"), start=x_rho) \
-        * family_character("A", n, mu)
+    rhs = LaurentPoly.prod([x_rho, *known_factor("A", n, "deformation"),
+                            family_character("A", n, mu)])
     ok = z == rhs
 
     # t = -1 collapses to the classical alternant: q -> i is exact

@@ -119,12 +119,20 @@ def _rank(args) -> int:
 
 def _caps(args) -> tuple:
     """The caps in force: each flag, else its environment variable, else the default."""
-    max_n, max_cols = args.max_n, args.max_cols
-    if max_n is None:
-        max_n = int(os.environ.get("BENTICE_MAX_N", DEFAULT_MAX_N))
-    if max_cols is None:
-        max_cols = int(os.environ.get("BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
-    return max_n, max_cols
+    return (_cap(args.max_n, "BENTICE_MAX_N", DEFAULT_MAX_N),
+            _cap(args.max_cols, "BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
+
+
+def _cap(flag, variable: str, default: int) -> int:
+    if flag is not None:
+        return flag
+    text = os.environ.get(variable)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{variable}={text!r} is not an integer") from None
 
 
 def _check_caps(args, family, lam):

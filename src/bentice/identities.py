@@ -13,14 +13,14 @@ the spectral index actions.  Family A is carried along via its own
 deformed-denominator factors (one shared t), whose quotient is the Schur
 function.
 
-A randomized Gaussian-integer evaluation runs before each exact division;
-a point refuting divisibility while exact division succeeds would mean
-the suite itself is broken, and raises.
+A randomized Gaussian-integer evaluation of Z and the whole factor list
+runs before the exact divisions; a point refuting divisibility while
+every exact division succeeds would mean the suite itself is broken, and
+raises.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -164,26 +164,32 @@ def _random_point(variables, rng: random.Random) -> dict:
     return {v: rng.choice(pool) for v in variables}
 
 
-def probabilistic_divides(num: LaurentPoly, den: LaurentPoly,
+def probabilistic_divides(num: LaurentPoly, dens: list,
                           rng: random.Random, trials: int = 5):
-    """False only with a witness point: cleared-value non-divisibility.
+    """(False, point) only with a witness that dens' product does not divide num.
 
-    Clears both polynomials (see LaurentPoly.clearing_shift), evaluates
-    at random Gaussian-integer points, and tests exact value divisibility
-    in Z[i].  Divisibility of the cleared polynomials implies value
-    divisibility, so a refuting point is conclusive; True is only
-    probabilistic.
+    Clears num and every divisor once (see LaurentPoly.clearing_shift).
+    At each random Gaussian-integer point it evaluates the cleared num
+    once and divides that value by each cleared divisor's value in turn,
+    exactly in Z[i]; a point where a divisor's value is zero is drawn
+    again.  Clearing strips every monomial factor and Z[i][x] is a UFD, so
+    if the divisors' product divides num, the cleared divisors' product
+    divides the cleared num and every chained value division succeeds: a
+    refuting point is conclusive, and True is only probabilistic.
     """
-    nc, dc = (p * LaurentPoly.term(1, p.clearing_shift()) for p in (num, den))
-    variables = nc.variables() | dc.variables()
+    nc, *dcs = (p * LaurentPoly.term(1, p.clearing_shift()) for p in (num, *dens))
+    variables = nc.variables().union(*(d.variables() for d in dcs))
     done = 0
     while done < trials:
         point = _random_point(variables, rng)
-        dval = dc.evaluate(point)
-        if dval.is_zero():
+        dvals = [d.evaluate(point) for d in dcs]
+        if any(dval.is_zero() for dval in dvals):
             continue
-        if nc.evaluate(point).exact_div(dval) is None:
-            return False, point
+        value = nc.evaluate(point)
+        for dval in dvals:
+            value = value.exact_div(dval)
+            if value is None:
+                return False, point
         done += 1
     return True, None
 
@@ -193,25 +199,26 @@ def divisibility_check(family: str, lam, regime: str,
     """Divide Z sequentially by every stated factor; return the quotient.
 
     Raises DivisibilityError naming the offending factor if any division
-    leaves a remainder (which would refute the identity at this instance).
+    leaves a remainder (which would refute the identity at this instance),
+    and SuiteSelfCheckError if the pre-check, run once on Z and the whole
+    factor list, refutes a divisibility that every exact division confirms.
     """
     spec = build_model(family, lam)
     factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
     order = sorted({v for f in factors for v, _ in f.leading()[0]})
     factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
     z = partition_function(spec, make_scheme(regime, family, spec.n))
-    rng = random.Random(seed)
+    ok, point = probabilistic_divides(z, factors, random.Random(seed))
     quotient = z
     for f in factors:
-        ok, point = probabilistic_divides(quotient, f, rng)
         q = quotient.exact_divide(f)
         if q is None:
             raise DivisibilityError(
                 f"factor {f.to_latex()} does not divide Z({family}^{list(lam)}) [{regime}]")
-        if not ok:
-            raise SuiteSelfCheckError(
-                f"value check refuted divisibility at {point} but exact division succeeded")
         quotient = q
+    if not ok:
+        raise SuiteSelfCheckError(
+            f"value check refuted divisibility at {point} but exact division succeeded")
     if family == "A":
         # strip x^rho; the result must be an honest polynomial in the x's
         quotient = quotient * _x_rho_shift(spec.n)
@@ -240,7 +247,7 @@ def rho_check(family: str, n: int, regime: str) -> dict:
     spec = build_model(family, rho)
     factors = known_factor(family, n, regime)
     z = partition_function(spec, make_scheme(regime, family, n))
-    product = math.prod(factors, start=_x_rho_shift(n, 1) if family == "A" else ONE)
+    product = LaurentPoly.prod(factors + [_x_rho_shift(n, 1)] if family == "A" else factors)
     ok = z == product
     return {"ok": ok, "z": z, "product": product}
 
@@ -256,7 +263,7 @@ def okada_products(family: str, n: int) -> LaurentPoly:
     """
     if family not in _PARTNERS:
         raise ValueError(f"no okada product for family {family!r}")
-    return math.prod(_crossing_factors(make_scheme("okada", family, n)), start=ONE)
+    return LaurentPoly.prod(_crossing_factors(make_scheme("okada", family, n)))
 
 
 def okada_product_check(family: str, n: int) -> dict:

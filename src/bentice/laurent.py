@@ -316,6 +316,42 @@ class LaurentPoly:
                 _add_term(out, m, c)
         return LaurentPoly(out)
 
+    @staticmethod
+    def prod(polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The product of polys, equal to chaining ``*`` from 1.
+
+        The single-term factors fold into one exponent map and one
+        coefficient; only the factors of two or more terms are multiplied
+        out, and the folded monomial shifts their product once.  A zero
+        factor ends the product: the rest are not read.  Up to there every
+        factor's bank is checked against the others', as ``sum`` checks
+        summands, so generic and deformation factors raise MixedBankError
+        even where one bank's monomials cancel to a constant (which
+        chained ``*`` would let through).  The empty product is 1.
+        """
+        exps: dict = {}
+        re, im = 1, 0
+        bank = None
+        multi = None
+        for p in polys:
+            if not p.terms:
+                return _ZERO
+            _check_bank(bank, p.bank)
+            if bank is None:
+                bank = p.bank
+            if len(p.terms) > 1:
+                multi = p if multi is None else multi * p
+                continue
+            ((m, c),) = p.terms.items()
+            re, im = re * c.re - im * c.im, re * c.im + im * c.re
+            for v, e in m:
+                exps[v] = exps.get(v, 0) + e
+        coeff = GInt(re, im)
+        shift = tuple(sorted((v, e) for v, e in exps.items() if e))
+        if multi is None:
+            return LaurentPoly({shift: coeff})
+        return LaurentPoly({_mono_mul(m, shift): c * coeff for m, c in multi.terms.items()})
+
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -412,14 +448,8 @@ class LaurentPoly:
         in the ring; any other image raises ValueError (from ``**``).
         """
         def image(m: Monomial, c: GInt) -> "LaurentPoly":
-            piece = LaurentPoly.const(c)
-            rest = []
-            for v, e in m:
-                if v in images:
-                    piece = piece * (images[v] ** e)
-                else:
-                    rest.append((v, e))
-            return piece * LaurentPoly.term(1, rest)
+            rest = LaurentPoly.term(c, [(v, e) for v, e in m if v not in images])
+            return LaurentPoly.prod([rest, *(images[v] ** e for v, e in m if v in images)])
 
         return LaurentPoly.sum(image(m, c) for m, c in self.terms.items())
 

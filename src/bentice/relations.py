@@ -13,7 +13,6 @@ polynomial statements; a failing assignment is reported as a witness.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -23,7 +22,6 @@ from .models import bend_unit, corner_unit, cross_unit, row_layout, vertex_unit
 from .states import enumerate_orientations
 from .weights import WeightScheme, crossing, unit_weight
 
-ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
 
@@ -33,8 +31,7 @@ def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
         [*fixed, *(e for u in units for e, _pol in u.edges)]))}
     getters = [(u, itemgetter(*(index[e] for e, _pol in u.edges))) for u in units]
     return LaurentPoly.sum(
-        math.prod((unit_weight(u, u.tag_of[bits_of(bits)], scheme) for u, bits_of in getters),
-                  start=ONE)
+        LaurentPoly.prod(unit_weight(u, u.tag_of[bits_of(bits)], scheme) for u, bits_of in getters)
         for bits in enumerate_orientations(units, fixed, index))
 
 

@@ -194,12 +194,9 @@ def count_states(spec: ModelSpec) -> int:
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:
     """Product of Boltzmann weights over all vertices (by row and column), bends, and corner."""
-    total = LaurentPoly.const(1)
-    for unit, bits_of in state.spec.unit_table:
-        total = total * unit_weight(unit, unit.tag_of[bits_of(state.orientation)], scheme)
-        if total.is_zero():
-            return total
-    return total
+    orientation = state.orientation
+    return LaurentPoly.prod(unit_weight(unit, unit.tag_of[bits_of(orientation)], scheme)
+                            for unit, bits_of in state.spec.unit_table)
 
 
 def partition_function(spec: ModelSpec, scheme, states=None) -> LaurentPoly:

@@ -108,31 +108,6 @@ class TestExitCodes:
                          "--max-cols", "9", "--emit", "count")
         assert code == EXIT_PASS
 
-    def test_count_honours_the_caps(self, capsys, monkeypatch):
-        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
-        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
-        argv = ["enumerate", "--family", "C", "--lambda", "5,3,1", "--emit", "count"]
-        error = {"verb": "enumerate",
-                 "error": "model C^[5, 3, 1] exceeds caps n<=4, lambda_1<=2"}
-        assert invoke(capsys, *argv, "--max-cols", "2") == (EXIT_CAP, error)
-        monkeypatch.setenv("BENTICE_MAX_COLS", "2")
-        assert invoke(capsys, *argv) == (EXIT_CAP, error)
-
-    @pytest.mark.parametrize("caps, error", [
-        (["--max-n", "2"], "model B^[3, 2, 1] exceeds caps n<=2, lambda_1<=8"),
-        (["--max-cols", "2"], "model B^[3, 2, 1] exceeds caps n<=4, lambda_1<=2"),
-    ])
-    def test_bijection_honours_the_caps_like_asm(self, capsys, monkeypatch, caps, error):
-        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
-        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
-        assert invoke(capsys, "asm", "--family", "B", "--lambda", "3,2,1", *caps) == \
-            (EXIT_CAP, {"verb": "asm", "error": error})
-        assert invoke(capsys, "verify", "bijection", "--n", "3", *caps) == \
-            (EXIT_CAP, {"verb": "verify bijection", "error": error})
-        code, report = invoke(capsys, "verify", "bijection", "--n", "3", "--max-n", "3",
-                              "--max-cols", "3")
-        assert (code, report["data"]) == (EXIT_PASS, {"checked": 140})
-
     @pytest.mark.parametrize("verb, emit", [
         (verb, emit) for verb, emits in cli.EMITS.items()
         for emit in ("json", "latex", "tikz", "count", "text") if emit not in emits])
@@ -272,8 +247,10 @@ MODEL_VERBS = [
     (["enumerate", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
     (["enumerate", "--family", "B", "--lambda", "3,1", "--emit", "tikz"], "B", [3, 1]),
     (["enumerate", "--family", "B", "--lambda", "3,1", "--emit", "count"], "B", [3, 1]),
+    (["enumerate", "--family", "C", "--lambda", "5,3,1", "--emit", "count"], "C", [5, 3, 1]),
     (["partition", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
     (["asm", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
+    (["asm", "--family", "B", "--lambda", "3,2,1"], "B", [3, 2, 1]),
     (["verify", "divisibility", "--family", "B", "--lambda", "3,1"], "B", [3, 1]),
     (["verify", "character", "--family", "C", "--lambda", "3,1"], "C", [3, 1]),
     (["verify", "tokuyama", "--lambda", "3,1"], "A", [3, 1]),
@@ -284,6 +261,11 @@ MODEL_VERBS = [
     (["verify", "bijection", "--n", "3"], "B", [3, 2, 1]),
 ]
 CAP_ENV = {"--max-n": "BENTICE_MAX_N", "--max-cols": "BENTICE_MAX_COLS"}
+
+
+def verb_of(argv) -> str:
+    """The verb as a report names it."""
+    return " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
 
 
 def set_cap(monkeypatch, cap, source, value) -> list:
@@ -315,13 +297,22 @@ class TestEveryModelVerbHonoursTheCaps:
         assert invoke(capsys, "enumerate", "--family", family,
                       "--lambda", ",".join(map(str, lam)), *flags) == \
             (EXIT_CAP, {"verb": "enumerate", "error": error})
-        verb = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
-        assert invoke(capsys, *argv, *flags) == (EXIT_CAP, {"verb": verb, "error": error})
+        assert invoke(capsys, *argv, *flags) == (EXIT_CAP, {"verb": verb_of(argv), "error": error})
 
     def test_at_the_cap_runs(self, capsys, monkeypatch, argv, family, lam, cap, source):
         flags = set_cap(monkeypatch, cap, source, self.reach(cap, lam))
         code, _ = invoke(capsys, *argv, *flags)
         assert code == EXIT_PASS
+
+    def test_a_cap_that_is_not_an_integer_is_an_input_error(
+            self, capsys, monkeypatch, argv, family, lam, cap, source):
+        flags = set_cap(monkeypatch, cap, source, "abc")
+        code, report = invoke(capsys, *argv, *flags)
+        assert code == EXIT_INPUT
+        if source == "env":
+            # the report names the variable and its value
+            assert report == {"verb": verb_of(argv),
+                              "error": f"{CAP_ENV[cap]}='abc' is not an integer"}
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -10,7 +11,7 @@ from bentice.identities import (
     okada_product_check, okada_products, probabilistic_divides,
     quotient_symmetry_check, rho_check,
 )
-from bentice.laurent import GI, LaurentPoly, Var
+from bentice.laurent import GI, GInt, LaurentPoly, Var
 from bentice.models import build_model
 from bentice.states import partition_function
 from bentice.weights import make_generic, make_tokuyama
@@ -319,19 +320,72 @@ class TestOkada:
         assert okada_product_check(family, 2)["ok"]
 
 
+class ScriptedRng:
+    """Stands in for random.Random: choice returns the given values in turn, cycling."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+        self.draws = 0
+
+    def choice(self, pool):
+        self.draws += 1
+        return next(self.values)
+
+
+def chained_value_division(num, dens, point):
+    """num's value divided by each divisor's value in turn; None once one fails."""
+    value = num.evaluate(point)
+    for d in dens:
+        value = value.exact_div(d.evaluate(point))
+        if value is None:
+            return None
+    return value
+
+
 class TestProbabilisticPreCheck:
     def test_refutes_non_divisibility(self):
         rng = random.Random(3)
         num = x(1) + ONE
         den = x(1) + x(2)
-        ok, point = probabilistic_divides(num, den, rng)
+        ok, point = probabilistic_divides(num, [den], rng)
         assert not ok and point is not None
 
     def test_accepts_divisibility(self):
         rng = random.Random(3)
         num = (x(1) + x(2)) * (x(1) - x(2))
-        ok, point = probabilistic_divides(num, x(1) + x(2), rng)
+        ok, point = probabilistic_divides(num, [x(1) + x(2)], rng)
         assert ok and point is None
+
+    def test_accepts_a_chain_that_divides(self):
+        num = (x(1) + x(2)) * (x(1) - x(2)) * (ONE + t(1) * x(1))
+        dens = [x(1) - x(2), ONE + t(1) * x(1), x(1) + x(2)]
+        assert probabilistic_divides(num, dens, random.Random(3)) == (True, None)
+
+    def test_refutes_a_chain_whose_second_divisor_fails(self):
+        # each divisor alone divides num, but not their product: the second
+        # fails on what the first leaves
+        num = (x(1) + x(2)) * (x(1) - x(2))
+        dens = [x(1) + x(2), x(1) + x(2)]
+        for d in dens:
+            assert probabilistic_divides(num, [d], random.Random(3)) == (True, None)
+        ok, point = probabilistic_divides(num, dens, random.Random(3))
+        assert not ok
+        assert num.evaluate(point).exact_div(dens[0].evaluate(point)) is not None
+        assert chained_value_division(num, dens, point) is None
+
+    def test_points_where_a_divisor_vanishes_are_redrawn(self):
+        q = v(Var.q(1))
+        dens = [q + 2, q - ONE]
+        num = dens[0] * dens[1] * (q + 3)
+        rng = ScriptedRng([GInt(1), GInt(1), GInt(2), GInt(1), GInt(3), GI, -GI])
+        assert probabilistic_divides(num, dens, rng, trials=5) == (True, None)
+        # three of the seven values are q = 1, where q - 1 vanishes: five
+        # points that count take ten draws
+        assert rng.draws == 10
+        # a vanishing divisor is redrawn even where num is not divisible
+        rng = ScriptedRng([GInt(1), GInt(2)])
+        ok, point = probabilistic_divides(num + ONE, dens, rng)
+        assert not ok and point == {Var.q(1): GInt(2)}
 
     def test_division_failure_raises(self, monkeypatch):
         # state a factor that is not there

@@ -78,6 +78,78 @@ class TestRingBasics:
             assert p ** -3 * p ** 3 == LaurentPoly.const(1)
 
 
+def chained_product(polys):
+    """Oracle: the product as ``*`` chains it, from 1."""
+    out = LaurentPoly.const(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+class TestProd:
+    BINOMIAL = P((1, [(X, 1)]), (GInt(2, -1), [(Y, -1)]))
+
+    def test_empty_product_is_one(self):
+        assert LaurentPoly.prod([]) == LaurentPoly.const(1)
+        assert LaurentPoly.prod(iter(())).terms == {(): GONE}
+
+    def test_a_zero_factor_makes_zero(self):
+        factors = [P((3, [(X, 2)])), self.BINOMIAL, LaurentPoly.zero(), P((GI, [(Y, 1)]))]
+        assert LaurentPoly.prod(factors).terms == {}
+        assert chained_product(factors).is_zero()
+
+    def test_exponents_that_cancel_leave_a_constant(self):
+        factors = [P((2, [(X, 3), (Y, -1)])), P((GInt(1, 1), [(Y, 1)])), P((-1, [(X, -3)]))]
+        assert LaurentPoly.prod(factors).terms == {(): GInt(-2, -2)}
+        assert LaurentPoly.prod(factors) == chained_product(factors)
+
+    def test_repeated_multi_term_factors(self):
+        factors = [self.BINOMIAL, P((3, [(X, -1)])), self.BINOMIAL, self.BINOMIAL]
+        assert LaurentPoly.prod(factors) == chained_product(factors)
+        assert LaurentPoly.prod(factors) == self.BINOMIAL ** 3 * 3 * P((1, [(X, -1)]))
+
+    def test_non_unit_coefficients(self):
+        factors = [P((GInt(2, 3), [(X, 1)])), P((-5, [])), self.BINOMIAL,
+                   P((GInt(0, 4), [(Y, 2)]))]
+        assert LaurentPoly.prod(factors) == chained_product(factors)
+
+    def test_mixed_banks_raise_like_mul(self):
+        g = LaurentPoly.var(Var.a1(1))
+        d = LaurentPoly.var(Var.x(1))
+        for factors in ([g, d], [g + 1, LaurentPoly.const(2), d], [d, g * g + g], [g, d, g ** -1]):
+            with pytest.raises(MixedBankError):
+                chained_product(factors)
+            with pytest.raises(MixedBankError):
+                LaurentPoly.prod(factors)
+        # chained * forgets the bank once g's exponents cancel; prod does not
+        assert chained_product([g, g ** -1, d]) == d
+        with pytest.raises(MixedBankError):
+            LaurentPoly.prod([g, g ** -1, d])
+        # a zero factor ends the product before the later bank is read
+        assert LaurentPoly.prod([g, LaurentPoly.zero(), d]).is_zero()
+        assert chained_product([g, LaurentPoly.zero(), d]).is_zero()
+
+    def test_randomized_against_the_chained_product(self):
+        rng = random.Random(20261019)
+        pool = [Var.x(1), Var.x(2), Var.q(1)]
+
+        def factor():
+            return LaurentPoly.sum(
+                LaurentPoly.term(GInt(rng.choice([-2, -1, 1, 3]), rng.randrange(-2, 3)),
+                                 [(v, rng.randrange(-2, 3)) for v in pool if rng.random() < 0.5])
+                for _ in range(rng.choice([1, 1, 1, 2, 3])))
+
+        for _ in range(300):
+            factors = [factor() for _ in range(rng.randrange(8))]
+            if factors and rng.random() < 0.3:
+                factors.append(rng.choice(factors))
+            if rng.random() < 0.1:
+                factors.insert(rng.randrange(len(factors) + 1), LaurentPoly.zero())
+            product = LaurentPoly.prod(factors)
+            assert product == chained_product(factors)
+            assert product.bank == chained_product(factors).bank
+
+
 class TestExactDivide:
     def test_factorization_identity(self):
         # (x^2 - 1) / (x - 1) = x + 1, with doubled storage for x

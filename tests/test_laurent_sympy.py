@@ -88,6 +88,35 @@ def test_mixed_banks_raise_even_when_the_generic_terms_cancel():
     assert LaurentPoly.sum([LaurentPoly.const(1), deformation]).bank == deformation.bank
 
 
+def chained_product(polys):
+    out = LaurentPoly.const(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_prod(seed):
+    rng = random.Random(seed)
+    # monomials with non-unit coefficients, one of them cancelled to its
+    # coefficient by the inverse monomial, then multi-term factors
+    monomials = [LaurentPoly.term(GInt(rng.choice([-3, -2, 2, 3]), rng.randint(-2, 2)),
+                                  [(v, rng.randint(-2, 2)) for v in VARS])
+                 for _ in range(rng.randint(0, 4))]
+    if monomials:
+        (m, _), = monomials[0].terms.items()
+        monomials.append(LaurentPoly.term(1, [(v, -e) for v, e in m]))
+    factors = monomials + [random_poly(rng, 4) for _ in range(rng.randint(0, 3))]
+    if factors:
+        factors.append(rng.choice(factors))
+    if seed % 8 == 0:
+        factors.append(LaurentPoly.zero())
+    rng.shuffle(factors)
+    product = LaurentPoly.prod(factors)
+    assert same(product, sympy.Mul(*[to_sympy(p) for p in factors]))
+    assert product == chained_product(factors)
+
+
 UNITS = [GInt(1), GInt(-1), GInt(0, 1), GInt(0, -1)]
 
 

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from bentice.laurent import LaurentPoly
-from bentice.models import build_model
+from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states, partition_function, state_tikz, state_weight
-from bentice.weights import all_ones_scheme, make_deformation, make_generic
+from bentice.weights import (
+    BUILTIN_SCHEMES, all_ones_scheme, make_deformation, make_generic, make_scheme, unit_weight,
+)
 
 
 def brute_force_orientations(spec):
@@ -98,6 +100,30 @@ class TestWeights:
         assert len(down) == 1
         w = state_weight(down[0], scheme)
         assert w == -LaurentPoly.term(1, [(Var.q(1), 2), (Var.x(1), 2)])
+
+
+def chained_state_weight(state, scheme):
+    """Oracle: the weight as one ``*`` per unit, stopping at a zero product."""
+    total = LaurentPoly.const(1)
+    for unit, bits_of in state.spec.unit_table:
+        total = total * unit_weight(unit, unit.tag_of[bits_of(state.orientation)], scheme)
+        if total.is_zero():
+            return total
+    return total
+
+
+SCHEME_CASES = [("A", "generic"), ("A", "tokuyama")] + [
+    (family, name) for family in FAMILIES if family != "A" for name in BUILTIN_SCHEMES]
+
+
+@pytest.mark.parametrize("family,name", SCHEME_CASES)
+def test_state_weight_is_the_chained_product(family, name):
+    # every state with n <= 3 and lambda_1 <= 4
+    for n in (1, 2, 3):
+        scheme = make_scheme(name, family, n)
+        for lam in itertools.combinations(range(4, 0, -1), n):
+            for state in enumerate_states(build_model(family, list(lam))):
+                assert state_weight(state, scheme) == chained_state_weight(state, scheme)
 
 
 class TestRowPairBalance:
