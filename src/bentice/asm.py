@@ -16,7 +16,7 @@ oracles for the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, mul
 
 from .laurent import LaurentPoly, Var
@@ -25,6 +25,7 @@ from .states import IceState, enumerate_states, state_weight
 from .weights import make_okada
 
 _CELL = {"c2": 1, "c1": -1}
+_PARTIALS = {0, 1}
 
 
 class AsmError(ValueError):
@@ -65,34 +66,25 @@ def state_to_matrix(state: IceState) -> tuple:
             grid[ci][cj] = 1 - col_sum
             if grid[ci][cj] not in (-1, 0, 1):
                 raise AsmError("center cell completion out of range")
-    if any(v is None for row in grid for v in row):
+    if any(None in row for row in grid):
         raise AsmError("incomplete matrix")
     return tuple(tuple(row) for row in grid)
 
 
 def is_asm(matrix) -> bool:
     """Full alternating-sign-matrix test (square matrices)."""
-    rows = [list(r) for r in matrix]
-    if not rows or len(rows) != len(rows[0]):
+    if not matrix or len(matrix) != len(matrix[0]):
         return False
-    for line in rows + [list(col) for col in zip(*rows)]:
-        if any(v not in (-1, 0, 1) for v in line):
-            return False
-        partial = 0
-        for v in line:
-            partial += v
-            if partial not in (0, 1):
-                return False
-        if partial != 1:
-            return False
-    return True
+    # every row and column has partial sums in {0, 1} and sum 1; entries,
+    # the steps between partial sums, are then in -1..1
+    return all(set(accumulate(line)) <= _PARTIALS and sum(line) == 1
+               for line in chain(matrix, zip(*matrix)))
 
 
 def is_half_turn_symmetric(matrix) -> bool:
-    n = len(matrix)
-    m = len(matrix[0])
-    return all(matrix[i][j] == matrix[n - 1 - i][m - 1 - j]
-               for i in range(n) for j in range(m))
+    """entry(i, j) == entry(N-1-i, M-1-j): each row is its partner row reversed."""
+    return all(tuple(row) == tuple(reversed(partner))
+               for row, partner in zip(matrix, reversed(matrix)))
 
 
 def asm_matrices(n: int) -> list:

@@ -24,11 +24,11 @@ in a fixed order so the report does not depend on scheduling.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from .asm import bijection_check, matrix_text, okada_stats, state_to_matrix
 from .characters import character_theorem_check, family_character, tokuyama_check
@@ -204,7 +204,7 @@ def run(args) -> tuple:
         if args.emit == "text":
             data["matrices"] = [matrix_text(m) for m in matrices]
         else:
-            data["matrices"] = [[list(row) for row in m] for m in matrices]
+            data["matrices"] = matrices
         rho = list(range(len(lam), 0, -1))
         if fam == "B" and lam == rho:
             data["stats"] = [okada_stats(m).to_json() for m in matrices]
@@ -348,6 +348,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(value, indent: str = "") -> str:
+    """The text of json.dumps(value, indent=2), for the types a report holds.
+
+    With an indent the stdlib encodes in pure Python, one generator per
+    value; this writes each list of plain ints in one join.  Tuples print
+    as lists, and a bool is tested before int so it never prints as 1 or 0.
+    """
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        comma = ",\n" + inner
+        # each f-string copies the body once, where + would copy it per operand
+        if isinstance(value, dict):
+            body = comma.join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                               for k, v in value.items()])
+            return f"{{\n{inner}{body}\n{indent}}}"
+        if set(map(type, value)) == {int}:
+            body = comma.join(map(int.__repr__, value))
+        else:
+            body = comma.join([_dumps(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -361,7 +394,7 @@ def main(argv=None) -> int:
     try:
         verdict, data = run(args)
     except (InputError, ModelError, ValueError, EnumerationCapError) as exc:
-        print(json.dumps({"verb": verb, "error": str(exc)}, indent=2))
+        print(_dumps({"verb": verb, "error": str(exc)}))
         return EXIT_CAP if isinstance(exc, EnumerationCapError) else EXIT_INPUT
     elapsed = int((time.monotonic() - started) * 1000)
     inputs = {
@@ -376,7 +409,7 @@ def main(argv=None) -> int:
         "data": data,
         "elapsed_ms": elapsed,
     }
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     if verdict is False:
         return EXIT_FAIL
     return EXIT_PASS

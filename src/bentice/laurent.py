@@ -26,7 +26,8 @@ Conventions baked into the representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 GENERIC = 0
@@ -266,6 +267,19 @@ class LaurentPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "bank", bank)
 
+    @staticmethod
+    def _of(terms: dict, bank: Optional[int]) -> "LaurentPoly":
+        """A polynomial from terms with no zero coefficient, every variable in bank.
+
+        The ring operations build their results through here: their terms
+        are already clean, and they know the bank, so nothing is copied or
+        scanned again.  A zero has no bank.
+        """
+        p = object.__new__(LaurentPoly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "bank", bank if terms else None)
+        return p
+
     def __setattr__(self, *args):  # keep values shareable across workers
         raise AttributeError("LaurentPoly is immutable")
 
@@ -314,7 +328,8 @@ class LaurentPoly:
                 bank = p.bank
             for m, c in p.terms.items():
                 _add_term(out, m, c)
-        return LaurentPoly(out)
+        # the bank goes with the variables: a sum whose variables cancel is bankless
+        return LaurentPoly._of(out, bank if any(out) else None)
 
     @staticmethod
     def prod(polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
@@ -326,8 +341,9 @@ class LaurentPoly:
         factor ends the product: the rest are not read.  Up to there every
         factor's bank is checked against the others', as ``sum`` checks
         summands, so generic and deformation factors raise MixedBankError
-        even where one bank's monomials cancel to a constant (which
-        chained ``*`` would let through).  The empty product is 1.
+        even where one bank's monomials cancel to a constant.  Like
+        ``*``, the product keeps its factors' bank when they cancel.  The
+        empty product is 1.
         """
         exps: dict = {}
         re, im = 1, 0
@@ -349,8 +365,9 @@ class LaurentPoly:
         coeff = GInt(re, im)
         shift = tuple(sorted((v, e) for v, e in exps.items() if e))
         if multi is None:
-            return LaurentPoly({shift: coeff})
-        return LaurentPoly({_mono_mul(m, shift): c * coeff for m, c in multi.terms.items()})
+            return LaurentPoly._of({shift: coeff}, bank)
+        return LaurentPoly._of({_mono_mul(m, shift): c * coeff
+                                for m, c in multi.terms.items()}, bank)
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -361,7 +378,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly._of({m: -c for m, c in self.terms.items()}, self.bank)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -373,6 +390,9 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
+        """The product.  It keeps its operands' bank where their monomials
+        cancel, so a1 * a1**-1 * x_1 raises MixedBankError as
+        a1 * x_1 * a1**-1 does; a zero product has no bank."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -381,7 +401,7 @@ class LaurentPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _add_term(out, _mono_mul(m1, m2), c1 * c2)
-        return LaurentPoly(out)
+        return LaurentPoly._of(out, self.bank if self.bank is not None else other.bank)
 
     __rmul__ = __mul__
 
@@ -523,8 +543,15 @@ class LaurentPoly:
         dlead = max(den)
         dlc = den[dlead]
         quo: dict = {}
+        # the remainder's monomials, negated so the heap's least is its leading
+        # one; a monomial is pushed when it enters rem, and one popped after it
+        # cancelled is skipped (Monagan-Pearce, CASC 2007)
+        heap = [tuple(map(neg, m)) for m in rem]
+        heapify(heap)
         while rem:
-            rlead = max(rem)
+            rlead = tuple(map(neg, heappop(heap)))
+            if rlead not in rem:
+                continue
             qm = tuple(map(sub, rlead, dlead))
             if min(qm, default=0) < 0:
                 return None
@@ -533,7 +560,10 @@ class LaurentPoly:
                 return None
             quo[qm] = qc
             for m, c in den.items():
-                _add_term(rem, tuple(map(add, m, qm)), -(qc * c))
+                key = tuple(map(add, m, qm))
+                if key not in rem:
+                    heappush(heap, tuple(map(neg, key)))
+                _add_term(rem, key, -(qc * c))
         # undo the clearing shifts: quotient picks up md / mp
         shift = _mono_mul(md, _mono_pow(mp, -1))
         return LaurentPoly({_mono_mul(tuple((v, e) for v, e in zip(order, qm) if e), shift): c

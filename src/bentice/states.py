@@ -32,7 +32,6 @@ through ``ModelSpec.unit_table``, built once per model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -208,10 +207,6 @@ def partition_function(spec: ModelSpec, scheme, states=None) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def state_json(state: IceState) -> str:
-    return json.dumps(state.to_json(), indent=2)
 
 
 def state_tikz(state: IceState) -> str:

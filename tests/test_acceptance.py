@@ -278,7 +278,11 @@ def test_criterion_9_determinism(capsys):
         outs = []
         for _ in range(2):
             code = cli_main(list(argv))
-            parsed = json.loads(capsys.readouterr().out)
+            printed = capsys.readouterr().out
+            parsed = json.loads(printed)
+            # the report's bytes are the stdlib's indent=2 rendering of its value
+            if printed != json.dumps(parsed, indent=2) + "\n":
+                failures.append(("bytes", argv))
             parsed.pop("elapsed_ms", None)
             outs.append((code, json.dumps(parsed, sort_keys=False)))
         if outs[0] != outs[1]:

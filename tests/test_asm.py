@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bentice import asm
@@ -47,6 +49,76 @@ class TestIndependentEnumerators:
     def test_is_asm_rejects_bad_column(self):
         assert not is_asm(((0, 1), (0, 1)))
         assert is_asm(identity_matrix(3))
+
+
+def is_asm_per_cell(matrix) -> bool:
+    """The cell-by-cell ASM test that the row-by-row one replaced, kept as an oracle."""
+    rows = [list(r) for r in matrix]
+    if not rows or len(rows) != len(rows[0]):
+        return False
+    for line in rows + [list(col) for col in zip(*rows)]:
+        if any(v not in (-1, 0, 1) for v in line):
+            return False
+        partial = 0
+        for v in line:
+            partial += v
+            if partial not in (0, 1):
+                return False
+        if partial != 1:
+            return False
+    return True
+
+
+def is_half_turn_symmetric_per_cell(matrix) -> bool:
+    """The cell-by-cell symmetry test that the row-by-row one replaced, kept as an oracle."""
+    n = len(matrix)
+    m = len(matrix[0])
+    return all(matrix[i][j] == matrix[n - 1 - i][m - 1 - j]
+               for i in range(n) for j in range(m))
+
+
+def half_turn_image(matrix) -> tuple:
+    return tuple(tuple(reversed(row)) for row in reversed(matrix))
+
+
+class TestRowByRowChecksAgreeWithThePerCellOracles:
+    @staticmethod
+    def agree(matrix):
+        for form in (matrix, [list(row) for row in matrix]):
+            assert is_asm(form) == is_asm_per_cell(form), matrix
+            assert is_half_turn_symmetric(form) == is_half_turn_symmetric_per_cell(form), matrix
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_asm_and_its_one_cell_changes(self, n):
+        for matrix in asm_matrices(n):
+            assert is_asm(matrix)
+            self.agree(matrix)
+            for i in range(n):
+                for j in range(n):
+                    for v in (-2, -1, 0, 1, 2):
+                        rows = [list(row) for row in matrix]
+                        rows[i][j] = v
+                        self.agree(tuple(map(tuple, rows)))
+
+    def test_random_matrices(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            nrows, ncols = rng.randint(1, 6), rng.choice([None, rng.randint(1, 6)])
+            ncols = nrows if ncols is None else ncols      # square about half the time
+            low = rng.choice([-2, -1, 0])
+            matrix = tuple(tuple(rng.randint(low, min(low + 2, 2)) for _ in range(ncols))
+                           for _ in range(nrows))
+            self.agree(matrix)
+            # complete the top half by half-turn symmetry, then maybe break one cell
+            top = matrix[:(nrows + 1) // 2]
+            symmetric = [list(row) for row in top + half_turn_image(top)[nrows % 2:]]
+            if nrows % 2:
+                middle = symmetric[nrows // 2]
+                middle[ncols // 2:] = reversed(middle[:(ncols + 1) // 2])
+            assert is_half_turn_symmetric_per_cell(symmetric)
+            self.agree(tuple(map(tuple, symmetric)))
+            symmetric[rng.randrange(nrows)][rng.randrange(ncols)] = rng.randint(-2, 2)
+            self.agree(tuple(map(tuple, symmetric)))
 
 
 class TestDictionary:

@@ -1,10 +1,17 @@
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bentice import cli, identities
 from bentice.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import STATES, op_argv  # noqa: E402
 
 
 def invoke(capsys, *argv):
@@ -567,9 +574,12 @@ RELATION_REPORTS = {
 }
 
 
+def relation_argv(verb, family, scheme) -> list:
+    return ["verify", verb, "--family", family] + (["--scheme", scheme] if scheme else [])
+
+
 def relation_outcome(capsys, verb, family, scheme):
-    argv = ["verify", verb, "--family", family] + (["--scheme", scheme] if scheme else [])
-    code, report = invoke(capsys, *argv)
+    code, report = invoke(capsys, *relation_argv(verb, family, scheme))
     report.pop("elapsed_ms", None)
     return code, hashlib.sha256(json.dumps([code, report]).encode()).hexdigest()
 
@@ -578,3 +588,51 @@ class TestRelationReports:
     @pytest.mark.parametrize("key", RELATION_REPORTS, ids=lambda k: "-".join(map(str, k)))
     def test_report_golden(self, capsys, key):
         assert relation_outcome(capsys, *key) == RELATION_REPORTS[key]
+
+
+# every invocation of the golden tables above, each model verb one step past
+# its n cap (the cap-error report), the other --emit renderings, and the
+# states workload of the benchmark
+PRINTED = (
+    [relation_argv(*key) for key in RELATION_REPORTS]
+    + [argv for argv, _, _ in MODEL_VERBS]
+    + [argv + ["--max-n", str(len(lam) - 1)] for argv, _, lam in MODEL_VERBS]
+    + [["partition", "--family", "C", "--lambda", "2,1", "--emit", "latex"],
+       ["asm", "--family", "Cstar", "--lambda", "3,2", "--emit", "text"],
+       ["character", "--family", "D", "--mu", "2,1", "--emit", "latex"],
+       ["character", "--family", "B", "--mu", "1,0"]]
+    + [op_argv(op, 0) for op in STATES]
+)
+
+
+@pytest.mark.parametrize("argv", PRINTED, ids=" ".join)
+def test_report_prints_as_json_dumps_with_indent_2(capsys, monkeypatch, argv):
+    for name in CAP_ENV.values():
+        monkeypatch.delenv(name, raising=False)
+    main(list(argv))
+    out = capsys.readouterr().out
+    expected = json.dumps(json.loads(out), indent=2) + "\n"
+    if out != expected:
+        # the asm report is 6.8 MB: show the first difference, not a full diff
+        at = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+                  min(len(out), len(expected)))
+        pytest.fail(f"report differs at offset {at}: "
+                    f"{out[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+
+
+# text with the characters that ensure_ascii escapes: quotes, backslashes,
+# control characters, non-ASCII and astral-plane characters
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'))
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-10 ** 40, max_value=10 ** 40) | TEXT)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.dictionaries(TEXT, inner)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+def test_the_report_writer_prints_what_json_dumps_prints(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)

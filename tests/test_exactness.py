@@ -1,6 +1,7 @@
 """Source-level guards: the package computes exactly, with no floats,
-imports every module it uses at the top, where import cycles show, and
-keeps the enumeration caps in the command line alone."""
+imports every module it uses at the top, where import cycles show,
+keeps the enumeration caps in the command line alone, and prints reports
+through one writer."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,17 @@ def test_only_the_command_line_knows_the_caps():
     # the guard sees the policy where it lives
     in_cli = cap_policy((Path(bentice.__file__).parent / "cli.py").read_text())
     assert in_cli[:2] == ["BENTICE_MAX_N", "BENTICE_MAX_COLS"] and len(in_cli) > 2
+
+
+def indent_calls(tree: ast.AST) -> list:
+    """Lines of the calls that pass an indent keyword, as json.dumps(..., indent=2)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)]
+
+
+def test_no_call_passes_indent():
+    # with an indent the stdlib encodes in pure Python; reports print
+    # through cli._dumps, which writes the same text
+    offenders = {path.name: lines for path in SOURCES
+                 if (lines := indent_calls(ast.parse(path.read_text())))}
+    assert offenders == {}

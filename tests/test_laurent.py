@@ -121,10 +121,14 @@ class TestProd:
                 chained_product(factors)
             with pytest.raises(MixedBankError):
                 LaurentPoly.prod(factors)
-        # chained * forgets the bank once g's exponents cancel; prod does not
-        assert chained_product([g, g ** -1, d]) == d
+        # where g's exponents cancel, * and prod both keep the generic bank
+        with pytest.raises(MixedBankError):
+            chained_product([g, g ** -1, d])
         with pytest.raises(MixedBankError):
             LaurentPoly.prod([g, g ** -1, d])
+        assert (g * g ** -1).bank == LaurentPoly.prod([g, g ** -1]).bank == g.bank
+        # a zero keeps no bank
+        assert (g * LaurentPoly.zero()).bank is None
         # a zero factor ends the product before the later bank is read
         assert LaurentPoly.prod([g, LaurentPoly.zero(), d]).is_zero()
         assert chained_product([g, LaurentPoly.zero(), d]).is_zero()

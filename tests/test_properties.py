@@ -9,7 +9,7 @@ from bentice.cli import EXIT_PASS, main as cli_main
 from bentice.identities import divisibility_check, known_factor
 from bentice.laurent import GInt, LaurentPoly
 from bentice.models import build_model
-from bentice.states import enumerate_states, partition_function, state_json
+from bentice.states import enumerate_states, partition_function
 from bentice.weights import (
     make_character, make_deformation, make_generic, make_okada,
 )
@@ -26,7 +26,8 @@ class TestSchemeSerialization:
 
     def test_state_json_export(self):
         spec = build_model("C", [1])
-        doc = json.loads(state_json(enumerate_states(spec)[0]))
+        doc = enumerate_states(spec)[0].to_json()
+        json.dumps(doc)  # serializable
         assert doc["family"] == "C"
         assert doc["corner"] in ("R", "L")
 
