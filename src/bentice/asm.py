@@ -16,15 +16,19 @@ oracles for the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import cache
+from itertools import accumulate
 from operator import add, mul
 
 from .laurent import LaurentPoly, Var
-from .models import build_model
+from .models import VERTEX_CONFIGS, ModelSpec, build_model
 from .states import IceState, enumerate_states, state_weight
 from .weights import make_okada
 
 _CELL = {"c2": 1, "c1": -1}
+# every vertex unit lists its configurations as VERTEX_CONFIGS does, in the
+# order of its edges, so one map takes each vertex's bits to its cell
+_SIGN = {bits: _CELL.get(kind, 0) for kind, bits in VERTEX_CONFIGS.items()}
 _PARTIALS = {0, 1}
 
 
@@ -32,53 +36,84 @@ class AsmError(ValueError):
     pass
 
 
-def state_to_matrix(state: IceState) -> tuple:
-    """The sign matrix of a state, completed by half-turn symmetry."""
-    spec = state.spec
+def matrix_layout(spec: ModelSpec) -> tuple:
+    """``spec.cell_layout``, for a family with a direct matrix dictionary."""
     if spec.family == "BC":
         raise AsmError("BC states export via transposition of the D family; "
                        "no direct matrix dictionary")
-    # outside family A each vertex also fills its half-turn image, a cell
-    # that no vertex fills
-    half_turn = spec.family != "A"
-    nrows = len(spec.rows)
-    n_full = len(spec.full_cols)
-    has_center_col = spec.half_col is not None
-    ncols = 2 * n_full + (1 if has_center_col else 0) if half_turn else n_full
-    row_at = {r: i for i, r in enumerate(spec.rows)}
-    col_at = {c: j for j, c in enumerate(spec.full_cols)}
-    if has_center_col:
-        col_at[spec.half_col] = n_full
-    grid = [[None] * ncols for _ in range(nrows)]
+    return spec.cell_layout
+
+
+def state_to_matrix(state: IceState) -> tuple:
+    """The sign matrix of a state, completed by half-turn symmetry."""
+    nrows, ncols, cells, centre = matrix_layout(state.spec)
+    grid = [None] * (nrows * ncols)
     orientation = state.orientation
-    for unit, bits_of in spec.unit_table:
-        if unit.kind == "vertex":
-            row, col = unit.label
-            i, j = row_at[row], col_at[col]
-            grid[i][j] = _CELL.get(unit.tag_of[bits_of(orientation)], 0)
-            if half_turn:
-                grid[nrows - 1 - i][ncols - 1 - j] = grid[i][j]
-    # C family: the center cell balances its column
-    if has_center_col and nrows % 2 == 1:
-        ci, cj = nrows // 2, ncols // 2
-        if grid[ci][cj] is None:
-            col_sum = sum(grid[i][cj] for i in range(nrows) if i != ci)
-            grid[ci][cj] = 1 - col_sum
-            if grid[ci][cj] not in (-1, 0, 1):
-                raise AsmError("center cell completion out of range")
-    if any(None in row for row in grid):
+    for bits_of, cell, image in cells:
+        grid[cell] = grid[image] = _SIGN[bits_of(orientation)]
+    # C family: the centre cell balances its column
+    if centre is not None:
+        middle, others = centre
+        grid[middle] = 1 - sum(map(grid.__getitem__, others))
+        if grid[middle] not in (-1, 0, 1):
+            raise AsmError("center cell completion out of range")
+    if None in grid:
         raise AsmError("incomplete matrix")
-    return tuple(tuple(row) for row in grid)
+    return tuple(zip(*[iter(grid)] * ncols))
 
 
 def is_asm(matrix) -> bool:
     """Full alternating-sign-matrix test (square matrices)."""
-    if not matrix or len(matrix) != len(matrix[0]):
-        return False
-    # every row and column has partial sums in {0, 1} and sum 1; entries,
-    # the steps between partial sums, are then in -1..1
-    return all(set(accumulate(line)) <= _PARTIALS and sum(line) == 1
-               for line in chain(matrix, zip(*matrix)))
+    return _row_steps(matrix) is not None
+
+
+@cache
+def _row_step(column_sums: tuple, row: tuple):
+    """What one row of a square matrix adds, given the column sums of the
+    rows above it: None if its partial sums leave {0, 1}, it does not sum to
+    1 or a new column sum leaves {0, 1}; else the new column sums, the
+    row's inversions against the rows above, its -1 count, its dot product
+    with delta (doubled), and its +1 and -1 counts in the right half.
+
+    The entries, the steps between partial sums, are then in -1..1.  Every
+    matrix is folded only up to its first failing row, so the column sums
+    are 0/1 vectors and the cache holds one entry per distinct pair met.
+    """
+    size = len(column_sums)
+    if len(row) != size or not set(accumulate(row)) <= _PARTIALS or sum(row) != 1:
+        return None
+    new = tuple(map(add, column_sums, row))
+    if not set(new) <= _PARTIALS:
+        return None
+    # inv sums matrix[i][j] * matrix[k][l] over i < k and l < j, so row k
+    # pairs each entry l with the suffix sum, past l, of the column sums
+    # of the rows above it
+    right = list(accumulate(reversed(column_sums[1:])))[::-1]    # right[l] = sum(above[l+1:])
+    inv = sum(map(mul, row, right))
+    dot = sum(map(mul, row, range(size - 1, -size, -2)))         # doubled delta: 2n-1, ..., 1-2n
+    half = row[size // 2:]
+    return new, inv, row.count(-1), dot, half.count(1), half.count(-1)
+
+
+def _row_steps(matrix):
+    """The ``_row_step`` of each row of a square matrix, top to bottom, or
+    None if it is not an alternating sign matrix: every row and column has
+    partial sums in {0, 1} and sum 1.
+
+    Every final column sum is then 1 without a further check: the N sums
+    lie in {0, 1} and add up to N, the total of the N row sums.
+    """
+    if not matrix:
+        return None
+    column_sums = (0,) * len(matrix)
+    steps = []
+    for row in matrix:
+        step = _row_step(column_sums, tuple(row))
+        if step is None:
+            return None
+        column_sums = step[0]
+        steps.append(step)
+    return steps
 
 
 def is_half_turn_symmetric(matrix) -> bool:
@@ -149,8 +184,10 @@ class OkadaStats:
 
 
 def okada_stats(matrix) -> OkadaStats:
-    """Inversion/minus/quartile statistics of a half-turn symmetric ASM."""
-    if not is_asm(matrix):
+    """Inversion/minus/quartile statistics of a half-turn symmetric ASM,
+    summed row by row over the ``_row_step`` of each row."""
+    steps = _row_steps(matrix)
+    if steps is None:
         raise AsmError("statistics need a completed square ASM")
     if not is_half_turn_symmetric(matrix):
         raise AsmError("statistics need half-turn symmetry")
@@ -158,21 +195,14 @@ def okada_stats(matrix) -> OkadaStats:
     if size % 2:
         raise AsmError("statistics are defined for even size 2n")
     n = size // 2
-    # inv sums matrix[i][j] * matrix[k][l] over i < k and l < j, so row k
-    # pairs each entry l with the suffix sum, past l, of the column sums of
-    # the rows above it
-    inv = 0
-    above = [0] * size
-    for row in matrix:
-        right = list(accumulate(reversed(above[1:])))[::-1]    # right[l] = sum(above[l+1:])
-        inv += sum(map(mul, row, right))
-        above = list(map(add, above, row))
-    minus_count = sum(row.count(-1) for row in matrix)
-    quartile = [v for row in matrix[:n] for v in row[n:]]      # the upper right quarter
-    i1_plus, i1_minus = quartile.count(1), quartile.count(-1)
+    _, invs, minuses, dots, pluses_right, minuses_right = zip(*steps)
+    inv = sum(invs)
+    minus_count = sum(minuses)
+    i1_plus = sum(pluses_right[:n])          # the upper right quarter
+    i1_minus = sum(minuses_right[:n])
     i2 = inv - i1_plus - i1_minus
-    delta = [2 * (n - i) - 1 for i in range(size)]       # doubled half-integers
-    exponent = tuple(d - sum(map(mul, row, delta)) for d, row in zip(delta, matrix))
+    delta = range(size - 1, -size, -2)                  # doubled half-integers
+    exponent = tuple(d - dot for d, dot in zip(delta, dots))
     if any(exponent[size - 1 - i] != -exponent[i] for i in range(size)):
         raise AsmError("exponent vector is not half-turn antisymmetric")
     if minus_count % 2 or (i2 - minus_count) % 2:

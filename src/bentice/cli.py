@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
-from .asm import bijection_check, matrix_text, okada_stats, state_to_matrix
+from .asm import bijection_check, matrix_layout, matrix_text, okada_stats, state_to_matrix
 from .characters import character_theorem_check, family_character, tokuyama_check
 from .identities import (
     BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
@@ -198,6 +198,7 @@ def run(args) -> tuple:
         lam = _parse_partition(_need(args, "lambda"))
         _check_caps(args, fam, lam)
         spec = build_model(fam, lam)
+        matrix_layout(spec)                 # family BC has none: reject before enumerating
         states = enumerate_states(spec)
         matrices = [state_to_matrix(s) for s in states]
         data = {"count": len(matrices)}

@@ -318,7 +318,10 @@ class LaurentPoly:
 
         Every summand's bank is checked against the others', so generic
         and deformation summands raise MixedBankError even when the terms
-        of one bank cancel later in the sum.
+        of one bank cancel later in the sum.  Like ``*`` and ``prod``, the
+        sum keeps its summands' bank where their variables cancel, so
+        (a1 + 1 - a1) * x_1 raises MixedBankError as (a1 * a1**-1) * x_1
+        does; a zero sum has no bank.
         """
         out: dict = {}
         bank = None
@@ -328,8 +331,7 @@ class LaurentPoly:
                 bank = p.bank
             for m, c in p.terms.items():
                 _add_term(out, m, c)
-        # the bank goes with the variables: a sum whose variables cancel is bankless
-        return LaurentPoly._of(out, bank if any(out) else None)
+        return LaurentPoly._of(out, bank)
 
     @staticmethod
     def prod(polys: Iterable["LaurentPoly"]) -> "LaurentPoly":

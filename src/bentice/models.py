@@ -177,6 +177,41 @@ class ModelSpec:
         return tuple((u, itemgetter(*(self.edge_index[e] for e, _ in u.edges)))
                      for u in vertices + [u for u in self.units if u.kind != "vertex"])
 
+    @cached_property
+    def cell_layout(self) -> tuple:
+        """Where a state's vertices land in its sign matrix, laid out flat row
+        after row: ``(nrows, ncols, cells, centre)``.
+
+        ``cells`` holds ``(getter of its edge bits, its cell, its image)`` for
+        every vertex in ``unit_table`` order.  Outside family A the grid is
+        completed by half-turn symmetry, so the image is the cell's half-turn
+        image, a cell that no vertex fills; in family A it is the cell itself.
+        ``centre`` is None, or, where no vertex fills the middle cell of a
+        half column (family C), ``(that cell, the other cells of its
+        column)``.
+        """
+        half_turn = self.family != "A"
+        nrows, n_full = len(self.rows), len(self.full_cols)
+        col_at = {c: j for j, c in enumerate(self.full_cols)}
+        if self.half_col is not None:
+            col_at[self.half_col] = n_full
+        ncols = 2 * n_full + (1 if self.half_col is not None else 0) if half_turn else n_full
+        row_at = {r: i for i, r in enumerate(self.rows)}
+        last = nrows * ncols - 1
+        cells = []
+        for unit, bits_of in self.unit_table:
+            if unit.kind == "vertex":
+                row, col = unit.label
+                cell = row_at[row] * ncols + col_at[col]
+                cells.append((bits_of, cell, last - cell if half_turn else cell))
+        centre = None
+        if self.half_col is not None and nrows % 2:
+            middle = last // 2
+            if all(middle not in (cell, image) for _, cell, image in cells):
+                column = range(middle % ncols, last + 1, ncols)
+                centre = (middle, tuple(k for k in column if k != middle))
+        return nrows, ncols, tuple(cells), centre
+
     def to_json(self) -> dict:
         return {
             "family": self.family,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,10 @@ from bentice import asm
 from bentice.asm import (
     AsmError, OkadaStats, asm_matrices, bijection_check, chain_to_c_matrix,
     htsasm_matrices, interleave_chain, is_asm, is_half_turn_symmetric,
-    okada_matrix_weight, okada_stats, state_to_matrix,
+    matrix_layout, okada_matrix_weight, okada_stats, state_to_matrix,
 )
 from bentice.laurent import LaurentPoly, Var
-from bentice.models import build_model
+from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states, state_weight
 from bentice.weights import make_okada
 
@@ -50,6 +51,10 @@ class TestIndependentEnumerators:
         assert not is_asm(((0, 1), (0, 1)))
         assert is_asm(identity_matrix(3))
 
+    def test_is_asm_rejects_ragged_rows(self):
+        assert not is_asm(((1, 0), (0, 1, 0)))
+        assert not is_asm(((1, 0, 0), (0, 1), (0, 0, 1)))
+
 
 def is_asm_per_cell(matrix) -> bool:
     """The cell-by-cell ASM test that the row-by-row one replaced, kept as an oracle."""
@@ -81,6 +86,42 @@ def half_turn_image(matrix) -> tuple:
     return tuple(tuple(reversed(row)) for row in reversed(matrix))
 
 
+def random_matrices():
+    """3000 random matrices, square about half the time, each followed by
+    its top half completed by half-turn symmetry and by that completion
+    with one cell changed."""
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        nrows, ncols = rng.randint(1, 6), rng.choice([None, rng.randint(1, 6)])
+        ncols = nrows if ncols is None else ncols
+        low = rng.choice([-2, -1, 0])
+        matrix = tuple(tuple(rng.randint(low, min(low + 2, 2)) for _ in range(ncols))
+                       for _ in range(nrows))
+        yield matrix
+        # complete the top half by half-turn symmetry, then maybe break one cell
+        top = matrix[:(nrows + 1) // 2]
+        symmetric = [list(row) for row in top + half_turn_image(top)[nrows % 2:]]
+        if nrows % 2:
+            middle = symmetric[nrows // 2]
+            middle[ncols // 2:] = reversed(middle[:(ncols + 1) // 2])
+        assert is_half_turn_symmetric_per_cell(symmetric)
+        yield tuple(map(tuple, symmetric))
+        symmetric[rng.randrange(nrows)][rng.randrange(ncols)] = rng.randint(-2, 2)
+        yield tuple(map(tuple, symmetric))
+
+
+def one_cell_changes(n):
+    """Every n x n ASM, each followed by its copies with one cell set to -2..2."""
+    for matrix in asm_matrices(n):
+        yield matrix
+        for i in range(n):
+            for j in range(n):
+                for v in (-2, -1, 0, 1, 2):
+                    rows = [list(row) for row in matrix]
+                    rows[i][j] = v
+                    yield tuple(map(tuple, rows))
+
+
 class TestRowByRowChecksAgreeWithThePerCellOracles:
     @staticmethod
     def agree(matrix):
@@ -92,33 +133,135 @@ class TestRowByRowChecksAgreeWithThePerCellOracles:
     def test_every_asm_and_its_one_cell_changes(self, n):
         for matrix in asm_matrices(n):
             assert is_asm(matrix)
+        for matrix in one_cell_changes(n):
             self.agree(matrix)
-            for i in range(n):
-                for j in range(n):
-                    for v in (-2, -1, 0, 1, 2):
-                        rows = [list(row) for row in matrix]
-                        rows[i][j] = v
-                        self.agree(tuple(map(tuple, rows)))
 
     def test_random_matrices(self):
-        rng = random.Random(20261019)
-        for _ in range(3000):
-            nrows, ncols = rng.randint(1, 6), rng.choice([None, rng.randint(1, 6)])
-            ncols = nrows if ncols is None else ncols      # square about half the time
-            low = rng.choice([-2, -1, 0])
-            matrix = tuple(tuple(rng.randint(low, min(low + 2, 2)) for _ in range(ncols))
-                           for _ in range(nrows))
+        for matrix in random_matrices():
             self.agree(matrix)
-            # complete the top half by half-turn symmetry, then maybe break one cell
-            top = matrix[:(nrows + 1) // 2]
-            symmetric = [list(row) for row in top + half_turn_image(top)[nrows % 2:]]
-            if nrows % 2:
-                middle = symmetric[nrows // 2]
-                middle[ncols // 2:] = reversed(middle[:(ncols + 1) // 2])
-            assert is_half_turn_symmetric_per_cell(symmetric)
-            self.agree(tuple(map(tuple, symmetric)))
-            symmetric[rng.randrange(nrows)][rng.randrange(ncols)] = rng.randint(-2, 2)
-            self.agree(tuple(map(tuple, symmetric)))
+
+
+class TestOkadaStatsChecksEveryRow:
+    ASM_MESSAGE = "^statistics need a completed square ASM$"
+
+    def raises_exactly_on_non_asms(self, matrix):
+        for form in (matrix, [list(row) for row in matrix]):
+            if is_asm_per_cell(form):
+                try:
+                    okada_stats(form)
+                except AsmError as exc:
+                    assert str(exc) != "statistics need a completed square ASM", matrix
+            else:
+                with pytest.raises(AsmError, match=self.ASM_MESSAGE):
+                    okada_stats(form)
+
+    def test_random_matrices(self):
+        for matrix in random_matrices():
+            self.raises_exactly_on_non_asms(matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_asm_and_its_one_cell_changes(self, n):
+        for matrix in one_cell_changes(n):
+            self.raises_exactly_on_non_asms(matrix)
+
+
+def row_step_by_definition(column_sums, row):
+    """Oracle: what ``asm._row_step`` returns, each part from its definition."""
+    size = len(column_sums)
+    partials = [sum(row[:k + 1]) for k in range(len(row))]
+    new = tuple(c + v for c, v in zip(column_sums, row))
+    if len(row) != size or any(p not in (0, 1) for p in partials) or sum(row) != 1 \
+            or any(c not in (0, 1) for c in new):
+        return None
+    inv = sum(row[l] * column_sums[j] for l in range(size) for j in range(l + 1, size))
+    # delta_j = n - j - 1/2 at size 2n, doubled
+    dot = sum(row[j] * (size - 1 - 2 * j) for j in range(size))
+    right = [row[j] for j in range(size) if j >= size // 2]
+    return new, inv, list(row).count(-1), dot, right.count(1), right.count(-1)
+
+
+class TestRowStep:
+    @pytest.mark.parametrize("size, entries", [
+        (1, (-2, -1, 0, 1, 2)), (2, (-2, -1, 0, 1, 2)), (3, (-2, -1, 0, 1, 2)),
+        (4, (-2, -1, 0, 1, 2)), (5, (-1, 0, 1)), (6, (-1, 0, 1))])
+    def test_every_row_against_every_0_1_column_sums(self, size, entries):
+        rows = list(itertools.product(entries, repeat=size))
+        for column_sums in itertools.product((0, 1), repeat=size):
+            for row in rows:
+                assert asm._row_step(column_sums, row) == \
+                    row_step_by_definition(column_sums, row), (column_sums, row)
+
+    def test_a_row_of_another_length_fails(self):
+        assert asm._row_step((0, 0), (1,)) is None
+        assert asm._row_step((0, 0), (0, 1, 0)) is None
+
+
+_CELL = {"c2": 1, "c1": -1}
+
+
+def state_to_matrix_per_state(state) -> tuple:
+    """The dictionary as it was before the cell layout was compiled per
+    model, kept as an oracle: it rebuilds the grid shape and every vertex's
+    cell for each state."""
+    spec = state.spec
+    if spec.family == "BC":
+        raise AsmError("BC states export via transposition of the D family; "
+                       "no direct matrix dictionary")
+    half_turn = spec.family != "A"
+    nrows = len(spec.rows)
+    n_full = len(spec.full_cols)
+    has_center_col = spec.half_col is not None
+    ncols = 2 * n_full + (1 if has_center_col else 0) if half_turn else n_full
+    row_at = {r: i for i, r in enumerate(spec.rows)}
+    col_at = {c: j for j, c in enumerate(spec.full_cols)}
+    if has_center_col:
+        col_at[spec.half_col] = n_full
+    grid = [[None] * ncols for _ in range(nrows)]
+    orientation = state.orientation
+    for unit, bits_of in spec.unit_table:
+        if unit.kind == "vertex":
+            row, col = unit.label
+            i, j = row_at[row], col_at[col]
+            grid[i][j] = _CELL.get(unit.tag_of[bits_of(orientation)], 0)
+            if half_turn:
+                grid[nrows - 1 - i][ncols - 1 - j] = grid[i][j]
+    if has_center_col and nrows % 2 == 1:
+        ci, cj = nrows // 2, ncols // 2
+        if grid[ci][cj] is None:
+            col_sum = sum(grid[i][cj] for i in range(nrows) if i != ci)
+            grid[ci][cj] = 1 - col_sum
+            if grid[ci][cj] not in (-1, 0, 1):
+                raise AsmError("center cell completion out of range")
+    if any(None in row for row in grid):
+        raise AsmError("incomplete matrix")
+    return tuple(tuple(row) for row in grid)
+
+
+# every family with a dictionary at every strict lambda with n <= 3 and
+# lambda_1 <= 4 (C[4,3,1] among them), and B[4,3,2,1]
+DICTIONARY_CASES = [(family, list(lam)) for family in FAMILIES if family != "BC"
+                    for n in range(1, 4)
+                    for lam in itertools.combinations(range(4, 0, -1), n)]
+DICTIONARY_CASES.append(("B", [4, 3, 2, 1]))
+
+
+@pytest.mark.parametrize("family, lam", DICTIONARY_CASES,
+                         ids=[f"{family}[{','.join(map(str, lam))}]"
+                              for family, lam in DICTIONARY_CASES])
+def test_state_to_matrix_matches_the_per_state_dictionary(family, lam):
+    states = enumerate_states(build_model(family, lam))
+    assert states
+    for state in states:
+        assert state_to_matrix(state) == state_to_matrix_per_state(state)
+
+
+def test_family_bc_has_no_layout():
+    spec = build_model("BC", [2, 1])
+    message = "^BC states export via transposition of the D family; no direct matrix dictionary$"
+    with pytest.raises(AsmError, match=message):
+        matrix_layout(spec)
+    with pytest.raises(AsmError, match=message):
+        state_to_matrix(enumerate_states(spec)[0])
 
 
 class TestDictionary:

@@ -106,6 +106,16 @@ class TestExitCodes:
         code, _ = invoke(capsys, "enumerate", "--family", "A", "--lambda", "3,3")
         assert code == EXIT_INPUT
 
+    def test_asm_rejects_family_bc_before_enumerating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("asm --family BC enumerated the states")
+
+        monkeypatch.setattr(cli, "enumerate_states", refuse)
+        code, report = invoke(capsys, "asm", "--family", "BC", "--lambda", "2,1")
+        assert code == EXIT_INPUT
+        assert report == {"verb": "asm", "error": "BC states export via transposition "
+                          "of the D family; no direct matrix dictionary"}
+
     def test_cap_exceeded(self, capsys):
         code, _ = invoke(capsys, "enumerate", "--family", "A", "--lambda", "9,1")
         assert code == EXIT_CAP

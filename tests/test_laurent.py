@@ -71,6 +71,20 @@ class TestRingBasics:
         with pytest.raises(MixedBankError):
             g + d
 
+    def test_a_value_whose_variables_cancel_keeps_its_bank(self):
+        g = LaurentPoly.var(Var.a1(1))
+        d = LaurentPoly.var(Var.x(1))
+        # a sum keeps its bank as a product does, however the constant was made
+        for constant in (g + 1 - g, g * g ** -1, LaurentPoly.sum([g, 1 - g])):
+            assert constant == LaurentPoly.const(1) and constant.bank == g.bank
+            with pytest.raises(MixedBankError):
+                constant * d
+            with pytest.raises(MixedBankError):
+                constant + d
+        # a zero keeps no bank
+        assert (g - g).bank is None
+        assert (g - g) * d == LaurentPoly.zero()
+
     def test_negative_power_of_a_unit_monomial(self):
         for c in (GONE, -GONE, GI, -GI):
             p = LaurentPoly.term(c, [(X, 1)])
