@@ -14,8 +14,10 @@ deformed-denominator factors (one shared t), whose quotient is the Schur
 function.
 
 A randomized Gaussian-integer evaluation of Z and the whole factor list
-runs before the exact divisions; a point refuting divisibility while
-every exact division succeeds would mean the suite itself is broken, and
+runs before the exact division; both pack Z and the factors once, in the
+packed layout of bentice.laurent, and the exact division divides by
+every factor in turn in one call.  A point refuting divisibility while
+the exact division succeeds would mean the suite itself is broken, and
 raises.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .laurent import GI, GInt, LaurentPoly, Var, dense_key
+from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
 from .models import build_model, row_layout
 from .states import partition_function
 from .weights import WeightScheme, crossing, make_scheme
@@ -168,24 +170,32 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
                           rng: random.Random, trials: int = 5):
     """(False, point) only with a witness that dens' product does not divide num.
 
-    Clears num and every divisor once (see LaurentPoly.clearing_shift).
-    At each random Gaussian-integer point it evaluates the cleared num
-    once and divides that value by each cleared divisor's value in turn,
-    exactly in Z[i]; a point where a divisor's value is zero is drawn
-    again.  Clearing strips every monomial factor and Z[i][x] is a UFD, so
+    Clears num and every divisor once (see LaurentPoly.clearing_shift)
+    and packs them into one layout (see laurent._Packed), in which every
+    point is valued.  At each random Gaussian-integer point it values the
+    cleared num once and divides that value by each cleared divisor's
+    value in turn, exactly in Z[i]; a point where a divisor's value is
+    zero is drawn again, so a zero divisor raises ZeroDivisorError up
+    front.  Clearing strips every monomial factor and Z[i][x] is a UFD, so
     if the divisors' product divides num, the cleared divisors' product
     divides the cleared num and every chained value division succeeds: a
     refuting point is conclusive, and True is only probabilistic.
     """
-    nc, *dcs = (p * LaurentPoly.term(1, p.clearing_shift()) for p in (num, *dens))
-    variables = nc.variables().union(*(d.variables() for d in dcs))
+    if any(d.is_zero() for d in dens):
+        raise ZeroDivisorError("division by the zero polynomial")
+    packed = _Packed.cleared((num, *dens))
+    divisors = range(1, len(dens) + 1)  # the divisors' places in the layout
+    # the cleared polynomials' variables() and their union, filled in the
+    # same order, so the points are drawn in the same order too
+    variables = packed.variables(0).union(*map(packed.variables, divisors))
     done = 0
     while done < trials:
         point = _random_point(variables, rng)
-        dvals = [d.evaluate(point) for d in dcs]
+        powers = packed.powers(point)
+        dvals = [packed.value(k, powers) for k in divisors]
         if any(dval.is_zero() for dval in dvals):
             continue
-        value = nc.evaluate(point)
+        value = packed.value(0, powers)
         for dval in dvals:
             value = value.exact_div(dval)
             if value is None:
@@ -196,12 +206,12 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
 
 def divisibility_check(family: str, lam, regime: str,
                        seed: int = 0) -> LaurentPoly:
-    """Divide Z sequentially by every stated factor; return the quotient.
+    """Divide Z by every stated factor in one chained division; return the quotient.
 
-    Raises DivisibilityError naming the offending factor if any division
-    leaves a remainder (which would refute the identity at this instance),
-    and SuiteSelfCheckError if the pre-check, run once on Z and the whole
-    factor list, refutes a divisibility that every exact division confirms.
+    Raises DivisibilityError naming the first factor that leaves a
+    remainder (which would refute the identity at this instance), and
+    SuiteSelfCheckError if the pre-check, run once on Z and the whole
+    factor list, refutes a divisibility that the exact division confirms.
     """
     spec = build_model(family, lam)
     factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
@@ -209,13 +219,16 @@ def divisibility_check(family: str, lam, regime: str,
     factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
     z = partition_function(spec, make_scheme(regime, family, spec.n))
     ok, point = probabilistic_divides(z, factors, random.Random(seed))
-    quotient = z
-    for f in factors:
-        q = quotient.exact_divide(f)
-        if q is None:
-            raise DivisibilityError(
-                f"factor {f.to_latex()} does not divide Z({family}^{list(lam)}) [{regime}]")
-        quotient = q
+    quotient = z.exact_divide(*factors)
+    if quotient is None:
+        # divide again one factor at a time to name the first that fails
+        rest = z
+        for f in factors:
+            rest = rest.exact_divide(f)
+            if rest is None:
+                break
+        raise DivisibilityError(
+            f"factor {f.to_latex()} does not divide Z({family}^{list(lam)}) [{regime}]")
     if not ok:
         raise SuiteSelfCheckError(
             f"value check refuted divisibility at {point} but exact division succeeded")

@@ -21,13 +21,17 @@ Conventions baked into the representation:
   index), with implicit zero exponents: for one operation at a time,
   ``dense_key`` lays each monomial out as a dense exponent tuple over the
   sorted variables involved, and native tuple order is the monomial order.
+- Exact division and evaluation run in one private packed layout
+  (``_Packed``): each operand is cleared once (``clearing_shift``), every
+  monomial becomes one int with a guarded slot per variable, in which int
+  order is the monomial order, and coefficients are ``(re, im)`` int
+  pairs.  Only a final quotient is unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 GENERIC = 0
@@ -218,6 +222,21 @@ def _mono_pow(m: Monomial, k: int) -> Monomial:
     if k == 0:
         return ()
     return tuple((v, e * k) for v, e in m)
+
+
+def _exponent_bounds(terms) -> dict:
+    """Each variable's least and greatest exponent over the monomials, a
+    monomial without the variable counting as exponent 0."""
+    exps: dict = {}
+    for m in terms:
+        for v, e in m:
+            if v in exps:
+                exps[v].append(e)
+            else:
+                exps[v] = [e]
+    n = len(terms)
+    return {v: (min(es), max(es)) if len(es) == n else (min(0, *es), max(0, *es))
+            for v, es in exps.items()}
 
 
 def dense_key(m: Monomial, order: list) -> tuple:
@@ -439,16 +458,6 @@ class LaurentPoly:
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
-    def total_degree(self) -> Optional[int]:
-        """Max total degree over terms; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e for _, e in m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e for _, e in m) for m in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self) -> list:
         order = sorted(self.variables())
         return sorted(self.terms.items(), key=lambda it: dense_key(it[0], order))
@@ -479,97 +488,61 @@ class LaurentPoly:
         """Exact value at a Gaussian-integer point covering all variables.
 
         The value stays in Z[i] only without negative exponents, so those
-        must be cleared first (see clearing_shift).
+        must be cleared first (see clearing_shift).  The polynomial is
+        packed as it stands and valued by the pre-check's routine
+        (see _Packed.value).
         """
-        powers: dict = {}
-        total = GZERO
-        for m, c in self.terms.items():
-            val = c
+        for m in self.terms:
             for v, e in m:
                 if e < 0:
                     raise ValueError(
                         f"{v.name()} has a negative exponent; clear negative exponents first")
-                power = powers.get((v, e))
-                if power is None:
-                    if v not in point:
-                        raise KeyError(f"no value for {v.name()}")
-                    power = powers[(v, e)] = point[v] ** e
-                val = val * power
-            total = total + val
-        return total
+        packed = _Packed((self,), ((),))
+        return packed.value(0, packed.powers(point))
 
     def clearing_shift(self) -> Monomial:
         """The unit monomial that shifts each variable by minus its least exponent.
 
-        Its product with self has no negative exponent and no monomial
-        factor, so a cleared divisor divides a cleared dividend exactly when
-        the Laurent polynomials divide.
+        A monomial without the variable counts as exponent 0.  The product
+        with self has no negative exponent and no monomial factor, so a
+        cleared divisor divides a cleared dividend exactly when the Laurent
+        polynomials divide.
         """
-        mins: dict = {}
-        for m in self.terms:
-            for v, e in m:
-                if e < mins.get(v, 0):
-                    mins[v] = e
-        # the monomial factor: each variable with a positive exponent in every term
-        common = dict(next(iter(self.terms), ()))
-        for m in self.terms:
-            if not common:
-                break
-            common = {v: min(e, common[v]) for v, e in m if e > 0 and v in common}
-        return tuple(sorted((v, -e) for v, e in {**mins, **common}.items()))
+        return tuple(sorted((v, -lo) for v, (lo, _) in _exponent_bounds(self.terms).items()
+                            if lo))
 
     # -- division --------------------------------------------------------
-    def exact_divide(self, d: "LaurentPoly") -> Optional["LaurentPoly"]:
-        """Quotient self/d when d divides exactly, else None.
+    def exact_divide(self, *divisors: "LaurentPoly") -> Optional["LaurentPoly"]:
+        """Quotient of self by the product of the divisors when exact, else None.
 
-        Both operands are shifted by monomials to clear negative
-        exponents and laid out as dense exponent tuples over their joint
-        variables, then single-divisor multivariate division runs under
-        the lexicographic order; remainder zero iff divisible (for one
-        divisor the leading term of d must divide the leading term of
-        the remainder at every step).  The quotient is shifted back.
-        Clearing also removes every monomial factor (see clearing_shift),
-        so this decides divisibility in the Laurent ring: 1 / x_1 is x_1^-1.
+        Every operand is cleared once (see clearing_shift) and packed into
+        one layout (see _Packed); self is divided by each divisor in turn,
+        each quotient being the next dividend.  One division runs under
+        the lexicographic order and is exact iff its remainder is zero
+        (for one divisor the leading term of d must divide the leading
+        term of the remainder at every step).  Only the final quotient is
+        unpacked and shifted back.  Clearing also removes every monomial
+        factor, so this decides divisibility in the Laurent ring: 1 / x_1
+        is x_1^-1.  As in ``prod``, the empty product is 1.
         """
-        if d.is_zero():
+        if any(d.is_zero() for d in divisors):
             raise ZeroDivisorError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        _check_bank(self.bank, d.bank)
-
-        mp, md = self.clearing_shift(), d.clearing_shift()
-        order = sorted(self.variables() | d.variables())
-        rem = {dense_key(_mono_mul(m, mp), order): c for m, c in self.terms.items()}
-        den = {dense_key(_mono_mul(m, md), order): c for m, c in d.terms.items()}
-
-        dlead = max(den)
-        dlc = den[dlead]
-        quo: dict = {}
-        # the remainder's monomials, negated so the heap's least is its leading
-        # one; a monomial is pushed when it enters rem, and one popped after it
-        # cancelled is skipped (Monagan-Pearce, CASC 2007)
-        heap = [tuple(map(neg, m)) for m in rem]
-        heapify(heap)
-        while rem:
-            rlead = tuple(map(neg, heappop(heap)))
-            if rlead not in rem:
-                continue
-            qm = tuple(map(sub, rlead, dlead))
-            if min(qm, default=0) < 0:
-                return None
-            qc = rem[rlead].exact_div(dlc)
-            if qc is None:
-                return None
-            quo[qm] = qc
-            for m, c in den.items():
-                key = tuple(map(add, m, qm))
-                if key not in rem:
-                    heappush(heap, tuple(map(neg, key)))
-                _add_term(rem, key, -(qc * c))
-        # undo the clearing shifts: quotient picks up md / mp
-        shift = _mono_mul(md, _mono_pow(mp, -1))
-        return LaurentPoly({_mono_mul(tuple((v, e) for v, e in zip(order, qm) if e), shift): c
-                            for qm, c in quo.items()})
+        for d in divisors:
+            _check_bank(self.bank, d.bank)
+        packed = _Packed.cleared((self, *divisors))
+        quo = packed.quotient()
+        if quo is None:
+            return None
+        # undo the clearing shifts: the quotient picks up each divisor's
+        # shift and loses self's
+        back: dict = {}
+        for k, shift in enumerate(packed.shifts):
+            for v, e in shift.items():
+                back[v] = back.get(v, 0) + (e if k else -e)
+        return LaurentPoly({packed.unpack(key, back): GInt(re, im)
+                            for key, (re, im) in quo.items()})
 
     # -- rendering ---------------------------------------------------------
     def to_json(self) -> dict:
@@ -603,6 +576,189 @@ class LaurentPoly:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LaurentPoly({self.to_latex()})"
+
+
+class _Packed:
+    """Polynomials packed into one int per monomial over their joint variables.
+
+    Each operand is multiplied by its own shift monomial (its clearing
+    shift, or none for a polynomial without negative exponents), so every
+    exponent is nonnegative.  The operands' joint variables, sorted, each
+    own one slot of ``width`` bits, enough for the largest shifted
+    exponent, with a guard bit above it; the first variable holds the
+    highest slot.  So int order is the lexicographic monomial order (the
+    order of dense_key tuples), the product of two monomials is the sum of
+    their ints, and b divides a exactly when ``(a | guard) - b`` keeps
+    every guard bit.  A sum of two slots carries at most into its guard
+    bit, never into the next slot.  Coefficients are (re, im) int pairs.
+    """
+
+    __slots__ = ("offsets", "width", "mask", "guard", "shifts", "terms")
+
+    def __init__(self, polys, shifts):
+        bounds = [_exponent_bounds(p.terms) for p in polys]
+        self.shifts = [dict(shift) for shift in shifts]
+        top = max((hi + shift.get(v, 0) for b, shift in zip(bounds, self.shifts)
+                   for v, (_, hi) in b.items()), default=0)
+        self.width = top.bit_length() or 1
+        self.mask = (1 << self.width) - 1
+        order = sorted(set().union(*bounds))
+        # each variable's slot offset, the first variable's the highest
+        self.offsets = {v: (len(order) - 1 - i) * (self.width + 1) for i, v in enumerate(order)}
+        self.guard = sum(1 << (o + self.width) for o in self.offsets.values())
+        self.terms = []
+        for p, shift in zip(polys, self.shifts):
+            base = self.pack(shift.items())
+            self.terms.append({base + self.pack(m): (c.re, c.im) for m, c in p.terms.items()})
+
+    @classmethod
+    def cleared(cls, polys) -> "_Packed":
+        """The polynomials packed, each cleared by its clearing_shift."""
+        return cls(polys, [p.clearing_shift() for p in polys])
+
+    def pack(self, m) -> int:
+        """The sum of m's exponents, each moved to its variable's slot.
+
+        For exponents that fit the slots this is the packed monomial; an
+        operand's monomial plus its shift is packed as the sum of the two
+        ints, exact whatever the signs, since the shifted exponents fit.
+        """
+        offsets = self.offsets
+        return sum([e << offsets[v] for v, e in m])
+
+    def unpack(self, key: int, back: Mapping[Var, int]) -> Monomial:
+        """The monomial of a packed int, each exponent shifted by back."""
+        mask = self.mask
+        return tuple((v, e) for v, o in self.offsets.items()
+                     if (e := (key >> o & mask) + back.get(v, 0)))
+
+    # -- division ----------------------------------------------------------
+    def quotient(self) -> Optional[dict]:
+        """The first operand divided by each of the others in turn, or None
+        once a division leaves a remainder."""
+        quo = self.terms[0]
+        for den in self.terms[1:]:
+            quo = self._divide(quo, den)
+            if quo is None:
+                return None
+        return quo
+
+    def _divide(self, num: dict, den: dict) -> Optional[dict]:
+        """num / den, or None if den does not divide num exactly.
+
+        Division under the lexicographic order: the remainder's monomials
+        are kept on a heap, negated so that its least is the leading one;
+        a monomial is pushed when it enters the remainder, and one popped
+        after it cancelled is skipped (Monagan-Pearce, CASC 2007).  If den
+        divides num, each step's quotient monomial is one of the
+        quotient's, so every monomial of den times it lies in the Newton
+        polytope of num, and no slot exceeds num's largest exponent: a
+        set guard bit proves a remainder.
+        """
+        guard = self.guard
+        dlead = max(den)
+        dre, dim = den[dlead]
+        norm = dre * dre + dim * dim
+        tail = [(m, re, im) for m, (re, im) in den.items() if m != dlead]
+        rem = dict(num)
+        heap = [-m for m in rem]
+        heapify(heap)
+        quo: dict = {}
+        while rem:
+            lead = -heappop(heap)
+            coeff = rem.pop(lead, None)
+            if coeff is None:
+                continue
+            qm = (lead | guard) - dlead
+            if qm & guard != guard:
+                return None
+            qm ^= guard
+            re, im = coeff
+            re, im = re * dre + im * dim, im * dre - re * dim
+            if re % norm or im % norm:
+                return None
+            qre, qim = re // norm, im // norm
+            quo[qm] = (qre, qim)
+            # the leading terms cancel; subtract the rest of den times the step
+            for m, cre, cim in tail:
+                key = m + qm
+                if key & guard:
+                    return None
+                sre, sim = qre * cre - qim * cim, qre * cim + qim * cre
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = (-sre, -sim)
+                    heappush(heap, -key)
+                elif old == (sre, sim):
+                    del rem[key]
+                else:
+                    rem[key] = (old[0] - sre, old[1] - sim)
+        return quo
+
+    # -- evaluation --------------------------------------------------------
+    def powers(self, point: Mapping[Var, GInt]) -> list:
+        """(offset, powers of the value) for each slot that a monomial uses.
+
+        Each slot's list runs from the 0th power up to the bitwise or of
+        the operands' exponents there, at least the largest of them.
+        """
+        used = 0
+        for terms in self.terms:
+            for key in terms:
+                used |= key
+        mask = self.mask
+        tables = []
+        for v, o in self.offsets.items():
+            top = used >> o & mask
+            if not top:
+                continue
+            if v not in point:
+                raise KeyError(f"no value for {v.name()}")
+            x = point[v]
+            re, im = 1, 0
+            table = [(1, 0)]
+            for _ in range(top):
+                re, im = re * x.re - im * x.im, re * x.im + im * x.re
+                table.append((re, im))
+            tables.append((o, table))
+        return tables
+
+    def value(self, k: int, powers: list) -> GInt:
+        """Operand k's value at the point whose powers are given."""
+        mask = self.mask
+        total_re = total_im = 0
+        for key, (re, im) in self.terms[k].items():
+            for o, table in powers:
+                e = key >> o & mask
+                if e:
+                    pre, pim = table[e]
+                    re, im = re * pre - im * pim, re * pim + im * pre
+            total_re += re
+            total_im += im
+        return GInt(total_re, total_im)
+
+    def variables(self, k: int) -> set:
+        """The variables of operand k once shifted, added to the set in the
+        order that polynomial's variables() adds them: term by term, each
+        term's in sorted order.  A set's iteration order can depend on the
+        order its members were added, and points are drawn in it."""
+        used = 0
+        for key in self.terms[k]:
+            used |= key
+        mask = self.mask
+        pending = [(v, o) for v, o in self.offsets.items() if used >> o & mask]
+        out = set()
+        for key in self.terms[k]:
+            if not pending:
+                break
+            missing = []
+            for v, o in pending:
+                if key >> o & mask:
+                    out.add(v)
+                else:
+                    missing.append((v, o))
+            pending = missing
+        return out
 
 
 def _render_var_power(v: Var, e: int) -> str:

@@ -1,7 +1,7 @@
-"""Source-level guards: the package computes exactly, with no floats,
-imports every module it uses at the top, where import cycles show,
-keeps the enumeration caps in the command line alone, and prints reports
-through one writer."""
+"""Source-level guards: the package computes exactly, with no floats and
+no true division, imports every module it uses at the top, where import
+cycles show, keeps the enumeration caps in the command line alone, and
+prints reports through one writer."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,21 @@ def test_no_module_imports_fractions_or_calls_float():
     offenders = {path.name: uses for path in SOURCES
                  if (uses := inexact_uses(ast.parse(path.read_text())))}
     assert offenders == {}
+
+
+def true_divisions(tree: ast.AST) -> list:
+    """Lines of the / and /= operators, which give floats on ints."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+
+
+def test_no_module_divides_with_a_slash():
+    # exact quotients are taken as % (to check) then //
+    offenders = {path.name: lines for path in SOURCES
+                 if (lines := true_divisions(ast.parse(path.read_text())))}
+    assert offenders == {}
+    # the guard sees both forms
+    assert sorted(true_divisions(ast.parse("a = b / c\nd /= 2\ne = f // g"))) == [1, 2]
 
 
 def test_no_module_imports_sympy():

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from bentice import identities
 from bentice.asm import state_to_matrix
 from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states
@@ -237,3 +238,37 @@ def test_model_digest(family):
               for lam in itertools.combinations(range(8, 0, -1), n)]
     blob = json.dumps(models, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == MODEL_DIGESTS[family]
+
+
+# The divisibility ladder of the benchmark: six bent families, two lambdas,
+# two schemes.  For each seed, sha256 of the JSON list of every op's drawn
+# pre-check points (each as [variable, re, im] triples in the order they
+# were drawn), symmetry verdict and quotient, recorded before the division
+# and the pre-check moved to packed monomials.
+DIVISIBILITY_LADDER = [(fam, lam, scheme) for fam in ("B", "Bstar", "C", "Cstar", "D", "BC")
+                       for lam in ([3, 2], [4, 1]) for scheme in ("generic", "deformation")]
+PRECHECK_DIGESTS = {
+    0: "b471188ca9dd12f5b869f349a18438b6d04c74fda5e74d6aa39eb393212edfeb",
+    3: "29bf2d75ec042197e781bf6c41af80fd0e832612b9dd8c6e61b14087a29cf3dc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PRECHECK_DIGESTS))
+def test_divisibility_precheck_draws_the_same_points(monkeypatch, seed):
+    drawn = []
+    real = identities._random_point
+
+    def recording(variables, rng):
+        point = real(variables, rng)
+        drawn.append([[v.name(), c.re, c.im] for v, c in point.items()])
+        return point
+
+    monkeypatch.setattr(identities, "_random_point", recording)
+    records = []
+    for fam, lam, scheme in DIVISIBILITY_LADDER:
+        drawn.clear()
+        q = identities.divisibility_check(fam, lam, scheme, seed=seed)
+        verdict = identities.quotient_symmetry_check(q, fam, len(lam), scheme)["ok"]
+        records.append({"points": list(drawn), "verdict": verdict, "quotient": q.to_json()})
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == PRECHECK_DIGESTS[seed]

@@ -11,10 +11,12 @@ from bentice.identities import (
     okada_product_check, okada_products, probabilistic_divides,
     quotient_symmetry_check, rho_check,
 )
-from bentice.laurent import GI, GInt, LaurentPoly, Var
+from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
 from bentice.models import build_model
 from bentice.states import partition_function
 from bentice.weights import make_generic, make_tokuyama
+
+from oracles import is_homogeneous, total_degree
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -206,8 +208,8 @@ class TestKnownFactor:
             for f in known_factor("B", n, "generic"):
                 product = product * f
             spec = build_model("B", list(range(n, 0, -1)))
-            assert product.is_homogeneous()
-            assert product.total_degree() == spec.vertex_count() - n
+            assert is_homogeneous(product)
+            assert total_degree(product) == spec.vertex_count() - n
 
 
 class TestRhoEqualities:
@@ -387,6 +389,18 @@ class TestProbabilisticPreCheck:
         ok, point = probabilistic_divides(num + ONE, dens, rng)
         assert not ok and point == {Var.q(1): GInt(2)}
 
+    def test_a_zero_divisor_raises_before_any_point_is_drawn(self):
+        # every point would be drawn again, for ever
+        class NoDraws:
+            def choice(self, pool):
+                raise AssertionError("a point was drawn")
+
+        with pytest.raises(ZeroDivisorError):
+            probabilistic_divides(x(1) + ONE, [x(1) + ONE, LaurentPoly.zero()], NoDraws())
+        # a cleared monomial is constant: its points have no variable to draw
+        with pytest.raises(ZeroDivisorError):
+            probabilistic_divides(x(1), [LaurentPoly.zero()], random.Random(0))
+
     def test_division_failure_raises(self, monkeypatch):
         # state a factor that is not there
         bad_factor = ONE - t(1) * t(1) * x(1)
@@ -396,3 +410,23 @@ class TestProbabilisticPreCheck:
         with pytest.raises(DivisibilityError) as exc:
             divisibility_check("B", [2, 1], "deformation")
         assert f"factor {bad_factor.to_latex()} does not divide" in str(exc.value)
+
+
+def test_the_first_factor_that_leaves_a_remainder_is_named(monkeypatch):
+    # a factor plus one keeps that factor's leading monomial, so it sorts
+    # into the middle of the list, and it does not divide Z
+    real = identities.known_factor
+    factors = real("C", 2, "deformation")
+    order = sorted({v for f in factors for v, _ in f.leading()[0]})
+
+    def ordered(fs):  # as divisibility_check orders them
+        return sorted(fs, key=lambda f: dense_key(f.leading()[0], order))
+
+    bad = ordered(factors)[2] + ONE
+    listed = factors + [bad]
+    assert ordered(listed).index(bad) == 3 < len(listed) - 1
+    monkeypatch.setattr(identities, "known_factor", lambda *args, **kwargs: list(listed))
+    with pytest.raises(DivisibilityError) as exc:
+        divisibility_check("C", [3, 1], "deformation")
+    assert str(exc.value) == (f"factor {bad.to_latex()} does not divide "
+                              "Z(C^[3, 1]) [deformation]")

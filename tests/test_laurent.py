@@ -326,6 +326,22 @@ class TestClearingShift:
         p = P((1, [(X, 2), (Y, -1)]), (3, [(X, 3)]))
         assert p.clearing_shift() == ((X, -2), (Y, 1))
 
+    def test_least_shift_randomized(self):
+        # after the shift no exponent is negative, and each variable of p
+        # has exponent 0 in some term, counting a missing variable as 0
+        rng = random.Random(5)
+        vars_ = [X, Y, Var.q(1)]
+        for _ in range(300):
+            p = LaurentPoly.sum(
+                LaurentPoly.term(1, [(v, rng.randint(-3, 3)) for v in vars_ if rng.random() < 0.6])
+                for _ in range(rng.randint(1, 4)))
+            shift = p.clearing_shift()
+            assert list(shift) == sorted(shift) and all(e for _, e in shift)
+            cleared = p * LaurentPoly.term(1, shift)
+            for v in p.variables():
+                exps = [dict(m).get(v, 0) for m in cleared.terms]
+                assert min(exps) == 0
+
 
 class TestRendering:
     def test_json_shape(self):

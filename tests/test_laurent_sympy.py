@@ -233,3 +233,17 @@ def test_order_matches_the_comparator(bank, seed):
     for m1, m2 in zip(p.terms, list(p.terms)[1:]):
         k1, k2 = dense_key(m1, order), dense_key(m2, order)
         assert (k1 > k2) - (k1 < k2) == _mono_cmp(m1, m2)
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_evaluate_at_gaussian_integer_points(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng)
+    # evaluation needs nonnegative exponents: clear them first
+    p = p * LaurentPoly.term(1, p.clearing_shift())
+    for _ in range(3):
+        point = {v: GInt(rng.randint(-3, 3), rng.randint(-3, 3)) for v in VARS}
+        value = p.evaluate(point)
+        want = sympy.expand(to_sympy(p).subs(
+            {SYMBOLS[v]: c.re + c.im * sympy.I for v, c in point.items()}))
+        assert value.re + value.im * sympy.I == want
