@@ -1,4 +1,4 @@
-"""States as sign matrices: the dictionary, statistics, and bijections.
+"""States as sign matrices: the dictionary, statistics, and the bijection.
 
 A vertex maps to +1 when both horizontal arrows point in (the orientation
 source, kind c2), to -1 when both vertical arrows point in (kind c1), and
@@ -8,9 +8,8 @@ it by half-turn symmetry, entry(i,j) = entry(N+1-i, M+1-j).
 For the B family at lambda = rho the completed matrices are exactly the
 half-turn symmetric alternating sign matrices, and the matrix statistics
 (inversion number, minus count, quartile counts) reproduce the lattice
-weights under the shared-t specialization.  Independent brute-force
-enumerators for ASMs and their half-turn symmetric subclass serve as
-oracles for the counts.
+weights under the shared-t specialization.  The statistics fold the
+matrix row by row, and the same fold is the alternating-sign test.
 """
 
 from __future__ import annotations
@@ -60,11 +59,6 @@ def state_to_matrix(state: IceState) -> tuple:
     if None in grid:
         raise AsmError("incomplete matrix")
     return tuple(zip(*[iter(grid)] * ncols))
-
-
-def is_asm(matrix) -> bool:
-    """Full alternating-sign-matrix test (square matrices)."""
-    return _row_steps(matrix) is not None
 
 
 @cache
@@ -120,48 +114,6 @@ def is_half_turn_symmetric(matrix) -> bool:
     """entry(i, j) == entry(N-1-i, M-1-j): each row is its partner row reversed."""
     return all(tuple(row) == tuple(reversed(partner))
                for row, partner in zip(matrix, reversed(matrix)))
-
-
-def asm_matrices(n: int) -> list:
-    """All n x n alternating sign matrices, by depth-first row filling."""
-    results = []
-    rows: list = []
-
-    def candidate_rows(col_partials):
-        # rows whose prefix sums stay in {0,1} and keep column partials legal
-        out = []
-
-        def rec(j, row, row_partial):
-            if j == n:
-                if row_partial == 1:
-                    out.append(tuple(row))
-                return
-            for v in (-1, 0, 1):
-                if row_partial + v in (0, 1) and col_partials[j] + v in (0, 1):
-                    row.append(v)
-                    rec(j + 1, row, row_partial + v)
-                    row.pop()
-
-        rec(0, [], 0)
-        return out
-
-    def dfs(i, col_partials):
-        if i == n:
-            if all(p == 1 for p in col_partials):
-                results.append(tuple(rows))
-            return
-        for row in candidate_rows(col_partials):
-            rows.append(row)
-            dfs(i + 1, [p + v for p, v in zip(col_partials, row)])
-            rows.pop()
-
-    dfs(0, [0] * n)
-    return results
-
-
-def htsasm_matrices(n: int) -> list:
-    """Half-turn symmetric n x n ASMs, independently of any ice model."""
-    return [m for m in asm_matrices(n) if is_half_turn_symmetric(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,54 +210,6 @@ def bijection_check(family: str, n: int, scheme=None) -> dict:
         if failures:
             break
     return {"ok": not failures, "checked": checked, "failures": failures}
-
-
-# ---------------------------------------------------------------------------
-# interleaving partition chain (family B)
-
-
-def interleave_chain(state: IceState) -> list:
-    """Up-arrow column sets between consecutive rows, top to bottom."""
-    spec = state.spec
-    if spec.family != "B":
-        raise AsmError("the partition chain is defined for family B states")
-    n = spec.n
-    chain = []
-    for gap in range(2 * n + 1):
-        parts = tuple(sorted((c for c in spec.full_cols
-                              if state.bit(("v", c, gap))), reverse=True))
-        chain.append(parts)
-    if chain[0] != spec.lam:
-        raise AsmError("chain must start at lambda")
-    if chain[-1] != ():
-        raise AsmError("chain must end empty")
-    for upper, lower in zip(chain, chain[1:]):
-        for j in range(len(lower)):
-            if not (j < len(upper) and upper[j] >= lower[j]
-                    and (j + 1 >= len(upper) or lower[j] >= upper[j + 1])):
-                raise AsmError(f"interleaving violated between {upper} and {lower}")
-        if len(lower) > len(upper):
-            raise AsmError("chain lengths may not grow downward")
-    for i in range(1, n + 2):
-        if len(chain[i - 1]) - len(chain[2 * n + 1 - i]) != n + 1 - i:
-            raise AsmError("length bookkeeping violated")
-    return chain
-
-
-def chain_to_c_matrix(chain, lam1: int) -> tuple:
-    """Row differences of the part-indicator matrix; entries in -1,0,1."""
-    b_rows = [[1 if col in parts else 0 for col in range(lam1, 0, -1)]
-              for parts in chain[:-1]]
-    out = []
-    for i in range(len(b_rows)):
-        if i + 1 < len(b_rows):
-            row = [a - b for a, b in zip(b_rows[i], b_rows[i + 1])]
-        else:
-            row = b_rows[i]
-        if any(v not in (-1, 0, 1) for v in row):
-            raise AsmError("chain differences leave -1,0,1")
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def matrix_text(matrix) -> str:

@@ -10,10 +10,9 @@ generators: adjacent swaps, plus a last-coordinate sign flip for the full
 hyperoctahedral group or the two-coordinate flip for its even subgroup).
 
 Characters are alternant ratios, with exponents kept doubled so type-B
-half-integer weights stay integral.  Everything downstream is an exact
-polynomial identity: the per-state closed forms, the bijection between
-nonzero-weight states and group elements, the character factorization of
-the partition function, and the type-A anchor identity.
+half-integer weights stay integral.  Both checks are exact polynomial
+identities: the character factorization of the partition function, and
+the type-A anchor identity.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 
 from .identities import known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
-from .models import ModelSpec, build_model, check_strict_partition
-from .states import IceState, enumerate_states, partition_function, state_weight
+from .models import build_model, check_strict_partition
+from .states import partition_function
 from .weights import make_character, make_tokuyama
 
 ONE = LaurentPoly.const(1)
@@ -53,20 +52,6 @@ class SignedPermutation:
     def act(self, alpha: tuple) -> tuple:
         """(w.alpha)_j = v_j alpha_sigma(j); alpha in doubled units."""
         return tuple(self.signs[j] * alpha[self.sigma[j] - 1] for j in range(self.n))
-
-    def det_sign(self) -> int:
-        sign = 1
-        for j in range(self.n):
-            for k in range(j + 1, self.n):
-                if self.sigma[j] > self.sigma[k]:
-                    sign = -sign
-        for v in self.signs:
-            sign *= 1 if v > 0 else -1
-        return sign
-
-
-def identity_element(n: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, n + 1)), (1,) * n)
 
 
 def _bb_oneline(w: SignedPermutation) -> list:
@@ -180,127 +165,6 @@ def family_character(family: str, n: int, mu) -> LaurentPoly:
     if chi is None:
         raise ArithmeticError("alternant ratio failed to divide exactly")
     return chi
-
-
-# ---------------------------------------------------------------------------
-# states <-> group elements under the character weights
-
-
-class CharacterBijectionError(ValueError):
-    pass
-
-
-def nonzero_weight_states(family: str, lam) -> list:
-    spec = build_model(family, lam)
-    scheme = make_character(family, spec.n)
-    out = []
-    for state in enumerate_states(spec):
-        if not state_weight(state, scheme).is_zero():
-            out.append(state)
-    return out
-
-
-def state_to_weyl(state: IceState) -> SignedPermutation:
-    """The group element encoded by the c2 positions and bend directions."""
-    spec = state.spec
-    family, lam, n = spec.family, spec.lam, spec.n
-    if family == "A":
-        raise CharacterBijectionError("type A states do not carry sign data")
-    if family == "D" and lam[-1] != 1:
-        raise CharacterBijectionError("the D-family bijection needs lambda_n = 1")
-    scheme = make_character(family, n)
-    if state_weight(state, scheme).is_zero():
-        raise CharacterBijectionError("state has weight zero under character weights")
-    kinds = state.vertex_kinds()
-    part_index = {part: k + 1 for k, part in enumerate(lam)}
-    sigma = [0] * n
-    signs = [0] * n
-    for j, label in enumerate(spec.bend_rows, 1):
-        locations = [(r, c) for (r, c), kind in kinds.items()
-                     if kind == "c2" and r in (label, label + "b")]
-        if len(locations) != 1:
-            raise CharacterBijectionError(f"row pair {j} must hold exactly one c2")
-        row, col = locations[0]
-        if col not in part_index:
-            raise CharacterBijectionError(f"c2 in column {col} outside lambda")
-        sigma[j - 1] = part_index[col]
-        if family == "D" and col == 1:
-            signs[j - 1] = 0          # resolved by parity below
-        else:
-            signs[j - 1] = -1 if row == label else 1
-    if family == "BC":
-        locations = [(r, c) for (r, c), kind in kinds.items()
-                     if kind == "c2" and r == str(n)]
-        if len(locations) != 1:
-            raise CharacterBijectionError("central row must hold exactly one c2")
-        sigma[n - 1] = part_index[locations[0][1]]
-        signs[n - 1] = 0
-    # parity completion for the even-sign families
-    if 0 in signs:
-        slot = signs.index(0)
-        minus = sum(1 for v in signs if v == -1)
-        signs[slot] = -1 if minus % 2 else 1
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise CharacterBijectionError("c2 columns do not encode a permutation")
-    return SignedPermutation(tuple(sigma), tuple(signs))
-
-
-def weyl_state_weight(w: SignedPermutation, family: str, lam) -> LaurentPoly:
-    """Closed form for the weight of the state encoding w."""
-    lam = check_strict_partition(lam)
-    n = len(lam)
-    mu = tuple(lam[j] - (n - j) for j in range(n))
-    group, vec = FAMILY_CHARACTER[family]
-    rho = weyl_vector(vec, n)
-    alpha = tuple(2 * m + r for m, r in zip(mu, rho))
-    sign = (-1) ** (length(w, group) % 2)
-    if group == HYPEROCTAHEDRAL:
-        sign *= (-1) ** (n % 2)
-    coeff = gpow_i(sum(mu)) * GInt(sign)
-    out = LaurentPoly.const(coeff) * _x_monomial(rho) * _x_monomial(w.act(alpha))
-    if family == "BC":
-        out = out.substitute({Var.x(n): ONE})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the sign statistic phi, read off the state
-
-
-def _row_gap_edge(spec: ModelSpec, row_label: str, above: bool):
-    idx = spec.rows.index(row_label)
-    return idx if above else idx + 1
-
-
-def phi_statistic(state: IceState) -> int:
-    """The per-row sign exponent of the weight computation (families B, BC)."""
-    spec = state.spec
-    family, lam, n = spec.family, spec.lam, spec.n
-    if family not in ("B", "BC"):
-        raise ValueError("phi is defined for the B and BC families")
-    w = state_to_weyl(state)
-    bends = state.bend_dirs()
-    total = 0
-    for j, row in enumerate(spec.bend_rows, 1):
-        lam_sig = lam[w.sigma[j - 1] - 1]
-        if bends[row] == "U":
-            gap = _row_gap_edge(spec, row, above=True)
-            s_j = [p for p in lam if state.bit(("v", p, gap))]
-            ell_plus = sum(1 for p in s_j if p > lam_sig)
-            total += ell_plus - n
-        else:
-            gap = _row_gap_edge(spec, row + "b", above=False)
-            s_jb = [p for p in lam if state.bit(("v", p, gap))]
-            ell_plus = sum(1 for p in s_jb if p > lam_sig)
-            total += ell_plus - j + 1
-    if family == "BC":
-        # central row: the unbarred-row convention counts parts weakly below
-        lam_sig = lam[w.sigma[n - 1] - 1]
-        gap = _row_gap_edge(spec, str(n), above=True)
-        s_n = [p for p in lam if state.bit(("v", p, gap))]
-        ell_minus = sum(1 for p in s_n if p <= lam_sig)
-        total += -ell_minus + 1
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,8 @@ def run(args) -> tuple:
         scheme = make_scheme(args.scheme or "deformation", fam, len(lam))
         _check_caps(args, fam, lam)
         spec = build_model(fam, lam)
-        states = enumerate_states(spec)
-        z = partition_function(spec, scheme, states=states)
-        data = {"scheme": scheme.name, "states": len(states)}
+        z = partition_function(spec, scheme)
+        data = {"scheme": scheme.name, "states": count_states(spec)}
         if args.emit == "latex":
             data["z"] = z.to_latex()
         else:

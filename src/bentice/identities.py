@@ -43,6 +43,10 @@ class SuiteSelfCheckError(AssertionError):
     """Probabilistic and exact divisibility verdicts disagree."""
 
 
+class PreCheckUndecidedError(ArithmeticError):
+    """The pre-check drew no point where every divisor is nonzero."""
+
+
 def _v(var):
     return LaurentPoly.var(var)
 
@@ -160,6 +164,12 @@ def spectral_actions(family: str, n: int) -> list:
 # divisibility
 
 
+# consecutive points with a vanishing divisor the pre-check draws before it
+# gives up; a nonzero divisor of degree d vanishes at a random point with
+# probability at most d / 48 (Schwartz-Zippel over the 48-value pool)
+_MAX_REDRAWS = 100
+
+
 def _random_point(variables, rng: random.Random) -> dict:
     pool = [GInt(a, b) for a in range(-3, 4) for b in range(-3, 4)
             if (a, b) != (0, 0)]
@@ -176,7 +186,9 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
     cleared num once and divides that value by each cleared divisor's
     value in turn, exactly in Z[i]; a point where a divisor's value is
     zero is drawn again, so a zero divisor raises ZeroDivisorError up
-    front.  Clearing strips every monomial factor and Z[i][x] is a UFD, so
+    front, and _MAX_REDRAWS such points in a row raise
+    PreCheckUndecidedError, naming a divisor that vanished at the last one.
+    Clearing strips every monomial factor and Z[i][x] is a UFD, so
     if the divisors' product divides num, the cleared divisors' product
     divides the cleared num and every chained value division succeeds: a
     refuting point is conclusive, and True is only probabilistic.
@@ -188,13 +200,19 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
     # the cleared polynomials' variables() and their union, filled in the
     # same order, so the points are drawn in the same order too
     variables = packed.variables(0).union(*map(packed.variables, divisors))
-    done = 0
+    done = redraws = 0
     while done < trials:
         point = _random_point(variables, rng)
         powers = packed.powers(point)
         dvals = [packed.value(k, powers) for k in divisors]
         if any(dval.is_zero() for dval in dvals):
+            redraws += 1
+            if redraws == _MAX_REDRAWS:
+                d = next(d for d, dval in zip(dens, dvals) if dval.is_zero())
+                raise PreCheckUndecidedError(
+                    f"divisor {d.to_latex()} vanished at {redraws} random points in a row")
             continue
+        redraws = 0
         value = packed.value(0, powers)
         for dval in dvals:
             value = value.exact_div(dval)

@@ -21,11 +21,11 @@ Conventions baked into the representation:
   index), with implicit zero exponents: for one operation at a time,
   ``dense_key`` lays each monomial out as a dense exponent tuple over the
   sorted variables involved, and native tuple order is the monomial order.
-- Exact division and evaluation run in one private packed layout
-  (``_Packed``): each operand is cleared once (``clearing_shift``), every
-  monomial becomes one int with a guarded slot per variable, in which int
-  order is the monomial order, and coefficients are ``(re, im)`` int
-  pairs.  Only a final quotient is unpacked.
+- Exact division and the divisibility pre-check's evaluation run in one
+  private packed layout (``_Packed``): each operand is cleared once
+  (``clearing_shift``), every monomial becomes one int with a guarded slot
+  per variable, in which int order is the monomial order, and coefficients
+  are ``(re, im)`` int pairs.  Only a final quotient is unpacked.
 """
 
 from __future__ import annotations
@@ -304,10 +304,6 @@ class LaurentPoly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _ZERO
-
-    @staticmethod
     def const(c) -> "LaurentPoly":
         return LaurentPoly({(): _coerce_coeff(c)})
 
@@ -465,7 +461,7 @@ class LaurentPoly:
     def leading(self) -> tuple:
         return self.sorted_terms()[-1]
 
-    # -- substitution / evaluation --------------------------------------
+    # -- substitution -------------------------------------------------
     def substitute(self, images: Mapping[Var, "LaurentPoly"]) -> "LaurentPoly":
         """Simultaneous substitution of variables by polynomials.
 
@@ -483,22 +479,6 @@ class LaurentPoly:
             return LaurentPoly.prod([rest, *(images[v] ** e for v, e in m if v in images)])
 
         return LaurentPoly.sum(image(m, c) for m, c in self.terms.items())
-
-    def evaluate(self, point: Mapping[Var, GInt]) -> GInt:
-        """Exact value at a Gaussian-integer point covering all variables.
-
-        The value stays in Z[i] only without negative exponents, so those
-        must be cleared first (see clearing_shift).  The polynomial is
-        packed as it stands and valued by the pre-check's routine
-        (see _Packed.value).
-        """
-        for m in self.terms:
-            for v, e in m:
-                if e < 0:
-                    raise ValueError(
-                        f"{v.name()} has a negative exponent; clear negative exponents first")
-        packed = _Packed((self,), ((),))
-        return packed.value(0, packed.powers(point))
 
     def clearing_shift(self) -> Monomial:
         """The unit monomial that shifts each variable by minus its least exponent.

@@ -17,9 +17,8 @@ table is built.
   unit's moves in the order of its configurations, and collects every
   state into a list, so state lists are deterministic and stable across
   runs.  It serves whatever needs the states themselves: JSON/TikZ
-  export, the ASM dictionary, the state bijection,
-  ``partition_function`` and the local diagrams of
-  ``relations.local_z``.
+  export, the ASM dictionary and its bijection, ``partition_function``
+  and the local diagrams of ``relations.local_z``.
 - ``contract`` never builds a state.  It keeps only the frontier, the
   bits of the edges a processed unit set and a later unit still reads,
   with one accumulated value per frontier key (a transfer-matrix sum).
@@ -198,11 +197,9 @@ def state_weight(state: IceState, scheme) -> LaurentPoly:
                             for unit, bits_of in state.spec.unit_table)
 
 
-def partition_function(spec: ModelSpec, scheme, states=None) -> LaurentPoly:
+def partition_function(spec: ModelSpec, scheme) -> LaurentPoly:
     """Sum of state weights; associative merge, order independent."""
-    if states is None:
-        states = enumerate_states(spec)
-    return LaurentPoly.sum(state_weight(s, scheme) for s in states)
+    return LaurentPoly.sum(state_weight(s, scheme) for s in enumerate_states(spec))
 
 
 # ---------------------------------------------------------------------------

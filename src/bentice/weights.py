@@ -1,4 +1,4 @@
-"""The Boltzmann weight regimes and their structural constraints.
+"""The Boltzmann weight regimes and the one weight lookup.
 
 Four built-in schemes share one shape, built by ``_free_fermion``: an entry
 table (kind, row) -> value, u-turn weights per bend row, and corner
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .laurent import GI, LaurentPoly, Var
-from .models import FAMILIES, KINDS, ModelSpec, row_layout
+from .models import FAMILIES, KINDS, row_layout
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -54,10 +54,6 @@ class WeightScheme:
 
     def row_weights(self, row: str) -> dict:
         return {k: self.vertex[(k, row)] for k in KINDS if (k, row) in self.vertex}
-
-    def delta(self, row: str) -> LaurentPoly:
-        w = self.row_weights(row)
-        return w["a1"] * w["a2"] + w["b1"] * w["b2"] - w["c1"] * w["c2"]
 
     def rows(self) -> list:
         return sorted({r for _, r in self.vertex})
@@ -217,15 +213,6 @@ def make_tokuyama(n: int) -> WeightScheme:
     return WeightScheme(name="tokuyama", family="A", n=n, vertex=entries)
 
 
-def all_ones_scheme(spec: ModelSpec) -> WeightScheme:
-    """Every weight 1: the partition function counts states."""
-    entries = {(k, r): ONE for r in spec.rows for k in KINDS}
-    up = {r: ONE for j in spec.bend_rows for r in (j, j + "b")}
-    return WeightScheme(name="ones", family=spec.family, n=spec.n,
-                        vertex=entries, bend_up=dict(up), bend_down=dict(up),
-                        corner_r=ONE, corner_l=ONE)
-
-
 BUILTIN_SCHEMES = {
     "generic": make_generic,
     "deformation": make_deformation,
@@ -252,45 +239,3 @@ def _check(family: str, n: int):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-
-
-def check_scheme(scheme: WeightScheme) -> list:
-    """Every violated structural constraint, as human-readable strings."""
-    report = []
-    rows, c = row_layout(scheme.family, scheme.n)
-    for r in rows + ((c,) if c else ()):
-        if not scheme.delta(r).is_zero():
-            report.append(f"free-fermion violated in row {r}: delta != 0")
-    for j in rows:
-        jb = j + "b"
-        for a, b in (("a1", "a2"), ("a2", "a1"), ("b1", "b2"), ("b2", "b1"),
-                     ("c1", "c1"), ("c2", "c2")):
-            if scheme.vertex.get((a, jb)) != scheme.vertex.get((b, j)):
-                report.append(f"symmetry-1 violated: {a}^({jb}) != {b}^({j})")
-    for j in rows:
-        jb = j + "b"
-        if j in scheme.bend_up and scheme.bend_up.get(j) != scheme.bend_up.get(jb):
-            report.append(f"symmetry-2 violated: U^({j}) != U^({jb})")
-        if j in scheme.bend_down and scheme.bend_down.get(j) != scheme.bend_down.get(jb):
-            report.append(f"symmetry-2 violated: D^({j}) != D^({jb})")
-    if c is not None:
-        a0 = scheme.vertex.get(("a1", c))
-        b0 = scheme.vertex.get(("b1", c))
-        if scheme.vertex.get(("a2", c)) != a0 or scheme.vertex.get(("b2", c)) != b0:
-            report.append("central-row degeneracy violated: a1/a2 or b1/b2 differ")
-        if scheme.vertex.get(("c1", c)) != a0 * a0 + b0 * b0:
-            report.append("central-row degeneracy violated: c1 != a^2 + b^2")
-    expected_down = TABLE_BEND_DOWN.get(scheme.family)
-    for r, w in scheme.bend_up.items():
-        if w != ONE:
-            report.append(f"bend convention violated: U^({r}) != 1")
-    if expected_down is not None:
-        for r, w in scheme.bend_down.items():
-            if w != expected_down:
-                report.append(f"bend convention violated: D^({r}) != table value")
-    if scheme.family == "C":
-        if scheme.corner_r != ONE:
-            report.append("corner convention violated: R != 1")
-        if scheme.corner_l != a0 - I * b0:
-            report.append("corner convention violated: L != a0 - i b0")
-    return report

@@ -13,11 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from bentice.asm import bijection_check, htsasm_matrices
+from bentice.asm import bijection_check
 from bentice.characters import (
-    EVEN_SIGNS, HYPEROCTAHEDRAL, character_theorem_check, length,
-    nonzero_weight_states, phi_statistic, state_to_weyl, tokuyama_check,
-    weyl_group,
+    EVEN_SIGNS, HYPEROCTAHEDRAL, character_theorem_check, length, tokuyama_check, weyl_group,
 )
 from bentice.cli import main as cli_main
 from bentice.identities import (
@@ -29,6 +27,8 @@ from bentice.relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
 from bentice.weights import WeightScheme, make_deformation, make_generic
+
+from oracles import htsasm_matrices, nonzero_weight_states, phi_statistic, state_to_weyl
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GInt(0, 1))

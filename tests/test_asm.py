@@ -5,14 +5,15 @@ import pytest
 
 from bentice import asm
 from bentice.asm import (
-    AsmError, OkadaStats, asm_matrices, bijection_check, chain_to_c_matrix,
-    htsasm_matrices, interleave_chain, is_asm, is_half_turn_symmetric,
-    matrix_layout, okada_matrix_weight, okada_stats, state_to_matrix,
+    AsmError, OkadaStats, bijection_check, is_half_turn_symmetric, matrix_layout,
+    okada_matrix_weight, okada_stats, state_to_matrix,
 )
 from bentice.laurent import LaurentPoly, Var
 from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states, state_weight
 from bentice.weights import make_okada
+
+from oracles import asm_matrices, chain_to_c_matrix, htsasm_matrices, interleave_chain, is_asm
 
 FIG_BSTAR_42 = (
     (1, -1, 0, 0, 1, 0, 0, 0),

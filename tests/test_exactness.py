@@ -1,14 +1,17 @@
 """Source-level guards: the package computes exactly, with no floats and
 no true division, imports every module it uses at the top, where import
-cycles show, keeps the enumeration caps in the command line alone, and
-prints reports through one writer."""
+cycles show, keeps the enumeration caps in the command line alone, prints
+reports through one writer, and holds no definition that nothing in it
+names and no import of the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bentice
 
 SOURCES = sorted(Path(bentice.__file__).parent.glob("*.py"))
+TEST_MODULES = {"tests"} | {path.stem for path in Path(__file__).parent.glob("*.py")}
 
 
 def inexact_uses(tree: ast.AST) -> list:
@@ -48,17 +51,21 @@ def test_no_module_divides_with_a_slash():
     assert sorted(true_divisions(ast.parse("a = b / c\nd /= 2\ne = f // g"))) == [1, 2]
 
 
+def absolute_imports(tree: ast.AST) -> set:
+    """The top-level names of the modules imported without a leading dot."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_no_module_imports_sympy():
     # sympy is a test-only oracle, never a dependency of the package
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert all(name.split(".")[0] != "sympy" for name in names), path.name
+        assert "sympy" not in absolute_imports(ast.parse(path.read_text())), path.name
 
 
 def nested_imports(tree: ast.Module) -> list:
@@ -106,3 +113,49 @@ def test_no_call_passes_indent():
     offenders = {path.name: lines for path in SOURCES
                  if (lines := indent_calls(ast.parse(path.read_text())))}
     assert offenders == {}
+
+
+def names_used(node: ast.AST) -> Counter:
+    """How often each name is read, as a variable, an attribute or an import."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.asname or sub.name] += 1
+    return found
+
+
+def unreferenced(trees: dict) -> list:
+    """module.name of each function, method and class (dunders excepted)
+    that no code of the modules names outside its own definition."""
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and used[node.name] == names_used(node)[node.name]):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # what only the tests call lives in tests/oracles.py
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert unreferenced(trees) == []
+    # the guard sees a dead method, and a recursion that nothing else calls
+    assert unreferenced({"m": ast.parse(
+        "class C:\n    def kept(self): pass\n    def dead(self): pass\n"
+        "def f(c): c.kept()\nf(C())\ndef loop(): loop()\n")}) == ["m.dead", "m.loop"]
+
+
+def test_no_module_imports_the_tests():
+    for path in SOURCES:
+        assert not absolute_imports(ast.parse(path.read_text())) & TEST_MODULES, path.name
+    # the guard sees both forms, and not the package's own relative imports
+    assert absolute_imports(ast.parse(
+        "import tests.oracles\nfrom oracles import zero\nfrom .states import count_states\n"
+    )) == {"tests", "oracles"}

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 
 import pytest
 
 from bentice import identities
 from bentice.identities import (
-    DivisibilityError, IndexAction, divisibility_check, known_factor,
+    DivisibilityError, IndexAction, PreCheckUndecidedError, divisibility_check, known_factor,
     okada_product_check, okada_products, probabilistic_divides,
     quotient_symmetry_check, rho_check,
 )
@@ -16,7 +17,7 @@ from bentice.models import build_model
 from bentice.states import partition_function
 from bentice.weights import make_generic, make_tokuyama
 
-from oracles import is_homogeneous, total_degree
+from oracles import evaluate, is_homogeneous, total_degree, zero
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -336,9 +337,9 @@ class ScriptedRng:
 
 def chained_value_division(num, dens, point):
     """num's value divided by each divisor's value in turn; None once one fails."""
-    value = num.evaluate(point)
+    value = evaluate(num, point)
     for d in dens:
-        value = value.exact_div(d.evaluate(point))
+        value = value.exact_div(evaluate(d, point))
         if value is None:
             return None
     return value
@@ -372,7 +373,7 @@ class TestProbabilisticPreCheck:
             assert probabilistic_divides(num, [d], random.Random(3)) == (True, None)
         ok, point = probabilistic_divides(num, dens, random.Random(3))
         assert not ok
-        assert num.evaluate(point).exact_div(dens[0].evaluate(point)) is not None
+        assert evaluate(num, point).exact_div(evaluate(dens[0], point)) is not None
         assert chained_value_division(num, dens, point) is None
 
     def test_points_where_a_divisor_vanishes_are_redrawn(self):
@@ -396,10 +397,32 @@ class TestProbabilisticPreCheck:
                 raise AssertionError("a point was drawn")
 
         with pytest.raises(ZeroDivisorError):
-            probabilistic_divides(x(1) + ONE, [x(1) + ONE, LaurentPoly.zero()], NoDraws())
+            probabilistic_divides(x(1) + ONE, [x(1) + ONE, zero()], NoDraws())
         # a cleared monomial is constant: its points have no variable to draw
         with pytest.raises(ZeroDivisorError):
-            probabilistic_divides(x(1), [LaurentPoly.zero()], random.Random(0))
+            probabilistic_divides(x(1), [zero()], random.Random(0))
+
+    def test_a_divisor_that_vanishes_at_every_point_stops_the_draws(self):
+        # d vanishes at each of the 48 values a point can give a1, so no
+        # point tests it; the pre-check must give up, not draw for ever
+        a1 = v(Var.a1(1))
+        pool = [GInt(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+        d = LaurentPoly.prod(a1 - LaurentPoly.const(c) for c in pool)
+
+        def hung(signum, frame):
+            raise TimeoutError("the pre-check is still drawing points")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(PreCheckUndecidedError) as exc:
+                probabilistic_divides(d * (a1 + ONE), [d], random.Random(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert f"divisor {d.to_latex()} vanished" in str(exc.value)
+        # nothing was refuted
+        assert not isinstance(exc.value, DivisibilityError)
 
     def test_division_failure_raises(self, monkeypatch):
         # state a factor that is not there

@@ -7,6 +7,8 @@ from bentice.laurent import (
     ZeroDivisorError,
 )
 
+from oracles import evaluate, zero
+
 
 X = Var.x(1)
 Y = Var.x(2)
@@ -14,7 +16,7 @@ Y = Var.x(2)
 
 def P(*term_specs):
     """Build a polynomial from (coeff, [(var, exp), ...]) tuples."""
-    out = LaurentPoly.zero()
+    out = zero()
     for c, pairs in term_specs:
         out = out + LaurentPoly.term(c, pairs)
     return out
@@ -37,8 +39,8 @@ class TestGInt:
 class TestRingBasics:
     def test_zero_identity(self):
         p = P((2, [(X, 1)]), (GInt(0, 3), [(Y, -2)]))
-        assert p + LaurentPoly.zero() == p
-        assert p - p == LaurentPoly.zero()
+        assert p + zero() == p
+        assert p - p == zero()
 
     def test_no_zero_coeffs_stored(self):
         p = P((1, [(X, 1)])) + P((-1, [(X, 1)]))
@@ -49,7 +51,7 @@ class TestRingBasics:
         vars_ = [Var.x(1), Var.x(2), Var.q(1)]
 
         def rand_poly():
-            out = LaurentPoly.zero()
+            out = zero()
             for _ in range(rng.randrange(4)):
                 pairs = [(v, rng.randrange(-2, 3)) for v in vars_ if rng.random() < 0.6]
                 out = out + LaurentPoly.term(
@@ -83,7 +85,7 @@ class TestRingBasics:
                 constant + d
         # a zero keeps no bank
         assert (g - g).bank is None
-        assert (g - g) * d == LaurentPoly.zero()
+        assert (g - g) * d == zero()
 
     def test_negative_power_of_a_unit_monomial(self):
         for c in (GONE, -GONE, GI, -GI):
@@ -108,7 +110,7 @@ class TestProd:
         assert LaurentPoly.prod(iter(())).terms == {(): GONE}
 
     def test_a_zero_factor_makes_zero(self):
-        factors = [P((3, [(X, 2)])), self.BINOMIAL, LaurentPoly.zero(), P((GI, [(Y, 1)]))]
+        factors = [P((3, [(X, 2)])), self.BINOMIAL, zero(), P((GI, [(Y, 1)]))]
         assert LaurentPoly.prod(factors).terms == {}
         assert chained_product(factors).is_zero()
 
@@ -142,10 +144,10 @@ class TestProd:
             LaurentPoly.prod([g, g ** -1, d])
         assert (g * g ** -1).bank == LaurentPoly.prod([g, g ** -1]).bank == g.bank
         # a zero keeps no bank
-        assert (g * LaurentPoly.zero()).bank is None
+        assert (g * zero()).bank is None
         # a zero factor ends the product before the later bank is read
-        assert LaurentPoly.prod([g, LaurentPoly.zero(), d]).is_zero()
-        assert chained_product([g, LaurentPoly.zero(), d]).is_zero()
+        assert LaurentPoly.prod([g, zero(), d]).is_zero()
+        assert chained_product([g, zero(), d]).is_zero()
 
     def test_randomized_against_the_chained_product(self):
         rng = random.Random(20261019)
@@ -162,7 +164,7 @@ class TestProd:
             if factors and rng.random() < 0.3:
                 factors.append(rng.choice(factors))
             if rng.random() < 0.1:
-                factors.insert(rng.randrange(len(factors) + 1), LaurentPoly.zero())
+                factors.insert(rng.randrange(len(factors) + 1), zero())
             product = LaurentPoly.prod(factors)
             assert product == chained_product(factors)
             assert product.bank == chained_product(factors).bank
@@ -189,7 +191,7 @@ class TestExactDivide:
 
     def test_zero_divisor_distinct_error(self):
         with pytest.raises(ZeroDivisorError):
-            P((1, [(X, 2)])).exact_divide(LaurentPoly.zero())
+            P((1, [(X, 2)])).exact_divide(zero())
 
     def test_laurent_divisor(self):
         p = P((1, [(X, 2)]), (1, [(X, -2)]))
@@ -217,7 +219,7 @@ class TestExactDivide:
         vars_ = [Var.x(1), Var.x(2)]
 
         def rand_poly():
-            out = LaurentPoly.zero()
+            out = zero()
             for _ in range(rng.randrange(1, 4)):
                 pairs = [(v, rng.randrange(0, 3)) for v in vars_ if rng.random() < 0.7]
                 out = out + LaurentPoly.term(
@@ -265,7 +267,7 @@ class TestSubstitute:
         vars_ = [Var.x(1), Var.x(2), Var.q(1)]
 
         def rand_poly(allow_neg=True):
-            out = LaurentPoly.zero()
+            out = zero()
             lo = -2 if allow_neg else 0
             for _ in range(rng.randrange(3)):
                 pairs = [(v, rng.randrange(lo, 3)) for v in vars_ if rng.random() < 0.6]
@@ -284,23 +286,23 @@ class TestSubstitute:
 class TestEvaluate:
     def test_cancellation(self):
         p = P((1, [(X, 2)])) - P((1, [(X, 2)]))
-        assert p.evaluate({X: GInt(5)}).is_zero()
+        assert evaluate(p, {X: GInt(5)}).is_zero()
 
     def test_gaussian_integer_value(self):
         p = P((2, [(X, 3), (Y, 1)]), (GInt(0, 1), [(X, 1)]), (-4, []))
         # 2 (1 + i)^3 (2 - i) + i (1 + i) - 4
-        assert p.evaluate({X: GInt(1, 1), Y: GInt(2, -1)}) == GInt(-9, 13)
+        assert evaluate(p, {X: GInt(1, 1), Y: GInt(2, -1)}) == GInt(-9, 13)
 
     def test_inverse_value(self):
         # 1/x at x = 2 leaves Z[i]: negative exponents must be cleared first
         p = P((1, [(X, -1)]))
         with pytest.raises(ValueError, match="clear negative exponents first"):
-            p.evaluate({X: GInt(2)})
+            evaluate(p, {X: GInt(2)})
 
     def test_zero_with_negative_exponent(self):
         p = P((1, [(X, -1)]))
         with pytest.raises(ValueError, match="clear negative exponents first"):
-            p.evaluate({X: GZERO})
+            evaluate(p, {X: GZERO})
 
     def test_substitute_then_evaluate_commutes(self):
         p = P((2, [(X, 3), (Y, 1)]), (GInt(0, 1), [(X, 1)]), (-4, []))
@@ -308,8 +310,8 @@ class TestEvaluate:
         cleared = p.substitute({X: P((1, [(Y, -1)]))}) * P((1, [(Y, 3)]))
         # at the units of Z[i], 1/y is again a Gaussian integer
         for y in (GONE, -GONE, GI, -GI):
-            lhs = cleared.evaluate({Y: y})
-            rhs = p.evaluate({X: GONE.exact_div(y), Y: y}) * y ** 3
+            lhs = evaluate(cleared, {Y: y})
+            rhs = evaluate(p, {X: GONE.exact_div(y), Y: y}) * y ** 3
             assert lhs == rhs
 
 
@@ -320,7 +322,7 @@ class TestClearingShift:
 
     def test_nothing_to_clear(self):
         assert P((1, [(X, 2)]), (5, [])).clearing_shift() == ()
-        assert LaurentPoly.zero().clearing_shift() == ()
+        assert zero().clearing_shift() == ()
 
     def test_monomial_factor_is_cleared(self):
         p = P((1, [(X, 2), (Y, -1)]), (3, [(X, 3)]))

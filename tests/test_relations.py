@@ -11,6 +11,8 @@ from bentice.weights import (
     WeightScheme, make_character, make_deformation, make_generic,
 )
 
+from oracles import zero
+
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
@@ -69,8 +71,7 @@ class TestBendYbe:
             bend_ybe_check(make_generic("BC", 2), 1, 2)
 
     def test_zero_bend_is_not_a_missing_one(self):
-        zero = LaurentPoly.zero()
-        s = replace(make_generic("B", 2), bend_down={"1": I, "1b": I, "2": zero, "2b": zero})
+        s = replace(make_generic("B", 2), bend_down={"1": I, "1b": I, "2": zero(), "2b": zero()})
         with pytest.raises(ValueError, match=r"^D\^\(2\) must be nonzero$"):
             bend_ybe_check(s, 1, 2)
 
@@ -108,7 +109,7 @@ class TestFish:
         assert fish_check(s, 2, "B").ok
 
     def test_zero_bend_is_error(self):
-        s = with_bend_down(make_generic("B", 1), LaurentPoly.zero())
+        s = with_bend_down(make_generic("B", 1), zero())
         with pytest.raises(ValueError):
             fish_check(s, 1, "B")
 

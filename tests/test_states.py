@@ -6,10 +6,10 @@ from bentice.laurent import LaurentPoly
 from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states, partition_function, state_tikz, state_weight
 from bentice.weights import (
-    BUILTIN_SCHEMES, all_ones_scheme, make_deformation, make_generic, make_scheme, unit_weight,
+    BUILTIN_SCHEMES, make_deformation, make_generic, make_scheme, unit_weight,
 )
 
-from oracles import is_homogeneous, total_degree
+from oracles import all_ones_scheme, is_homogeneous, total_degree
 
 
 def brute_force_orientations(spec):

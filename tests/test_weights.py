@@ -4,9 +4,11 @@ import pytest
 
 from bentice.laurent import GI, GInt, LaurentPoly, Var
 from bentice.weights import (
-    ONE, check_scheme, make_character, make_deformation, make_generic,
-    make_okada, make_scheme, make_tokuyama,
+    ONE, make_character, make_deformation, make_generic, make_okada, make_scheme,
+    make_tokuyama,
 )
+
+from oracles import check_scheme, delta
 
 
 def v(var):
@@ -36,7 +38,7 @@ class TestGeneric:
     def test_delta_zero_by_construction(self):
         s = make_generic("C", 2)
         for r in ("1", "2", "1b", "2b", "0"):
-            assert s.delta(r).is_zero()
+            assert delta(s, r).is_zero()
 
     def test_central_degeneracy(self):
         s = make_generic("Bstar", 2)
@@ -74,7 +76,7 @@ class TestDeformation:
         for fam in ("B", "Bstar", "C", "Cstar", "D"):
             s = make_deformation(fam, 2)
             for r in s.rows():
-                assert s.delta(r).is_zero(), (fam, r)
+                assert delta(s, r).is_zero(), (fam, r)
 
     def test_check_scheme_clean(self):
         assert check_scheme(make_deformation("B", 3)) == []
@@ -101,7 +103,7 @@ class TestOkada:
             n = 2 if fam != "BC" else 3
             s = make_okada(fam, n)
             for r in s.rows():
-                assert s.delta(r).is_zero(), (fam, r)
+                assert delta(s, r).is_zero(), (fam, r)
 
 
 class TestCharacter:
@@ -131,14 +133,14 @@ class TestDelta:
         spec_like = make_generic("B", 1)
         ones = {(k, "1"): ONE for k in ("a1", "a2", "b1", "b2", "c1", "c2")}
         s = spec_like.__class__(name="hand", family="B", n=1, vertex=ones)
-        assert s.delta("1") == ONE  # 1 + 1 - 1
+        assert delta(s, "1") == ONE  # 1 + 1 - 1
 
     def test_field_free_pythagorean(self):
         vals = {"a1": 3, "a2": 3, "b1": 4, "b2": 4, "c1": 5, "c2": 5}
         s = make_generic("B", 1).__class__(
             name="ff", family="B", n=1,
             vertex={(k, "1"): LaurentPoly.const(c) for k, c in vals.items()})
-        assert s.delta("1").is_zero()
+        assert delta(s, "1").is_zero()
 
 
 class TestCheckScheme:
@@ -175,4 +177,4 @@ def test_make_scheme_dispatch():
 def test_tokuyama_free_fermion():
     s = make_tokuyama(3)
     for r in ("1", "2", "3"):
-        assert s.delta(r).is_zero()
+        assert delta(s, r).is_zero()
