@@ -2,7 +2,8 @@
 
 A vertex maps to +1 when both horizontal arrows point in (the orientation
 source, kind c2), to -1 when both vertical arrows point in (kind c1), and
-to 0 otherwise.  Bent families fill the left half of a matrix and complete
+to 0 otherwise; each cell is read from the kind the state records at its
+vertex.  Bent families fill the left half of a matrix and complete
 it by half-turn symmetry, entry(i,j) = entry(N+1-i, M+1-j).
 
 For the B family at lambda = rho the completed matrices are exactly the
@@ -20,14 +21,11 @@ from itertools import accumulate
 from operator import add, mul
 
 from .laurent import LaurentPoly, Var
-from .models import VERTEX_CONFIGS, ModelSpec, build_model
+from .models import ModelSpec, build_model
 from .states import IceState, enumerate_states, state_weight
 from .weights import make_okada
 
 _CELL = {"c2": 1, "c1": -1}
-# every vertex unit lists its configurations as VERTEX_CONFIGS does, in the
-# order of its edges, so one map takes each vertex's bits to its cell
-_SIGN = {bits: _CELL.get(kind, 0) for kind, bits in VERTEX_CONFIGS.items()}
 _PARTIALS = {0, 1}
 
 
@@ -47,9 +45,9 @@ def state_to_matrix(state: IceState) -> tuple:
     """The sign matrix of a state, completed by half-turn symmetry."""
     nrows, ncols, cells, centre = matrix_layout(state.spec)
     grid = [None] * (nrows * ncols)
-    orientation = state.orientation
-    for bits_of, cell, image in cells:
-        grid[cell] = grid[image] = _SIGN[bits_of(orientation)]
+    tags = state.tags
+    for i, cell, image in cells:
+        grid[cell] = grid[image] = _CELL.get(tags[i], 0)
     # C family: the centre cell balances its column
     if centre is not None:
         middle, others = centre

@@ -27,7 +27,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from .asm import bijection_check, matrix_layout, matrix_text, okada_stats, state_to_matrix
@@ -146,6 +145,9 @@ def _check_caps(args, family, lam):
 def _pool_map(fn, items, workers):
     workers = min(workers or 1, len(items), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool loads multiprocessing, pickle and socket,
+        # which a run without workers never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

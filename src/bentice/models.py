@@ -28,16 +28,17 @@ points outward (down).
 A graph is a tuple of units (tetravalent vertices, u-turn bends, corner
 joints, and strand crossings for the local diagrams of ``relations``),
 each listing its edges together with a polarity bit: polarity True means
-"edge bit True points into this unit".  ``build_model`` emits a model's
-units in the order the engines of ``states`` sweep them: bends, the
-corner, then the columns right to left with rows top to bottom.
+"edge bit True points into this unit", and its admissible configurations
+with the tag that names each (vertex kind, U/D, R/L, crossing in-set); a
+state is the tag each unit took.  ``build_model`` emits a model's units in
+the order the engines of ``states`` sweep them: bends, the corner, then
+the columns right to left with rows top to bottom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 FAMILIES = ("A", "B", "Bstar", "C", "Cstar", "D", "BC")
@@ -95,7 +96,7 @@ class Unit:
     ``edges`` pairs each edge id with its polarity; ``configs`` is the
     tuple of admissible local assignments (bit per edge, in edge order),
     and ``tags`` names each config (vertex kind, U/D, R/L, crossing
-    in-set) for weighting.
+    in-set), the name a state records and weighs it by.
     """
 
     kind: str
@@ -103,11 +104,6 @@ class Unit:
     edges: tuple          # ((edge_id, polarity_bool), ...)
     configs: tuple        # ((bit, ...), ...)
     tags: tuple
-
-    @cached_property
-    def tag_of(self) -> dict:
-        """Local configuration (bits in edge order) -> tag."""
-        return dict(zip(self.configs, self.tags))
 
 
 def vertex_unit(row, col, n_edge, e_edge, s_edge, w_edge) -> Unit:
@@ -160,32 +156,25 @@ class ModelSpec:
     boundary: dict         # EdgeId -> bool (east / up)
     edges: tuple           # every edge id, deterministic order
 
-    def vertex_count(self) -> int:
-        """Tetravalent vertices only; bends and corners excluded."""
-        return sum(u.kind == "vertex" for u in self.units)
-
     @cached_property
-    def edge_index(self) -> dict:
-        """Edge id -> position in ``edges``."""
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def unit_table(self) -> tuple:
-        """(unit, getter of its edge bits from a state's orientation) for
-        every unit: vertices by (row, col), then the bends, then the corner."""
-        vertices = sorted((u for u in self.units if u.kind == "vertex"), key=lambda u: u.label)
-        return tuple((u, itemgetter(*(self.edge_index[e] for e, _ in u.edges)))
-                     for u in vertices + [u for u in self.units if u.kind != "vertex"])
+    def edge_sources(self) -> tuple:
+        """``(name, unit position, edge position)`` for every edge in ``edges``
+        order: where the first unit in ``units`` that touches it keeps its bit."""
+        where = {}
+        for i, unit in enumerate(self.units):
+            for k, (e, _pol) in enumerate(unit.edges):
+                where.setdefault(e, (i, k))
+        return tuple((_edge_name(e), *where[e]) for e in self.edges)
 
     @cached_property
     def cell_layout(self) -> tuple:
         """Where a state's vertices land in its sign matrix, laid out flat row
         after row: ``(nrows, ncols, cells, centre)``.
 
-        ``cells`` holds ``(getter of its edge bits, its cell, its image)`` for
-        every vertex in ``unit_table`` order.  Outside family A the grid is
-        completed by half-turn symmetry, so the image is the cell's half-turn
-        image, a cell that no vertex fills; in family A it is the cell itself.
+        ``cells`` holds ``(its position in units, its cell, its image)`` for
+        every vertex.  Outside family A the grid is completed by half-turn
+        symmetry, so the image is the cell's half-turn image, a cell that no
+        vertex fills; in family A it is the cell itself.
         ``centre`` is None, or, where no vertex fills the middle cell of a
         half column (family C), ``(that cell, the other cells of its
         column)``.
@@ -199,11 +188,11 @@ class ModelSpec:
         row_at = {r: i for i, r in enumerate(self.rows)}
         last = nrows * ncols - 1
         cells = []
-        for unit, bits_of in self.unit_table:
+        for i, unit in enumerate(self.units):
             if unit.kind == "vertex":
                 row, col = unit.label
                 cell = row_at[row] * ncols + col_at[col]
-                cells.append((bits_of, cell, last - cell if half_turn else cell))
+                cells.append((i, cell, last - cell if half_turn else cell))
         centre = None
         if self.half_col is not None and nrows % 2:
             middle = last // 2
@@ -212,32 +201,9 @@ class ModelSpec:
                 centre = (middle, tuple(k for k in column if k != middle))
         return nrows, ncols, tuple(cells), centre
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda": list(self.lam),
-            "rows": list(self.rows),
-            "columns": list(self.full_cols),
-            "half_column": self.half_col,
-            "central_row": self.central,
-            "bend_rows": list(self.bend_rows),
-            "vertex_count": self.vertex_count(),
-            "boundary": {_edge_name(e): ("out" if _outward(self, e) else "in")
-                         for e in sorted(self.boundary, key=_edge_name)},
-        }
-
 
 def _edge_name(e: EdgeId) -> str:
     return f"{e[0]}:{e[1]}:{e[2]}"
-
-
-def _outward(spec: ModelSpec, e: EdgeId) -> bool:
-    """Render a fixed boundary bit as inward/outward relative to the grid."""
-    kind, _, k = e
-    bit = spec.boundary[e]
-    if kind == "h":
-        return bit if k > 0 else not bit       # east at the right end is out
-    return bit if k == 0 else not bit          # up at the top is out
 
 
 def row_layout(family: str, n: int) -> tuple:

@@ -3,10 +3,11 @@
 Each check builds the two sides of a local identity as tiny unit graphs
 (crossings, six-vertex cells, bends, corners), enumerates every interior
 filling for every assignment of the free boundary arrows with the same
-engine that drives full models, weighs each unit with
-``weights.unit_weight`` (crossings carry ``weights.cross_weights``, which
-satisfy the star-triangle identity exactly when both rows are
-free-fermionic), and compares exact polynomials.  Verdicts are exact
+engine that drives full models, weighs each unit by the tag that engine
+records for it with ``weights.unit_weight`` (crossings carry
+``weights.cross_weights``, which satisfy the star-triangle identity
+exactly when both rows are free-fermionic), and compares exact
+polynomials.  Verdicts are exact
 polynomial statements; a failing assignment is reported as a witness.
 """
 
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .laurent import GI, LaurentPoly
 from .models import bend_unit, corner_unit, cross_unit, row_layout, vertex_unit
-from .states import enumerate_orientations
+from .states import enumerate_tags
 from .weights import WeightScheme, crossing, unit_weight
 
 I = LaurentPoly.const(GI)
@@ -27,12 +27,9 @@ I = LaurentPoly.const(GI)
 
 def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
     """Partition function of a local diagram with the given fixed arrows."""
-    index = {e: i for i, e in enumerate(dict.fromkeys(
-        [*fixed, *(e for u in units for e, _pol in u.edges)]))}
-    getters = [(u, itemgetter(*(index[e] for e, _pol in u.edges))) for u in units]
     return LaurentPoly.sum(
-        LaurentPoly.prod(unit_weight(u, u.tag_of[bits_of(bits)], scheme) for u, bits_of in getters)
-        for bits in enumerate_orientations(units, fixed, index))
+        LaurentPoly.prod(unit_weight(u, tag, scheme) for u, tag in zip(units, tags))
+        for tags in enumerate_tags(units, fixed))
 
 
 @dataclass

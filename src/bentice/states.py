@@ -13,20 +13,25 @@ its admissible ``(bits of the edges it sets, tag)``, with every
 configuration that clashes with the fixed boundary dropped once, when the
 table is built.
 
-- ``enumerate_orientations`` backtracks over a flat bit list, trying each
-  unit's moves in the order of its configurations, and collects every
-  state into a list, so state lists are deterministic and stable across
-  runs.  It serves whatever needs the states themselves: JSON/TikZ
-  export, the ASM dictionary and its bijection, ``partition_function``
-  and the local diagrams of ``relations.local_z``.
+- ``enumerate_tags`` backtracks over a flat bit list, trying each unit's
+  moves in the order of its configurations, and collects every state, as
+  the tuple of the tag each unit took, into a list, so state lists are
+  deterministic and stable across runs.  It serves whatever needs the
+  states themselves: JSON/TikZ export, the ASM dictionary and its
+  bijection, ``partition_function`` and the local diagrams of
+  ``relations.local_z``.
 - ``contract`` never builds a state.  It keeps only the frontier, the
   bits of the edges a processed unit set and a later unit still reads,
   with one accumulated value per frontier key (a transfer-matrix sum).
   ``count_states`` runs it with every unit worth 1.
 
-A state stores only its edge bits.  Its vertex kinds, bend and corner
-directions, and its weight (``weights.unit_weight`` per unit) are read
-through ``ModelSpec.unit_table``, built once per model.
+A state stores only the tag each unit of its model took, as the paper
+names a state by its local configurations (a1..c2, U/D, R/L).  Its vertex
+kinds, bend and corner directions, and its weight (``weights.unit_weight``
+per unit, in ``ModelSpec.units`` order) are read from those tags by unit
+position.  Only the exports need edge bits: JSON reads them through
+``ModelSpec.edge_sources``, built once per model, and TikZ from
+``models.VERTEX_CONFIGS``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .laurent import LaurentPoly
-from .models import ModelSpec
+from .models import VERTEX_CONFIGS, ModelSpec
 from .weights import unit_weight
 
 def move_tables(units, fixed: dict) -> list:
@@ -66,29 +71,30 @@ def move_tables(units, fixed: dict) -> list:
     return tables
 
 
-def enumerate_orientations(units, fixed: dict, index: dict) -> list:
+def enumerate_tags(units, fixed: dict) -> list:
     """Every orientation consistent with all units and the fixed edges, depth
     first, trying each unit's configurations in order.  An orientation is the
-    tuple of bits at the positions ``index`` gives the edges; an edge that no
-    unit touches and ``fixed`` omits reads False."""
+    tuple of the tag each unit took, in the order of ``units``."""
+    # the edges each unit sets take the next slice of one flat bit list
+    index, steps = {}, []
+    for reads, sets, moves in move_tables(units, fixed):
+        lo = len(index)
+        index.update((e, lo + k) for k, e in enumerate(sets))
+        steps.append((_picker([index[e] for e in reads]), lo, len(index), moves))
     bits = [False] * len(index)
-    for e, b in fixed.items():
-        bits[index[e]] = b
-    steps = [(_picker([index[e] for e in reads]), [index[e] for e in sets], moves)
-             for reads, sets, moves in move_tables(units, fixed)]
-    n_units = len(steps)
+    tags = [None] * len(steps)
     found = []
 
     def dfs(i: int):
-        if i == n_units:
-            found.append(tuple(bits))
+        if i == len(steps):
+            found.append(tuple(tags))
             return
-        read, sets, moves = steps[i]
-        for new, _tag in moves.get(read(bits), ()):
+        read, lo, hi, moves = steps[i]
+        for new, tag in moves.get(read(bits), ()):
             # a later unit only reads what this and earlier units set, so
             # each move overwrites the last and nothing needs undoing
-            for pos, bit in zip(sets, new):
-                bits[pos] = bit
+            bits[lo:hi] = new
+            tags[i] = tag
             dfs(i + 1)
 
     dfs(0)
@@ -143,18 +149,14 @@ def _picker(positions):
 
 @dataclass(frozen=True)
 class IceState:
-    """One admissible orientation of a model, with derived vertex kinds."""
+    """One admissible state of a model: the tag each unit took."""
 
     spec: ModelSpec
-    orientation: tuple     # bits aligned with spec.edges
-
-    def bit(self, edge) -> bool:
-        return self.orientation[self.spec.edge_index[edge]]
+    tags: tuple            # aligned with spec.units
 
     def _tags(self, kind: str) -> dict:
         """Map label -> tag for every unit of the given kind."""
-        return {u.label: u.tag_of[bits_of(self.orientation)]
-                for u, bits_of in self.spec.unit_table if u.kind == kind}
+        return {u.label: tag for u, tag in zip(self.spec.units, self.tags) if u.kind == kind}
 
     def vertex_kinds(self) -> dict:
         """Map (row, col) -> kind for every tetravalent vertex."""
@@ -168,11 +170,11 @@ class IceState:
         return self._tags("corner").get(())
 
     def to_json(self) -> dict:
+        configs = [u.configs[u.tags.index(tag)] for u, tag in zip(self.spec.units, self.tags)]
         return {
             "family": self.spec.family,
             "lambda": list(self.spec.lam),
-            "edges": {f"{e[0]}:{e[1]}:{e[2]}": bool(b)
-                      for e, b in zip(self.spec.edges, self.orientation)},
+            "edges": {name: configs[i][k] for name, i, k in self.spec.edge_sources},
             "kinds": {f"{r}:{c}": k for (r, c), k in sorted(self.vertex_kinds().items())},
             "bends": self.bend_dirs(),
             "corner": self.corner_dir(),
@@ -181,8 +183,7 @@ class IceState:
 
 def enumerate_states(spec: ModelSpec) -> list:
     """All admissible states, complete and in a stable deterministic order."""
-    return [IceState(spec=spec, orientation=bits)
-            for bits in enumerate_orientations(spec.units, spec.boundary, spec.edge_index)]
+    return [IceState(spec=spec, tags=tags) for tags in enumerate_tags(spec.units, spec.boundary)]
 
 
 def count_states(spec: ModelSpec) -> int:
@@ -191,10 +192,9 @@ def count_states(spec: ModelSpec) -> int:
 
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:
-    """Product of Boltzmann weights over all vertices (by row and column), bends, and corner."""
-    orientation = state.orientation
-    return LaurentPoly.prod(unit_weight(unit, unit.tag_of[bits_of(orientation)], scheme)
-                            for unit, bits_of in state.spec.unit_table)
+    """Product of Boltzmann weights over all units: vertices, bends and corner."""
+    return LaurentPoly.prod(unit_weight(unit, tag, scheme)
+                            for unit, tag in zip(state.spec.units, state.tags))
 
 
 def partition_function(spec: ModelSpec, scheme) -> LaurentPoly:
@@ -231,12 +231,10 @@ def state_tikz(state: IceState) -> str:
         return "<" if bit else ">"   # path is drawn downward; up-arrow is a back-tip
 
     # rows top to bottom, each left to right
-    vertices = sorted((u for u in spec.units if u.kind == "vertex"),
-                      key=lambda u: (-yof[u.label[0]], -u.label[1]))
-    for v in vertices:
-        row, col = v.label
+    kinds = state.vertex_kinds()
+    for row, col in sorted(kinds, key=lambda label: (-yof[label[0]], -label[1])):
         x, y = xof[col], yof[row]
-        n, e, s, w = (state.bit(edge) for edge, _ in v.edges)
+        n, e, s, w = VERTEX_CONFIGS[kinds[row, col]]
         lines.append(f"\\draw [{tip_h(w)}-{tip_h(e)}] "
                      f"({_coord(x - 1)},{_coord(y)}) -- ({_coord(x + 1)},{_coord(y)});")
         lines.append(f"\\draw [{tip_v(n)}-{tip_v(s)}] "

@@ -55,22 +55,6 @@ class WeightScheme:
     def row_weights(self, row: str) -> dict:
         return {k: self.vertex[(k, row)] for k in KINDS if (k, row) in self.vertex}
 
-    def rows(self) -> list:
-        return sorted({r for _, r in self.vertex})
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "n": self.n,
-            "vertex": {f"{k}:{r}": self.vertex[(k, r)].to_json()
-                       for k, r in sorted(self.vertex)},
-            "bend_up": {r: w.to_json() for r, w in sorted(self.bend_up.items())},
-            "bend_down": {r: w.to_json() for r, w in sorted(self.bend_down.items())},
-            "corner_r": self.corner_r.to_json() if self.corner_r is not None else None,
-            "corner_l": self.corner_l.to_json() if self.corner_l is not None else None,
-        }
-
 
 def cross_weights(wj: dict, wk: dict) -> dict:
     """Weights of the crossing of strands j (in at NW, out at SE) and k (SW to NE).

@@ -3,6 +3,13 @@
 The package keeps only what its verbs reach; everything here is reached
 from the tests alone.
 
+- States: a state stores the tag each unit took.  `edge_bits` decodes
+  those tags into the edge bits of the orientation, and every test that
+  reads bits goes through it (`orientation` lines them up with a model's
+  edges).
+- Models and schemes: `vertex_count`, `outward`, `model_to_json`,
+  `scheme_rows` and `scheme_to_json` summarize a model or a weight scheme
+  for the structural tests and the golden digests.
 - Polynomials: `total_degree` and `is_homogeneous` check the shape of
   products and weights, `zero` is the zero polynomial and `evaluate`
   values a polynomial at a Gaussian-integer point.  `exact_divide` is the
@@ -32,9 +39,79 @@ from bentice.laurent import (
     _ZERO, GInt, LaurentPoly, Var, ZeroDivisorError, _add_term, _check_bank, _mono_mul,
     _mono_pow, _Packed, dense_key, gpow_i,
 )
-from bentice.models import KINDS, ModelSpec, build_model, check_strict_partition, row_layout
+from bentice.models import (
+    KINDS, EdgeId, ModelSpec, _edge_name, build_model, check_strict_partition, row_layout,
+)
 from bentice.states import IceState, enumerate_states, state_weight
 from bentice.weights import I, ONE, TABLE_BEND_DOWN, WeightScheme, make_character
+
+# ---------------------------------------------------------------------------
+# states, models and schemes
+
+
+def edge_bits(units, fixed: dict, tags) -> dict:
+    """Edge -> bit of the orientation in which each unit took its tag: the
+    fixed edges, then every edge of every unit, from the configuration its
+    tag names."""
+    bits = dict(fixed)
+    for unit, tag in zip(units, tags):
+        bits.update(zip((e for e, _pol in unit.edges), unit.configs[unit.tags.index(tag)]))
+    return bits
+
+
+def orientation(state: IceState) -> tuple:
+    """A state's edge bits (``edge_bits``) aligned with its model's edges."""
+    spec = state.spec
+    bits = edge_bits(spec.units, spec.boundary, state.tags)
+    return tuple(bits[e] for e in spec.edges)
+
+
+def vertex_count(spec: ModelSpec) -> int:
+    """Tetravalent vertices only; bends and corners excluded."""
+    return sum(u.kind == "vertex" for u in spec.units)
+
+
+def outward(spec: ModelSpec, e: EdgeId) -> bool:
+    """Render a fixed boundary bit as inward/outward relative to the grid."""
+    kind, _, k = e
+    bit = spec.boundary[e]
+    if kind == "h":
+        return bit if k > 0 else not bit       # east at the right end is out
+    return bit if k == 0 else not bit          # up at the top is out
+
+
+def model_to_json(spec: ModelSpec) -> dict:
+    return {
+        "family": spec.family,
+        "lambda": list(spec.lam),
+        "rows": list(spec.rows),
+        "columns": list(spec.full_cols),
+        "half_column": spec.half_col,
+        "central_row": spec.central,
+        "bend_rows": list(spec.bend_rows),
+        "vertex_count": vertex_count(spec),
+        "boundary": {_edge_name(e): ("out" if outward(spec, e) else "in")
+                     for e in sorted(spec.boundary, key=_edge_name)},
+    }
+
+
+def scheme_rows(scheme: WeightScheme) -> list:
+    return sorted({r for _, r in scheme.vertex})
+
+
+def scheme_to_json(scheme: WeightScheme) -> dict:
+    return {
+        "name": scheme.name,
+        "family": scheme.family,
+        "n": scheme.n,
+        "vertex": {f"{k}:{r}": scheme.vertex[(k, r)].to_json()
+                   for k, r in sorted(scheme.vertex)},
+        "bend_up": {r: w.to_json() for r, w in sorted(scheme.bend_up.items())},
+        "bend_down": {r: w.to_json() for r, w in sorted(scheme.bend_down.items())},
+        "corner_r": scheme.corner_r.to_json() if scheme.corner_r is not None else None,
+        "corner_l": scheme.corner_l.to_json() if scheme.corner_l is not None else None,
+    }
+
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -244,10 +321,11 @@ def interleave_chain(state: IceState) -> list:
     if spec.family != "B":
         raise AsmError("the partition chain is defined for family B states")
     n = spec.n
+    bits = edge_bits(spec.units, spec.boundary, state.tags)
     chain = []
     for gap in range(2 * n + 1):
         parts = tuple(sorted((c for c in spec.full_cols
-                              if state.bit(("v", c, gap))), reverse=True))
+                              if bits[("v", c, gap)]), reverse=True))
         chain.append(parts)
     if chain[0] != spec.lam:
         raise AsmError("chain must start at lambda")
@@ -391,24 +469,25 @@ def phi_statistic(state: IceState) -> int:
         raise ValueError("phi is defined for the B and BC families")
     w = state_to_weyl(state)
     bends = state.bend_dirs()
+    bits = edge_bits(spec.units, spec.boundary, state.tags)
     total = 0
     for j, row in enumerate(spec.bend_rows, 1):
         lam_sig = lam[w.sigma[j - 1] - 1]
         if bends[row] == "U":
             gap = _row_gap_edge(spec, row, above=True)
-            s_j = [p for p in lam if state.bit(("v", p, gap))]
+            s_j = [p for p in lam if bits[("v", p, gap)]]
             ell_plus = sum(1 for p in s_j if p > lam_sig)
             total += ell_plus - n
         else:
             gap = _row_gap_edge(spec, row + "b", above=False)
-            s_jb = [p for p in lam if state.bit(("v", p, gap))]
+            s_jb = [p for p in lam if bits[("v", p, gap)]]
             ell_plus = sum(1 for p in s_jb if p > lam_sig)
             total += ell_plus - j + 1
     if family == "BC":
         # central row: the unbarred-row convention counts parts weakly below
         lam_sig = lam[w.sigma[n - 1] - 1]
         gap = _row_gap_edge(spec, str(n), above=True)
-        s_n = [p for p in lam if state.bit(("v", p, gap))]
+        s_n = [p for p in lam if bits[("v", p, gap)]]
         ell_minus = sum(1 for p in s_n if p <= lam_sig)
         total += -ell_minus + 1
     return total

@@ -13,7 +13,9 @@ from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states, state_weight
 from bentice.weights import make_okada
 
-from oracles import asm_matrices, chain_to_c_matrix, htsasm_matrices, interleave_chain, is_asm
+from oracles import (
+    asm_matrices, chain_to_c_matrix, edge_bits, htsasm_matrices, interleave_chain, is_asm,
+)
 
 FIG_BSTAR_42 = (
     (1, -1, 0, 0, 1, 0, 0, 0),
@@ -218,12 +220,13 @@ def state_to_matrix_per_state(state) -> tuple:
     if has_center_col:
         col_at[spec.half_col] = n_full
     grid = [[None] * ncols for _ in range(nrows)]
-    orientation = state.orientation
-    for unit, bits_of in spec.unit_table:
+    bits = edge_bits(spec.units, spec.boundary, state.tags)
+    for unit in spec.units:
         if unit.kind == "vertex":
             row, col = unit.label
             i, j = row_at[row], col_at[col]
-            grid[i][j] = _CELL.get(unit.tag_of[bits_of(orientation)], 0)
+            kind = dict(zip(unit.configs, unit.tags))[tuple(bits[e] for e, _pol in unit.edges)]
+            grid[i][j] = _CELL.get(kind, 0)
             if half_turn:
                 grid[nrows - 1 - i][ncols - 1 - j] = grid[i][j]
     if has_center_col and nrows % 2 == 1:

@@ -1,5 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -372,7 +375,7 @@ class PoolRecorder:
 
 class TestWorkers:
     def test_pool_size_is_clamped(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
         monkeypatch.setattr(PoolRecorder, "sizes", [])
         items = [-1, -2, -3]
         for cpus in (8, 2, None):
@@ -382,7 +385,7 @@ class TestWorkers:
         assert PoolRecorder.sizes == [3, 2]
 
     def test_verify_clamps_to_the_subcases(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
         monkeypatch.setattr(PoolRecorder, "sizes", [])
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         code, report = invoke(capsys, "verify", "okada", "--family", "all",
@@ -390,6 +393,16 @@ class TestWorkers:
         assert code == EXIT_PASS
         assert PoolRecorder.sizes == [6]
         assert report["inputs"]["workers"] == 1000
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # multiprocessing comes in only when a verb fans out over workers
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = "import sys, bentice.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 # (exit code, sha256 of json.dumps([exit code, report without elapsed_ms]))

@@ -43,7 +43,7 @@ def test_workload_counts_without_enumerating(monkeypatch, family, lam, count):
     def refuse(*args, **kwargs):
         raise AssertionError("the states were enumerated")
 
-    monkeypatch.setattr(states, "enumerate_orientations", refuse)
+    monkeypatch.setattr(states, "enumerate_tags", refuse)
     spec = build_model(family, lam)
     # the patch is the entry point enumerate_states goes through ...
     with pytest.raises(AssertionError, match="the states were enumerated"):

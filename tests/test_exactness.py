@@ -1,6 +1,7 @@
 """Source-level guards: the package computes exactly, with no floats and
 no true division, imports every module it uses at the top, where import
-cycles show, keeps the enumeration caps in the command line alone, prints
+cycles show (the process pool alone is imported where a verb fans out),
+keeps the enumeration caps in the command line alone, prints
 reports through one writer, and holds no definition that nothing in it
 names and no import of the tests."""
 
@@ -69,16 +70,26 @@ def test_no_module_imports_sympy():
 
 
 def nested_imports(tree: ast.Module) -> list:
-    """Lines of the imports that are not statements of the module body."""
+    """(line, module) of the imports that are not statements of the module body."""
     top = {id(node) for node in tree.body}
-    return [node.lineno for node in ast.walk(tree)
+    return [(node.lineno, node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+            for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
 
 
 def test_every_import_is_at_module_level():
-    offenders = {path.name: lines for path in SOURCES
-                 if (lines := nested_imports(ast.parse(path.read_text())))}
+    # the one exception: cli imports the process pool only when a verb runs
+    # on workers, since it loads multiprocessing, pickle and socket; a
+    # standard-library module cannot close an import cycle of the package
+    offenders = {path.name: found for path in SOURCES
+                 if (found := [(line, module) for line, module in
+                               nested_imports(ast.parse(path.read_text()))
+                               if (path.name, module) != ("cli.py", "concurrent.futures")])}
     assert offenders == {}
+    # the guard sees a nested import of either form
+    assert nested_imports(ast.parse(
+        "import os\ndef f():\n    from .states import enumerate_states\n    import json\n"
+    )) == [(3, "states"), (4, "json")]
 
 
 def cap_policy(source: str) -> list:

@@ -13,6 +13,8 @@ from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states
 from bentice.weights import BUILTIN_SCHEMES
 
+from oracles import orientation, scheme_to_json
+
 # The printed admissible state of the 3x5 rectangular model with partition
 # [5,4,2]: horizontal bits are east=True west to east per row, vertical bits
 # are up=True top to bottom per column.
@@ -32,16 +34,16 @@ A_542_V = {
 
 def test_printed_a_542_state_is_admissible():
     spec = build_model("A", [5, 4, 2])
-    orientation = {}
+    printed = {}
     for row, bits in A_542_H.items():
         for i, b in enumerate(bits):
-            orientation[("h", row, i)] = b
+            printed[("h", row, i)] = b
     for col, bits in A_542_V.items():
         for k, b in enumerate(bits):
-            orientation[("v", col, k)] = b
-    target = tuple(orientation[e] for e in spec.edges)
+            printed[("v", col, k)] = b
+    target = tuple(printed[e] for e in spec.edges)
     states = enumerate_states(spec)
-    matches = [s for s in states if s.orientation == target]
+    matches = [s for s in states if orientation(s) == target]
     assert len(matches) == 1
     matrix = state_to_matrix(matches[0])
     assert matrix == (
@@ -53,16 +55,16 @@ def test_printed_a_542_state_is_admissible():
 
 def test_printed_a_542_kinds():
     spec = build_model("A", [5, 4, 2])
-    orientation = {}
+    printed = {}
     for row, bits in A_542_H.items():
         for i, b in enumerate(bits):
-            orientation[("h", row, i)] = b
+            printed[("h", row, i)] = b
     for col, bits in A_542_V.items():
         for k, b in enumerate(bits):
-            orientation[("v", col, k)] = b
-    target = tuple(orientation[e] for e in spec.edges)
+            printed[("v", col, k)] = b
+    target = tuple(printed[e] for e in spec.edges)
     state = next(s for s in enumerate_states(spec)
-                 if s.orientation == target)
+                 if orientation(s) == target)
     kinds = state.vertex_kinds()
     assert kinds[("1", 5)] == "b1"
     assert kinds[("1", 4)] == "c2"
@@ -103,16 +105,16 @@ B_42_V = {
 
 
 def _find_state(spec, h_bits, v_bits):
-    orientation = {}
+    printed = {}
     for row, bits in h_bits.items():
         for i, b in enumerate(bits):
-            orientation[("h", row, i)] = b
+            printed[("h", row, i)] = b
     for col, bits in v_bits.items():
         for k, b in enumerate(bits):
-            orientation[("v", col, k)] = b
-    target = tuple(orientation[e] for e in spec.edges)
+            printed[("v", col, k)] = b
+    target = tuple(printed[e] for e in spec.edges)
     matches = [s for s in enumerate_states(spec)
-               if s.orientation == target]
+               if orientation(s) == target]
     assert len(matches) == 1, "printed state must be admissible exactly once"
     return matches[0]
 
@@ -161,7 +163,7 @@ def test_c_rho_counts_are_odd_half_turn_numbers():
     assert counts == [3, 25]
 
 
-# sha256 of the canonical JSON of [scheme.to_json() for n = 1..4], one
+# sha256 of the canonical JSON of [scheme_to_json(scheme) for n = 1..4], one
 # digest per (regime, family); family A has no okada weights.
 SCHEME_DIGESTS = {
     "generic-A": "977679d297a9a2e6ba912b8e7ad49b919d8f01fb7b7d4202ad4c9c5116ef79e3",
@@ -197,7 +199,7 @@ SCHEME_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(SCHEME_DIGESTS))
 def test_builtin_scheme_digest(key):
     regime, family = key.split("-")
-    schemes = [BUILTIN_SCHEMES[regime](family, n).to_json() for n in range(1, 5)]
+    schemes = [scheme_to_json(BUILTIN_SCHEMES[regime](family, n)) for n in range(1, 5)]
     blob = json.dumps(schemes, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == SCHEME_DIGESTS[key]
 

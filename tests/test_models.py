@@ -5,6 +5,8 @@ from bentice.models import (
 )
 from bentice.weights import BUILTIN_SCHEMES
 
+from oracles import model_to_json, scheme_rows, vertex_count
+
 
 class TestPartition:
     def test_valid(self):
@@ -33,7 +35,7 @@ class TestTypeA:
         spec = build_model("A", [5, 4, 2])
         assert spec.rows == ("1", "2", "3")
         assert spec.full_cols == (5, 4, 3, 2, 1)
-        assert spec.vertex_count() == 15
+        assert vertex_count(spec) == 15
         assert {u.kind for u in spec.units} == {"vertex"}
 
     def test_boundary_tops(self):
@@ -56,14 +58,14 @@ class TestTypeB:
         assert spec.rows == ("1", "1b")
         assert spec.full_cols == (1,)
         assert [u.kind for u in spec.units].count("bend") == 1
-        assert spec.vertex_count() == 2
+        assert vertex_count(spec) == 2
 
     def test_rho_vertex_count(self):
         # 2n^2 tetravalent vertices at lambda = rho
         spec = build_model("B", [2, 1])
-        assert spec.vertex_count() == 8
+        assert vertex_count(spec) == 8
         spec = build_model("B", [3, 2, 1])
-        assert spec.vertex_count() == 18
+        assert vertex_count(spec) == 18
 
     def test_bend_edges_are_internal(self):
         spec = build_model("B", [2, 1])
@@ -100,7 +102,7 @@ class TestCentralRowFamilies:
         assert v_edge == ("v", 0, 0)
         assert ("v", 0, 0) not in spec.boundary          # internal edge
         assert spec.boundary[("v", 0, 2)] is False       # bottom out
-        assert spec.vertex_count() == 2 * 5 + 2
+        assert vertex_count(spec) == 2 * 5 + 2
 
 
 class TestHalfColumnFamilies:
@@ -126,7 +128,7 @@ def test_determinism():
     a = build_model("C", [3, 1])
     b = build_model("C", [3, 1])
     assert a == b
-    assert a.to_json() == b.to_json()
+    assert model_to_json(a) == model_to_json(b)
 
 
 def test_outward_top_arrow_count_is_n():
@@ -155,9 +157,9 @@ def test_row_layout_is_the_rows_of_model_and_schemes(family):
                     continue
                 # the free-fermion schemes give every row of family A a bar,
                 # which its model does not have
-                assert set(make(family, n).rows()) == set(spec.rows) | bars, (regime, n)
+                assert set(scheme_rows(make(family, n))) == set(spec.rows) | bars, (regime, n)
                 continue
             scheme = make(family, n)
-            assert set(scheme.rows()) == set(spec.rows), (regime, n)
+            assert set(scheme_rows(scheme)) == set(spec.rows), (regime, n)
             bend_rows = set(spec.bend_rows) | {bar(j) for j in spec.bend_rows}
             assert set(scheme.bend_up) == set(scheme.bend_down) == bend_rows, (regime, n)

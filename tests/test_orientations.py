@@ -1,11 +1,14 @@
 """The move-table DFS against the dictionary DFS it replaced.
 
-`states.enumerate_orientations` backtracks over a flat bit list, reading
-each unit's admissible moves from `states.move_tables`.  The oracle below
-is the earlier enumerator, which kept the assignment in a dict and checked
-every edge of every configuration against it.  Both try each unit's
-configurations in order, so they must list the same orientations in the
-same order: state lists, reports and digests depend on that order.
+`states.enumerate_tags` backtracks over a flat bit list, reading each
+unit's admissible moves from `states.move_tables`, and lists each
+orientation as the tag each unit took.  The oracle below is the earlier
+enumerator, which kept the assignment in a dict and checked every edge of
+every configuration against it.  Both try each unit's configurations in
+order, so they must list the same orientations in the same order: state
+lists, reports and digests depend on that order.  Each orientation's tags
+are decoded into edge bits (`oracles.edge_bits`) and the bits re-encoded
+into tags, which must give the tags back.
 """
 
 import itertools
@@ -14,8 +17,10 @@ import pytest
 
 from bentice.models import FAMILIES, build_model
 from bentice.relations import _assignments, _fish_sides, _jellyfish_sides
-from bentice.states import enumerate_orientations, enumerate_states
+from bentice.states import enumerate_states, enumerate_tags
 from bentice.weights import make_generic
+
+from oracles import edge_bits
 
 
 def dict_orientations(units, fixed: dict):
@@ -53,6 +58,21 @@ def oracle_states(spec):
             for o in dict_orientations(spec.units, spec.boundary)]
 
 
+def decoded(units, fixed: dict, found, edges) -> list:
+    """Each orientation of found (tags aligned with units) as its bits at
+    edges, an edge that no unit touches and fixed omits reading False.  The
+    bits re-encoded through each unit's configurations must give back its
+    tags."""
+    tag_of = [dict(zip(u.configs, u.tags)) for u in units]
+    out = []
+    for tags in found:
+        bits = edge_bits(units, fixed, tags)
+        assert tuple(t[tuple(bits[e] for e, _pol in u.edges)]
+                     for t, u in zip(tag_of, units)) == tags
+        out.append(tuple(bits.get(e, False) for e in edges))
+    return out
+
+
 # every family at every strict lambda with n <= 3 and lambda_1 <= 4 (C[4,3,1]
 # among them), and the largest dictionary instance, B[4,3,2,1]
 CASES = [(family, list(lam)) for family in FAMILIES for n in range(1, 4)
@@ -64,7 +84,8 @@ CASES.append(("B", [4, 3, 2, 1]))
                          ids=[f"{family}[{','.join(map(str, lam))}]" for family, lam in CASES])
 def test_states_in_the_order_of_the_dict_dfs(family, lam):
     spec = build_model(family, lam)
-    assert [s.orientation for s in enumerate_states(spec)] == oracle_states(spec)
+    found = [s.tags for s in enumerate_states(spec)]
+    assert decoded(spec.units, spec.boundary, found, spec.edges) == oracle_states(spec)
 
 
 def local_sides():
@@ -86,16 +107,15 @@ def local_sides():
                          ids=[side[0] for side in local_sides()])
 def test_local_diagrams_in_the_order_of_the_dict_dfs(name, units, names, side_fixed):
     edges = sorted({*names, *side_fixed, *(e for u in units for e, _pol in u.edges)})
-    index = {e: i for i, e in enumerate(edges)}
     for fixed in _assignments(names):
         fixed = {**fixed, **side_fixed}
         want = [tuple(o.get(e, False) for e in edges) for o in dict_orientations(units, fixed)]
-        assert enumerate_orientations(units, fixed, index) == want, fixed
+        assert decoded(units, fixed, enumerate_tags(units, fixed), edges) == want, fixed
 
 
 def test_a_clash_with_the_fixed_edges_leaves_no_orientation():
     spec = build_model("B", [2, 1])
     edge = ("v", 2, 0)
     fixed = {**spec.boundary, edge: not spec.boundary[edge]}
-    assert enumerate_orientations(spec.units, fixed, spec.edge_index) == []
+    assert enumerate_tags(spec.units, fixed) == []
     assert list(dict_orientations(spec.units, fixed)) == []

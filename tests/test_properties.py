@@ -14,14 +14,16 @@ from bentice.weights import (
     make_character, make_deformation, make_generic, make_okada,
 )
 
-from oracles import delta, evaluate, is_homogeneous, total_degree
+from oracles import (
+    delta, evaluate, is_homogeneous, model_to_json, scheme_to_json, total_degree, vertex_count,
+)
 
 ONE = LaurentPoly.const(1)
 
 
 class TestSchemeSerialization:
     def test_scheme_json_shape(self):
-        js = make_deformation("B", 1).to_json()
+        js = scheme_to_json(make_deformation("B", 1))
         assert js["name"] == "deformation"
         assert "b1:1" in js["vertex"]
         json.dumps(js)  # serializable
@@ -34,7 +36,7 @@ class TestSchemeSerialization:
         assert doc["corner"] in ("R", "L")
 
     def test_model_json_golden(self):
-        js = build_model("D", [2, 1]).to_json()
+        js = model_to_json(build_model("D", [2, 1]))
         assert js["half_column"] == 1
         assert js["boundary"]["v:1:0"] == "out"      # 1 in lambda
         assert js["boundary"]["h:1:0"] == "in"
@@ -78,7 +80,7 @@ class TestDegreeBookkeeping:
             if product.is_zero():
                 continue
             assert is_homogeneous(product)
-            assert total_degree(product) == spec.vertex_count() - n
+            assert total_degree(product) == vertex_count(spec) - n
 
 
 class TestSmallRankDivisibility:

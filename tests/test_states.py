@@ -9,7 +9,9 @@ from bentice.weights import (
     BUILTIN_SCHEMES, make_deformation, make_generic, make_scheme, unit_weight,
 )
 
-from oracles import all_ones_scheme, is_homogeneous, total_degree
+from oracles import (
+    all_ones_scheme, edge_bits, is_homogeneous, orientation, total_degree, vertex_count,
+)
 
 
 def brute_force_orientations(spec):
@@ -20,13 +22,13 @@ def brute_force_orientations(spec):
     for bits in itertools.product([False, True], repeat=len(free)):
         assignment = dict(spec.boundary)
         assignment.update(zip(free, bits))
-        if all(tuple(assignment[e] for e, _ in u.edges) in u.tag_of for u in units):
+        if all(tuple(assignment[e] for e, _ in u.edges) in u.configs for u in units):
             found.add(tuple(assignment[e] for e in spec.edges))
     return found
 
 
 def oriented_set(spec):
-    return {s.orientation for s in enumerate_states(spec)}
+    return {orientation(s) for s in enumerate_states(spec)}
 
 
 class TestEnumerationAgainstBruteForce:
@@ -69,7 +71,7 @@ class TestKnownCounts:
 
     def test_stability(self):
         spec = build_model("B", [2, 1])
-        runs = [tuple(s.orientation for s in enumerate_states(spec)) for _ in range(2)]
+        runs = [tuple(orientation(s) for s in enumerate_states(spec)) for _ in range(2)]
         assert runs[0] == runs[1]
 
 
@@ -104,11 +106,25 @@ class TestWeights:
         assert w == -LaurentPoly.term(1, [(Var.q(1), 2), (Var.x(1), 2)])
 
 
-def chained_state_weight(state, scheme):
-    """Oracle: the weight as one ``*`` per unit, stopping at a zero product."""
+def weighting_order(spec):
+    """(unit, its map from configurations to tags) for every unit: vertices
+    by (row, col), which keeps the chained products small, then the bends
+    and the corner."""
+    vertices = sorted((u for u in spec.units if u.kind == "vertex"), key=lambda u: u.label)
+    others = [u for u in spec.units if u.kind != "vertex"]
+    return [(u, dict(zip(u.configs, u.tags))) for u in vertices + others]
+
+
+def chained_state_weight(state, scheme, order):
+    """Oracle: the weight as one ``*`` per unit of ``order`` (see
+    ``weighting_order``), stopping at a zero product, with each unit's tag
+    read back from the state's edge bits."""
+    spec = state.spec
+    bits = edge_bits(spec.units, spec.boundary, state.tags)
     total = LaurentPoly.const(1)
-    for unit, bits_of in state.spec.unit_table:
-        total = total * unit_weight(unit, unit.tag_of[bits_of(state.orientation)], scheme)
+    for unit, tag_of in order:
+        tag = tag_of[tuple(bits[e] for e, _pol in unit.edges)]
+        total = total * unit_weight(unit, tag, scheme)
         if total.is_zero():
             return total
     return total
@@ -124,8 +140,10 @@ def test_state_weight_is_the_chained_product(family, name):
     for n in (1, 2, 3):
         scheme = make_scheme(name, family, n)
         for lam in itertools.combinations(range(4, 0, -1), n):
-            for state in enumerate_states(build_model(family, list(lam))):
-                assert state_weight(state, scheme) == chained_state_weight(state, scheme)
+            spec = build_model(family, list(lam))
+            order = weighting_order(spec)
+            for state in enumerate_states(spec):
+                assert state_weight(state, scheme) == chained_state_weight(state, scheme, order)
 
 
 class TestRowPairBalance:
@@ -147,7 +165,7 @@ class TestDegreeLaw:
     def test_b_generic_degree(self, lam):
         spec = build_model("B", lam)
         scheme = make_generic("B", spec.n)
-        want = spec.vertex_count() - spec.n
+        want = vertex_count(spec) - spec.n
         for state in enumerate_states(spec):
             w = state_weight(state, scheme)
             assert is_homogeneous(w)
@@ -156,7 +174,7 @@ class TestDegreeLaw:
     def test_b_rho_degree_value(self):
         # 2n^2 - n at lambda = rho
         spec = build_model("B", [2, 1])
-        assert spec.vertex_count() - spec.n == 6
+        assert vertex_count(spec) - spec.n == 6
 
 
 def test_tikz_emitter_smoke():
