@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .identities import known_factor
+from .identities import _x_rho_shift, known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
 from .models import build_model, check_strict_partition
 from .states import partition_function
@@ -215,8 +215,7 @@ def tokuyama_check(lam) -> dict:
     rho = tuple(range(n, 0, -1))
     mu = tuple(a - b for a, b in zip(lam, rho))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
-    x_rho = _x_monomial(tuple(2 * r for r in rho))
-    rhs = LaurentPoly.prod([x_rho, *known_factor("A", n, "deformation"),
+    rhs = LaurentPoly.prod([_x_rho_shift(n, 1), *known_factor("A", n, "deformation"),
                             family_character("A", n, mu)])
     ok = z == rhs
 

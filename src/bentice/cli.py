@@ -214,7 +214,11 @@ def run(args) -> tuple:
 
     if verb == "character":
         fam = _family(args)
-        mu = [int(p) for p in _need(args, "mu").split(",")]
+        text = _need(args, "mu")
+        try:
+            mu = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise InputError(f"cannot parse mu {text!r}") from None
         max_n, _ = _caps(args)
         if len(mu) > max_n:
             raise EnumerationCapError(f"mu of length {len(mu)} exceeds cap n<={max_n}")

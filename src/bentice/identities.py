@@ -5,13 +5,15 @@ partner row, read from the weight scheme: the later rows k and their bars
 kb, plus per family the central row or j's own bar, the Yang-Baxter train
 argument's R-matrix weights.  The one exception is the bend factor
 a2(j) + i b1(j) of families B and C.  The same table gives the factor
-lists in both regimes (symbolic a/b weights, "generic", and the x/t
-parametrization, "deformation") and, under the shared-t weights, the
-Okada-type products.  At lambda = rho the factor product IS the partition
-function; for larger lambda it divides, with a quotient symmetric under
-the spectral index actions.  Family A is carried along via its own
-deformed-denominator factors (one shared t), whose quotient is the Schur
-function.
+lists in three regimes: symbolic a/b weights ("generic"), the x/t
+parametrization ("deformation") and the shared-t weights ("okada").  At
+lambda = rho the factor product IS the partition function (rho_check);
+under the shared-t weights that product is Okada's deformation of the
+Weyl denominator, so Okada's identity is the rho identity in that regime.
+For larger lambda the product divides Z, with a quotient symmetric under
+the spectral index actions, each a plain substitution of variables.
+Family A is carried along via its own deformed-denominator factors (one
+shared t), whose quotient is the Schur function.
 
 A randomized Gaussian-integer evaluation of Z and the whole factor list
 runs before the exact division; both pack Z and the factors once, in the
@@ -24,7 +26,6 @@ raises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
 from .models import build_model, row_layout
@@ -45,10 +46,6 @@ class SuiteSelfCheckError(AssertionError):
 
 class PreCheckUndecidedError(ArithmeticError):
     """The pre-check drew no point where every divisor is nonzero."""
-
-
-def _v(var):
-    return LaurentPoly.var(var)
 
 
 # Partner rows of each regular row j besides the later rows k and their
@@ -83,16 +80,16 @@ def known_factor(family: str, n: int, regime: str, lambda_has_1: bool = True) ->
     """The stated factor list for Z of the family, as exact polynomials.
 
     Each bent family's factors are crossing weights under the regime's
-    scheme (see _crossing_factors).  Family D without a part 1 is
-    Cstar^(lambda - 1) with its columns relabelled (see
-    characters.character_theorem_check): Cstar's list.  Family A has only
-    the deformed type-A denominator.
+    scheme (see _crossing_factors): generic, deformation, or okada, the
+    shared-t weights.  Family D without a part 1 is Cstar^(lambda - 1)
+    with its columns relabelled (see characters.character_theorem_check):
+    Cstar's list.  Family A has only the deformed type-A denominator.
     """
-    if regime not in ("generic", "deformation"):
+    if regime not in ("generic", "deformation", "okada"):
         raise ValueError(f"unknown regime {regime!r}")
     if family == "A":
-        if regime == "generic":
-            raise ValueError("family A has no generic factor list")
+        if regime != "deformation":
+            raise ValueError(f"family A has no {regime} factor list")
         return _type_a_factors(n)
     if family == "D" and not lambda_has_1:
         family = "Cstar"
@@ -121,43 +118,29 @@ def _x_rho_shift(n: int, sign: int = -1) -> LaurentPoly:
     return LaurentPoly.term(1, [(Var.x(j), sign * 2 * (n + 1 - j)) for j in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class IndexAction:
-    """swap(j,k) or bar(j), realized per regime as a substitution."""
+def spectral_actions(family: str, n: int, regime: str) -> list:
+    """(name, substitution) of each spectral index action: swaps, then bars.
 
-    kind: str
-    j: int
-    k: int = 0
-
-    def substitution(self, regime: str) -> dict:
-        if self.kind == "swap":
-            j, k = self.j, self.k
-            if regime == "generic":
-                out = {}
-                for mk in (Var.a1, Var.a2, Var.b1, Var.b2):
-                    out[mk(j)] = _v(mk(k))
-                    out[mk(k)] = _v(mk(j))
-                return out
-            return {Var.x(j): _v(Var.x(k)), Var.x(k): _v(Var.x(j)),
-                    Var.q(j): _v(Var.q(k)), Var.q(k): _v(Var.q(j))}
-        if self.kind == "bar":
-            j = self.j
-            if regime == "generic":
-                return {Var.a1(j): _v(Var.a2(j)), Var.a2(j): _v(Var.a1(j)),
-                        Var.b1(j): _v(Var.b2(j)), Var.b2(j): _v(Var.b1(j))}
-            return {Var.x(j): LaurentPoly.term(1, [(Var.x(j), -1)])}
-        raise ValueError(f"unknown action {self.kind!r}")
-
-    def apply(self, p: LaurentPoly, regime: str) -> LaurentPoly:
-        return p.substitute(self.substitution(regime))
-
-
-def spectral_actions(family: str, n: int) -> list:
+    swap(j,k) exchanges rows j and k, bar(j) row j and its bar: on the
+    a/b weights under generic weights, on x and q (swap) or by x_j -> 1/x_j
+    (bar) under the x/t parametrization.
+    """
     m = len(row_layout(family, n)[0])
-    acts = [IndexAction("swap", j, j + 1) for j in range(1, m)]
-    if family != "A":
-        acts.extend(IndexAction("bar", j) for j in range(1, m + 1))
-    return acts
+    var = LaurentPoly.var
+    kinds = (Var.a1, Var.a2, Var.b1, Var.b2) if regime == "generic" else (Var.x, Var.q)
+    actions = [(f"swap({j},{j + 1})", {mk(a): var(mk(b)) for mk in kinds
+                                       for a, b in ((j, j + 1), (j + 1, j))})
+               for j in range(1, m)]
+    if family == "A":
+        return actions
+    for j in range(1, m + 1):
+        if regime == "generic":
+            pairs = ((Var.a1, Var.a2), (Var.a2, Var.a1), (Var.b1, Var.b2), (Var.b2, Var.b1))
+            bar = {a(j): var(b(j)) for a, b in pairs}
+        else:
+            bar = {Var.x(j): LaurentPoly.term(1, [(Var.x(j), -1)])}
+        actions.append((f"bar({j})", bar))
+    return actions
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +215,9 @@ def divisibility_check(family: str, lam, regime: str,
     factor list, refutes a divisibility that the exact division confirms.
     """
     spec = build_model(family, lam)
+    # stated for the generic and deformation regimes only
+    if regime not in ("generic", "deformation"):
+        raise ValueError(f"unknown regime {regime!r}")
     factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
     order = sorted({v for f in factors for v, _ in f.leading()[0]})
     factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
@@ -262,47 +248,30 @@ def divisibility_check(family: str, lam, regime: str,
 def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
                             regime: str) -> dict:
     """Invariance of the quotient under all spectral index actions."""
-    failures = []
-    for act in spectral_actions(family, n):
-        if act.apply(quotient, regime) != quotient:
-            failures.append(f"{act.kind}({act.j}{',' + str(act.k) if act.kind == 'swap' else ''})")
+    failures = [name for name, substitution in spectral_actions(family, n, regime)
+                if quotient.substitute(substitution) != quotient]
     return {"ok": not failures, "failed_actions": failures}
 
 
 def rho_check(family: str, n: int, regime: str) -> dict:
     """At lambda = rho the divisibility is equality: Z == product.
 
-    For family A the product also carries the monomial x^rho.
+    For family A the product also carries the monomial x^rho.  Under the
+    shared-t weights ("okada") the product is Okada's deformed Weyl
+    denominator, with t carried as q**2.
     """
     rho = list(range(n, 0, -1))
     spec = build_model(family, rho)
+    # before the factor list, so a family without the regime's weights
+    # (A under okada) is named as make_scheme names it
+    scheme = make_scheme(regime, family, n)
     factors = known_factor(family, n, regime)
-    z = partition_function(spec, make_scheme(regime, family, n))
+    z = partition_function(spec, scheme)
     product = LaurentPoly.prod(factors + [_x_rho_shift(n, 1)] if family == "A" else factors)
     ok = z == product
-    return {"ok": ok, "z": z, "product": product}
-
-
-# ---------------------------------------------------------------------------
-# the shared-t specializations
-
-
-def okada_products(family: str, n: int) -> LaurentPoly:
-    """Published deformed-denominator product, with t carried as q**2.
-
-    The same crossing factors as known_factor, under the shared-t weights.
-    """
-    if family not in _PARTNERS:
-        raise ValueError(f"no okada product for family {family!r}")
-    return LaurentPoly.prod(_crossing_factors(make_scheme("okada", family, n)))
+    return {"ok": ok, "z": z, "product": product, "diff": None if ok else z - product}
 
 
 def okada_product_check(family: str, n: int) -> dict:
-    """Z at lambda = rho under the shared-t weights vs the published product."""
-    rho = list(range(n, 0, -1))
-    spec = build_model(family, rho)
-    z = partition_function(spec, make_scheme("okada", family, n))
-    product = okada_products(family, n)
-    ok = z == product
-    return {"ok": ok, "z": z, "product": product,
-            "diff": None if ok else z - product}
+    """Z at lambda = rho under the shared-t weights vs Okada's product."""
+    return rho_check(family, n, "okada")

@@ -429,14 +429,7 @@ class LaurentPoly:
                 if c.is_unit():
                     return LaurentPoly({_mono_pow(m, k): c ** (k % 4)})
             raise ValueError("negative power of a non-unit polynomial")
-        out = LaurentPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return LaurentPoly.prod([self] * k)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -722,22 +715,9 @@ class _Packed:
         order that polynomial's variables() adds them: term by term, each
         term's in sorted order.  A set's iteration order can depend on the
         order its members were added, and points are drawn in it."""
-        used = 0
-        for key in self.terms[k]:
-            used |= key
-        mask = self.mask
-        pending = [(v, o) for v, o in self.offsets.items() if used >> o & mask]
         out = set()
         for key in self.terms[k]:
-            if not pending:
-                break
-            missing = []
-            for v, o in pending:
-                if key >> o & mask:
-                    out.add(v)
-                else:
-                    missing.append((v, o))
-            pending = missing
+            out.update(v for v, o in self.offsets.items() if key >> o & self.mask)
         return out
 
 

@@ -274,13 +274,16 @@ def _ratio_verdict(scheme: WeightScheme, lhs_units, rhs_units, names, lhs_fixed,
             continue
         sides.append((dict(fixed), zl, zr))
     verdict.checked = len(sides)
-    for (f1, l1, r1), (f2, l2, r2) in itertools.combinations(sides, 2):
+    if not sides:
+        return verdict
+    # no side is zero at both ends, so if every side is proportional to
+    # the first, every two sides are proportional
+    f1, l1, r1 = sides[0]
+    for f2, l2, r2 in sides[1:]:
         if l1 * r2 != l2 * r1:
             verdict.ok = False
             verdict.witness = {"first": f1, "second": f2}
-            break
-    if verdict.ok and sides:
-        _, l1, r1 = sides[0]
-        verdict.ratio = l1.exact_divide(r1) if not r1.is_zero() else None
-        verdict.closed_form_ok = all(l == closed_form * r for _, l, r in sides)
+            return verdict
+    verdict.ratio = l1.exact_divide(r1) if not r1.is_zero() else None
+    verdict.closed_form_ok = all(l == closed_form * r for _, l, r in sides)
     return verdict

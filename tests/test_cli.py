@@ -177,6 +177,24 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"] == "family A has no generic factor list"
 
+    @pytest.mark.parametrize("argv, error", [
+        ("verify okada --family A --n 2",
+         "family A supports tokuyama/generic weights, not 'okada'"),
+        ("verify divisibility --family B --lambda 2,1 --scheme okada",
+         "unknown regime 'okada'"),
+        ("verify divisibility --family A --lambda 2,1 --scheme generic",
+         "family A has no generic factor list"),
+    ], ids=["okada-A", "divisibility-okada", "divisibility-A-generic"])
+    def test_regime_error_reports(self, capsys, argv, error):
+        assert main(argv.split()) == EXIT_INPUT
+        assert capsys.readouterr().out == (
+            '{\n  "verb": "%s",\n  "error": "%s"\n}\n' % (" ".join(argv.split()[:2]), error))
+
+    def test_unparsable_mu_is_input_error(self, capsys):
+        code, report = invoke(capsys, "character", "--family", "B", "--mu", "1,,0")
+        assert code == EXIT_INPUT
+        assert report == {"verb": "character", "error": "cannot parse mu '1,,0'"}
+
     def test_family_a_rho_runs_the_deformation_regime(self, capsys):
         # family A has a deformation factor list only, so that is all verify rho runs
         code, report = invoke(capsys, "verify", "rho", "--family", "A", "--n", "2")

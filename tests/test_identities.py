@@ -8,9 +8,9 @@ import pytest
 
 from bentice import identities
 from bentice.identities import (
-    DivisibilityError, IndexAction, PreCheckUndecidedError, divisibility_check, known_factor,
-    okada_product_check, okada_products, probabilistic_divides,
-    quotient_symmetry_check, rho_check,
+    DivisibilityError, PreCheckUndecidedError, divisibility_check, known_factor,
+    okada_product_check, probabilistic_divides, quotient_symmetry_check, rho_check,
+    spectral_actions,
 )
 from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
 from bentice.models import build_model
@@ -144,7 +144,8 @@ FACTOR_DIGESTS = {
     ("A", 4, "deformation", True): "41e20878070335ffc902619cb728ec01a3c194ebf4a52e2ef7a113705d870ba4",
 }
 
-# sha256 of json.dumps(okada_products(*key).to_json()), same provenance
+# sha256 of json.dumps(okada_product(*key).to_json()), the product of the okada
+# factor list; same provenance
 OKADA_DIGESTS = {
     ("B", 1): "728dcf62e3261a822cd158ab5da131cda25409e92b533c4b63553e252c94143c",
     ("B", 2): "3d494eadecf185caeee9a28279568fa3a4f275c567b447a2a061d93fd368e69d",
@@ -281,23 +282,38 @@ class TestDivisibility:
         assert quotient_symmetry_check(q, "A", 2, "deformation")["ok"]
 
 
+def action(family, n, regime, name):
+    """The substitution of the named spectral index action."""
+    return dict(spectral_actions(family, n, regime))[name]
+
+
+def okada_product(family, n):
+    return LaurentPoly.prod(known_factor(family, n, "okada"))
+
+
 class TestIndexActions:
     def test_swap_is_involutive(self):
-        act = IndexAction("swap", 1, 2)
+        swap = action("B", 2, "generic", "swap(1,2)")
         p = v(Var.a1(1)) * v(Var.b2(2)) + v(Var.a2(2))
-        assert act.apply(act.apply(p, "generic"), "generic") == p
+        assert p.substitute(swap).substitute(swap) == p
 
     def test_bar_is_involutive_deformation(self):
-        act = IndexAction("bar", 1)
+        bar = action("B", 2, "deformation", "bar(1)")
         p = x(1) + x(1, -2) * t(1)
-        assert act.apply(act.apply(p, "deformation"), "deformation") == p
+        assert p.substitute(bar).substitute(bar) == p
 
     def test_generic_bar_matches_symmetry_relabeling(self):
-        act = IndexAction("bar", 1)
+        bar = action("B", 1, "generic", "bar(1)")
         s = make_generic("B", 1)
         for kind in ("a1", "a2", "b1", "b2", "c1", "c2"):
             barred = s.vertex[(kind, "1b")]
-            assert act.apply(s.vertex[(kind, "1")], "generic") == barred
+            assert s.vertex[(kind, "1")].substitute(bar) == barred
+
+    def test_swaps_come_before_bars(self):
+        assert [name for name, _ in spectral_actions("B", 3, "deformation")] == [
+            "swap(1,2)", "swap(2,3)", "bar(1)", "bar(2)", "bar(3)"]
+        assert [name for name, _ in spectral_actions("A", 3, "deformation")] == [
+            "swap(1,2)", "swap(2,3)"]
 
 
 class TestOkada:
@@ -305,23 +321,46 @@ class TestOkada:
         tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
         want = ((ONE - tq * x(1)) * (ONE - tq * x(2))
                 * (ONE - tq * tq * x(1) * x(2, -2)) * (ONE - tq * tq * x(1) * x(2)))
-        assert okada_products("B", 2) == want
+        assert okada_product("B", 2) == want
 
     def test_cstar_n1(self):
         tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
-        assert okada_products("Cstar", 1) == ONE + tq * x(1, 4)
+        assert okada_product("Cstar", 1) == ONE + tq * x(1, 4)
 
     def test_d_n1_empty_product(self):
-        assert okada_products("D", 1) == ONE
+        assert okada_product("D", 1) == ONE
 
     @pytest.mark.parametrize("key", OKADA_DIGESTS, ids=lambda k: "-".join(map(str, k)))
     def test_product_golden(self, key):
-        assert sha256(okada_products(*key).to_json()) == OKADA_DIGESTS[key]
+        assert sha256(okada_product(*key).to_json()) == OKADA_DIGESTS[key]
 
     @pytest.mark.parametrize("family", ["B", "Bstar", "C", "Cstar", "D", "BC"])
     def test_check_n2(self, family):
         assert okada_product_check(family, 2)["ok"]
 
+    def test_check_is_the_rho_identity_under_shared_t_weights(self):
+        r = okada_product_check("C", 2)
+        assert r == rho_check("C", 2, "okada")
+        assert r["z"] == r["product"] == okada_product("C", 2) and r["diff"] is None
+
+    def test_a_failing_check_reports_the_difference(self, monkeypatch):
+        real = identities.known_factor
+        monkeypatch.setattr(identities, "known_factor",
+                            lambda *args, **kwargs: real(*args, **kwargs) + [ONE + x(1)])
+        r = okada_product_check("B", 2)
+        assert not r["ok"] and not r["diff"].is_zero()
+        assert r["diff"] == r["z"] - r["product"]
+
+    def test_family_a_has_no_shared_t_weights(self):
+        with pytest.raises(ValueError,
+                           match="^family A supports tokuyama/generic weights, not 'okada'$"):
+            okada_product_check("A", 2)
+        with pytest.raises(ValueError, match="^family A has no okada factor list$"):
+            known_factor("A", 2, "okada")
+
+    def test_divisibility_is_not_stated_under_shared_t_weights(self):
+        with pytest.raises(ValueError, match="^unknown regime 'okada'$"):
+            divisibility_check("B", [2, 1], "okada")
 
 class ScriptedRng:
     """Stands in for random.Random: choice returns the given values in turn, cycling."""

@@ -1,7 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
+from bentice import relations
 from bentice.laurent import GI, LaurentPoly, Var
 from bentice.relations import (
     bend_ybe_check, caduceus_check, fish_check, fish_closed_form,
@@ -190,6 +192,54 @@ class TestCaduceus:
                            bend_up=base.bend_up, bend_down=base.bend_down)
         v = caduceus_check(bad, 1)
         assert not v.ok and v.witness is not None
+
+
+def all_pairs_verdict(scheme, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed):
+    """(ok, witness, checked) of the ratio check comparing every two sides."""
+    sides = []
+    for fixed in relations._assignments(names):
+        zl = relations.local_z(lhs_units, {**fixed, **lhs_fixed}, scheme)
+        zr = relations.local_z(rhs_units, {**fixed, **rhs_fixed}, scheme)
+        if not (zl.is_zero() and zr.is_zero()):
+            sides.append((dict(fixed), zl, zr))
+    for (f1, l1, r1), (f2, l2, r2) in itertools.combinations(sides, 2):
+        if l1 * r2 != l2 * r1:
+            return False, {"first": f1, "second": f2}, len(sides)
+    return True, None, len(sides)
+
+
+def perturbed_corner(family):
+    a0, b0 = LaurentPoly.var(Var.a0(0)), LaurentPoly.var(Var.b0(0))
+    return replace(make_generic(family, 1), corner_l=a0 + I * b0)
+
+
+# the fish and jellyfish schemes of the tests above, perturbed and not
+RATIO_CASES = {
+    "fish-B": ("fish", make_generic("B", 1), "B"),
+    "fish-Cstar": ("fish", make_generic("Cstar", 1), "Cstar_D_no1"),
+    "fish-D": ("fish", make_generic("D", 1), "D_with1"),
+    "fish-B-unit-ratio": ("fish", with_bend_down(make_generic("B", 1), ONE), "B"),
+    "jellyfish-C": ("jellyfish", make_generic("C", 1), None),
+    "jellyfish-Bstar": ("jellyfish", make_generic("Bstar", 1), None),
+    "jellyfish-BC": ("jellyfish", make_generic("BC", 2), None),
+    "jellyfish-Bstar-negated-bend": (
+        "jellyfish", with_bend_down(make_generic("Bstar", 1), -ONE), None),
+    "jellyfish-Bstar-non-square": (
+        "jellyfish", with_bend_down(make_generic("Bstar", 1), LaurentPoly.const(2)), None),
+    "jellyfish-C-perturbed-corner": ("jellyfish", perturbed_corner("C"), None),
+}
+
+
+@pytest.mark.parametrize("case", RATIO_CASES)
+def test_ratio_check_agrees_with_every_pair_compared(case):
+    relation, scheme, variant = RATIO_CASES[case]
+    if relation == "fish":
+        v = fish_check(scheme, 1, variant)
+        sides = relations._fish_sides(1, variant)
+    else:
+        v = jellyfish_check(scheme, 1)
+        sides = relations._jellyfish_sides(scheme, 1)
+    assert (v.ok, v.witness, v.checked) == all_pairs_verdict(scheme, *sides)
 
 
 def test_verdict_json_roundtrip():
