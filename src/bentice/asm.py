@@ -180,7 +180,7 @@ def okada_matrix_weight(st: OkadaStats) -> LaurentPoly:
 def bijection_check(family: str, n: int, scheme=None) -> dict:
     """wt(matrix) == wt(state) for every state, plus the counting lemmas."""
     if family != "B":
-        raise AsmError("the matrix statistics are printed for family B only")
+        raise AsmError("the bijection with sign matrices is checked for family B only")
     rho = list(range(n, 0, -1))
     spec = build_model("B", rho)
     scheme = scheme or make_okada("B", n)

@@ -1,23 +1,24 @@
 """Weyl-group machinery and the character specialization checks.
 
 Signed permutations are pairs (sigma, v) acting on exponent vectors by
-(w.alpha)_j = v_j * alpha_sigma(j), multiplied by
-(s1,v1)(s2,v2) = (s2 s1, v1 * v2^s1).  Four groups share them: the
+(w.alpha)_j = v_j * alpha_sigma(j).  Four groups share them: the
 symmetric group (type A, every sign +1), the hyperoctahedral group, and
-its even-sign subgroup.  Lengths come from the classical inversion
-formulas on one-line notation (validated against word length over the
-generators: adjacent swaps, plus a last-coordinate sign flip for the full
-hyperoctahedral group or the two-coordinate flip for its even subgroup).
+its even-sign subgroup.  An element's sign (-1)^length is its
+determinant in the reflection representation, sign(sigma) times the
+product of the v_j.
 
-Characters are alternant ratios, with exponents kept doubled so type-B
-half-integer weights stay integral.  Both checks are exact polynomial
-identities: the character factorization of the partition function, and
-the type-A anchor identity.
+Characters are Weyl's ratio: a numerator alternant, the signed orbit sum
+over the group, divided by the Weyl denominator, one binomial per
+positive root.  Exponents are kept doubled so type-B half-integer weights
+stay integral.  Both checks are exact polynomial identities: the
+character factorization of the partition function, and the type-A anchor
+identity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .identities import _x_rho_shift, known_factor
@@ -42,47 +43,14 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.sigma)
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        # group law: (s1,v1)(s2,v2) = (s2 s1, v1 * v2^s1)
-        v1, s2, v2 = self.signs, other.sigma, other.signs
-        sigma = tuple(s2[self.sigma[j] - 1] for j in range(self.n))
-        signs = tuple(v1[j] * v2[self.sigma[j] - 1] for j in range(self.n))
-        return SignedPermutation(sigma, signs)
+    def det(self) -> int:
+        """det w in the reflection representation, (-1)^length(w)."""
+        inversions = sum(a > b for a, b in itertools.combinations(self.sigma, 2))
+        return (-1) ** inversions * math.prod(self.signs)
 
     def act(self, alpha: tuple) -> tuple:
         """(w.alpha)_j = v_j alpha_sigma(j); alpha in doubled units."""
         return tuple(self.signs[j] * alpha[self.sigma[j] - 1] for j in range(self.n))
-
-
-def _bb_oneline(w: SignedPermutation) -> list:
-    """One-line form in the convention whose sign flip sits on coordinate 1.
-
-    The element is read as the map j -> v_j sigma(j) and conjugated by the
-    coordinate reversal, which carries our generator set to the classical
-    one and so preserves length.
-    """
-    n = w.n
-    f = [w.signs[j] * w.sigma[j] for j in range(n)]
-    out = []
-    for k in range(1, n + 1):
-        val = f[n - k]
-        mag = n + 1 - abs(val)
-        out.append(mag if val > 0 else -mag)
-    return out
-
-
-def length(w: SignedPermutation, group: str) -> int:
-    """Coxeter length by inversion counting."""
-    u = _bb_oneline(w)
-    n = len(u)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
-    if group == SYMMETRIC:
-        return inv
-    if group == HYPEROCTAHEDRAL:
-        return inv + sum(-v for v in u if v < 0)
-    if group == EVEN_SIGNS:
-        return inv + sum(-v - 1 for v in u if v < 0)
-    raise ValueError(f"unknown group {group!r}")
 
 
 def weyl_group(group: str, n: int) -> list:
@@ -108,8 +76,7 @@ def _x_monomial(exponents, coeff=1) -> LaurentPoly:
 def alternant(group: str, n: int, alpha_doubled) -> LaurentPoly:
     """Signed orbit sum over the group, exponents in doubled units."""
     alpha = tuple(alpha_doubled)
-    return LaurentPoly.sum(_x_monomial(w.act(alpha), (-1) ** (length(w, group) % 2))
-                           for w in weyl_group(group, n))
+    return LaurentPoly.sum(_x_monomial(w.act(alpha), w.det()) for w in weyl_group(group, n))
 
 
 def weyl_vector(type_: str, n: int) -> tuple:
@@ -133,6 +100,31 @@ FAMILY_CHARACTER = {
 }
 
 
+def weyl_denominator(family: str, n: int) -> list:
+    """The Weyl denominator as one factor x^a - x^-a per positive root a.
+
+    Exponents are doubled, so x^a is e^(a/2).  The roots are e_i -+ e_j,
+    and e_i for type B or 2e_i for type C; for family A, whose vector is
+    (n-1, ..., 0), the factor of e_i - e_j is x_i^2 - x_j^2.  Family BC's
+    alternant at rho_B = rho_D + (1/2, ..., 1/2) is D's denominator times
+    (prod (x^e_i + x^-e_i) + prod (x^e_i - x^-e_i)) / 2; at x_n = 1 the
+    second product vanishes and the first loses its factor 2.
+    """
+    group, type_ = FAMILY_CHARACTER[family]
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    pairs = list(itertools.combinations(e, 2))
+    if group == SYMMETRIC:
+        return [_x_monomial(u) ** 2 - _x_monomial(v) ** 2 for u, v in pairs]
+    roots = [tuple(a + s * b for a, b in zip(u, v)) for u, v in pairs for s in (-1, 1)]
+    if group == HYPEROCTAHEDRAL:
+        roots += [tuple((2 if type_ == "C" else 1) * a for a in u) for u in e]
+    spin = []
+    if family == "BC":
+        roots = [a[:-1] + (0,) for a in roots]
+        spin = [_x_monomial(u) + _x_monomial(u) ** -1 for u in e[:-1]]
+    return [_x_monomial(a) - _x_monomial(a) ** -1 for a in roots] + spin
+
+
 def _check_dominant(mu, n):
     mu = tuple(int(m) for m in mu)
     if len(mu) != n or any(m < 0 for m in mu) or any(a < b for a, b in zip(mu, mu[1:])):
@@ -143,27 +135,24 @@ def _check_dominant(mu, n):
 def family_character(family: str, n: int, mu) -> LaurentPoly:
     """The character the family's partition function factors through.
 
-    Family A gives the Schur polynomial, the bialternant over S_n.
-    Family BC uses the even-sign group with the type-B vector, evaluated
-    at x_n = 1, matching the specialization baked into its weights.
-    Family D's partition function factors through this chi^D only when
-    lambda_n = 1; for lambda_n > 1 it factors through the Cstar character
-    (see character_theorem_check).
+    The numerator alternant divided by the Weyl denominator's root
+    factors.  Family A gives the Schur polynomial.  Family BC uses the
+    even-sign group with the type-B vector, evaluated at x_n = 1,
+    matching the specialization baked into its weights.  Family D's
+    partition function factors through this chi^D only when lambda_n = 1;
+    for lambda_n > 1 it factors through the Cstar character (see
+    character_theorem_check).
     """
     mu = _check_dominant(mu, n)
     group, vec = FAMILY_CHARACTER[family]
-    rho = weyl_vector(vec, n)
-    alpha = tuple(2 * m + r for m, r in zip(mu, rho))
+    alpha = tuple(2 * m + r for m, r in zip(mu, weyl_vector(vec, n)))
     num = alternant(group, n, alpha)
-    den = alternant(group, n, rho)
     if family == "BC":
-        # the odd-symplectic character lives at x_n = 1; the unspecialized
-        # alternant ratio need not be polynomial
+        # the odd-symplectic character lives at x_n = 1
         num = num.substitute({Var.x(n): ONE})
-        den = den.substitute({Var.x(n): ONE})
-    chi = num.exact_divide(den)
+    chi = num.exact_divide(*weyl_denominator(family, n))
     if chi is None:
-        raise ArithmeticError("alternant ratio failed to divide exactly")
+        raise ArithmeticError("the alternant failed to divide by the Weyl denominator")
     return chi
 
 

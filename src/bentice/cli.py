@@ -245,7 +245,10 @@ def _verify(args) -> tuple:
 
     if check == "bend":
         fam = _family(args)
-        scheme = make_scheme(args.scheme or "generic", fam, 2)
+        if fam not in BENT_FAMILIES:
+            raise InputError(f"bend relations exist for families {sorted(BENT_FAMILIES)}")
+        # BC's row 2 is its central row at rank 2, with no bend
+        scheme = make_scheme(args.scheme or "generic", fam, 3 if fam == "BC" else 2)
         v = bend_ybe_check(scheme, 1, 2)
         return v.ok, {"checked": v.checked, "witness": v.witness}
 
@@ -323,6 +326,8 @@ def _verify(args) -> tuple:
         return r["ok"], {"chi": r["chi"].to_latex()}
 
     if check == "tokuyama":
+        if args.family is not None and _family(args) != "A":
+            raise InputError("the Tokuyama identity is stated for family A only")
         lam = _parse_partition(_need(args, "lambda"))
         _check_caps(args, "A", lam)
         r = tokuyama_check(lam)

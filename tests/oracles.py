@@ -22,9 +22,13 @@ from the tests alone.
 - Sign matrices: `is_asm`, brute-force enumerators of the (half-turn
   symmetric) alternating sign matrices, and the family-B interleaving
   partition chain with its matrix of row differences.
-- Characters: the bijection between the nonzero-weight states under the
-  character weights and the Weyl group elements (acceptance criterion 7),
-  the closed form of each state's weight, and the sign statistic phi.
+- Characters: `compose`, the law of the signed-permutation groups;
+  `alternant_ratio`, a character as the numerator alternant over the
+  alternant at rho, the differential oracle for `family_character`'s
+  division by the Weyl denominator's root factors; the bijection between
+  the nonzero-weight states under the character weights and the Weyl
+  group elements (acceptance criterion 7), the closed form of each
+  state's weight, and the sign statistic phi.
 """
 
 from heapq import heapify, heappop, heappush
@@ -33,7 +37,7 @@ from typing import Mapping, Optional
 
 from bentice.asm import AsmError, _row_steps, is_half_turn_symmetric
 from bentice.characters import (
-    FAMILY_CHARACTER, HYPEROCTAHEDRAL, SignedPermutation, _x_monomial, length, weyl_vector,
+    FAMILY_CHARACTER, HYPEROCTAHEDRAL, SignedPermutation, _x_monomial, alternant, weyl_vector,
 )
 from bentice.laurent import (
     _ZERO, GInt, LaurentPoly, Var, ZeroDivisorError, _add_term, _check_bank, _mono_mul,
@@ -368,15 +372,26 @@ def identity_element(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, n + 1)), (1,) * n)
 
 
-def det_sign(w: SignedPermutation) -> int:
-    sign = 1
-    for j in range(w.n):
-        for k in range(j + 1, w.n):
-            if w.sigma[j] > w.sigma[k]:
-                sign = -sign
-    for v in w.signs:
-        sign *= 1 if v > 0 else -1
-    return sign
+def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
+    """The group law (s1,v1)(s2,v2) = (s2 s1, v1 * v2^s1)."""
+    sigma = tuple(b.sigma[a.sigma[j] - 1] for j in range(a.n))
+    signs = tuple(a.signs[j] * b.signs[a.sigma[j] - 1] for j in range(a.n))
+    return SignedPermutation(sigma, signs)
+
+
+def alternant_ratio(family: str, n: int, mu) -> Optional[LaurentPoly]:
+    """The family's character as alternant(rho + mu) / alternant(rho).
+
+    Both alternants are sums over the whole group; family BC takes both
+    at x_n = 1 before dividing.
+    """
+    group, vec = FAMILY_CHARACTER[family]
+    rho = weyl_vector(vec, n)
+    num = alternant(group, n, tuple(2 * m + r for m, r in zip(mu, rho)))
+    den = alternant(group, n, rho)
+    if family == "BC":
+        num, den = (p.substitute({Var.x(n): ONE}) for p in (num, den))
+    return num.exact_divide(den)
 
 
 class CharacterBijectionError(ValueError):
@@ -446,7 +461,7 @@ def weyl_state_weight(w: SignedPermutation, family: str, lam) -> LaurentPoly:
     group, vec = FAMILY_CHARACTER[family]
     rho = weyl_vector(vec, n)
     alpha = tuple(2 * m + r for m, r in zip(mu, rho))
-    sign = (-1) ** (length(w, group) % 2)
+    sign = w.det()
     if group == HYPEROCTAHEDRAL:
         sign *= (-1) ** (n % 2)
     coeff = gpow_i(sum(mu)) * GInt(sign)

@@ -15,7 +15,7 @@ import pytest
 
 from bentice.asm import bijection_check
 from bentice.characters import (
-    EVEN_SIGNS, HYPEROCTAHEDRAL, character_theorem_check, length, tokuyama_check, weyl_group,
+    EVEN_SIGNS, HYPEROCTAHEDRAL, character_theorem_check, tokuyama_check, weyl_group,
 )
 from bentice.cli import main as cli_main
 from bentice.identities import (
@@ -220,16 +220,13 @@ def test_criterion_7_character_theorem(capsys):
             if len(nonzero_weight_states(family, lam)) != expect:
                 failures.append((family, n, "state count"))
 
-    # phi parity against length, families with a printed phi
+    # phi parity against the determinant, families with a printed phi
     for lam in ([2, 1], [3, 2, 1]):
-        for s in nonzero_weight_states("B", lam):
-            if phi_statistic(s) % 2 != length(state_to_weyl(s), HYPEROCTAHEDRAL) % 2:
-                failures.append(("B", lam, "phi parity"))
-                break
-        for s in nonzero_weight_states("BC", lam):
-            if phi_statistic(s) % 2 != length(state_to_weyl(s), EVEN_SIGNS) % 2:
-                failures.append(("BC", lam, "phi parity"))
-                break
+        for family in ("B", "BC"):
+            for s in nonzero_weight_states(family, lam):
+                if (-1) ** (phi_statistic(s) % 2) != state_to_weyl(s).det():
+                    failures.append((family, lam, "phi parity"))
+                    break
 
     elapsed = time.monotonic() - started
     ok = not failures and elapsed < 600.0

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from bentice.characters import (
-    EVEN_SIGNS, HYPEROCTAHEDRAL, SYMMETRIC, SignedPermutation, alternant,
-    character_theorem_check, family_character, length, tokuyama_check, weyl_group,
-    weyl_vector,
+    EVEN_SIGNS, FAMILY_CHARACTER, HYPEROCTAHEDRAL, SYMMETRIC, SignedPermutation, _x_monomial,
+    alternant, character_theorem_check, family_character, tokuyama_check, weyl_denominator,
+    weyl_group, weyl_vector,
 )
 from bentice.laurent import LaurentPoly, Var, gpow_i
 from bentice.models import build_model
@@ -13,8 +13,8 @@ from bentice.states import enumerate_states, partition_function, state_weight
 from bentice.weights import make_character
 
 from oracles import (
-    CharacterBijectionError, det_sign, identity_element, nonzero_weight_states,
-    phi_statistic, state_to_weyl, weyl_state_weight,
+    CharacterBijectionError, alternant_ratio, compose, identity_element,
+    nonzero_weight_states, phi_statistic, state_to_weyl, weyl_state_weight,
 )
 
 ONE = LaurentPoly.const(1)
@@ -54,7 +54,7 @@ def word_length_table(group: str, n: int) -> dict:
         nxt = []
         for w in frontier:
             for g in gens:
-                u = g * w
+                u = compose(g, w)
                 if u not in dist:
                     dist[u] = dist[w] + 1
                     nxt.append(u)
@@ -68,14 +68,14 @@ class TestGroup:
         assert [len(weyl_group(EVEN_SIGNS, n)) for n in (2, 3)] == [4, 24]
         assert [len(weyl_group(SYMMETRIC, n)) for n in (1, 2, 3, 4)] == [1, 2, 6, 24]
 
-    def test_identity_length(self):
-        assert length(identity_element(3), HYPEROCTAHEDRAL) == 0
+    def test_identity_det(self):
+        assert identity_element(3).det() == 1
 
     def test_group_law_convention(self):
         # (s1,v1)(s2,v2) = (s2 s1, v1 v2^s1): signs_j = v1_j * v2_{sigma1(j)}
         a = SignedPermutation((2, 1), (1, -1))
         b = SignedPermutation((1, 2), (-1, 1))
-        ab = a * b
+        ab = compose(a, b)
         assert ab.sigma == (2, 1)
         assert ab.signs == (1 * 1, -1 * -1) == (1, 1)
 
@@ -83,16 +83,19 @@ class TestGroup:
         (HYPEROCTAHEDRAL, 1), (HYPEROCTAHEDRAL, 2), (HYPEROCTAHEDRAL, 3),
         (EVEN_SIGNS, 2), (EVEN_SIGNS, 3), (SYMMETRIC, 3), (SYMMETRIC, 4),
     ])
-    def test_length_formula_equals_word_length(self, group, n):
+    def test_det_equals_word_length_parity(self, group, n):
+        # det w = (-1)^length(w) in the reflection representation
         table = word_length_table(group, n)
         assert set(table) == set(weyl_group(group, n))
         for w, wl in table.items():
-            assert length(w, group) == wl
+            assert w.det() == (-1) ** wl
 
     def test_det_parity(self):
+        # the determinant is a character of each group
         for group in (SYMMETRIC, HYPEROCTAHEDRAL, EVEN_SIGNS):
-            for w in weyl_group(group, 3):
-                assert det_sign(w) == (-1) ** (length(w, group) % 2)
+            elements = weyl_group(group, 3)
+            for a, b in itertools.product(elements, repeat=2):
+                assert compose(a, b).det() == a.det() * b.det()
 
 
 class TestAlternants:
@@ -149,6 +152,51 @@ class TestCharacters:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             family_character("B", 2, [0, 1])
+
+
+def dominant_weights(n: int, size: int) -> list:
+    """Weakly decreasing nonnegative n-tuples with entries summing to at most size."""
+    return [mu for mu in itertools.product(range(size + 1), repeat=n)
+            if sum(mu) <= size and all(a >= b for a, b in zip(mu, mu[1:]))]
+
+
+def at_last_one(p: LaurentPoly, n: int) -> LaurentPoly:
+    return p.substitute({Var.x(n): ONE})
+
+
+class TestWeylDenominator:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+    def test_root_factors_multiply_to_the_alternant_at_rho(self, family, n):
+        group, vec = FAMILY_CHARACTER[family]
+        delta = alternant(group, n, weyl_vector(vec, n))
+        if family == "BC":
+            delta = at_last_one(delta, n)
+        assert LaurentPoly.prod(weyl_denominator(family, n)) == delta
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["B", "Bstar", "C", "Cstar", "D", "BC"])
+    def test_the_ice_at_rho_is_x_rho_times_the_denominator(self, family, n):
+        # Z(rho) = sign x^rho prod (x^a - x^-a) under the character weights,
+        # with sign (-1)^n for the hyperoctahedral families
+        group, vec = FAMILY_CHARACTER[family]
+        rho = list(range(n, 0, -1))
+        z = partition_function(build_model(family, rho), make_character(family, n))
+        sign = (-1) ** n if group == HYPEROCTAHEDRAL else 1
+        product = LaurentPoly.prod([LaurentPoly.const(sign), _x_monomial(weyl_vector(vec, n)),
+                                    *weyl_denominator(family, n)])
+        assert z == (at_last_one(product, n) if family == "BC" else product)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", list(FAMILY_CHARACTER))
+    def test_character_is_the_alternant_ratio(self, family, n):
+        for mu in dominant_weights(n, 4):
+            assert family_character(family, n, mu) == alternant_ratio(family, n, mu), mu
+
+    @pytest.mark.parametrize("mu", [(1, 0, 0, 0, 0), (1, 1, 1, 1, 1)])
+    @pytest.mark.parametrize("family", list(FAMILY_CHARACTER))
+    def test_character_is_the_alternant_ratio_at_rank_5(self, family, mu):
+        assert family_character(family, 5, mu) == alternant_ratio(family, 5, mu)
 
 
 class TestStateBijection:
@@ -214,16 +262,13 @@ class TestWeightLemma:
 
     @pytest.mark.parametrize("lam", [[2, 1], [3, 1], [3, 2, 1], [4, 2, 1]])
     def test_phi_parity_family_b(self, lam):
-        group = HYPEROCTAHEDRAL
         for s in nonzero_weight_states("B", lam):
-            w = state_to_weyl(s)
-            assert phi_statistic(s) % 2 == length(w, group) % 2
+            assert (-1) ** (phi_statistic(s) % 2) == state_to_weyl(s).det()
 
     @pytest.mark.parametrize("lam", [[2, 1], [3, 1], [3, 2, 1]])
     def test_phi_parity_family_bc(self, lam):
         for s in nonzero_weight_states("BC", lam):
-            w = state_to_weyl(s)
-            assert phi_statistic(s) % 2 == length(w, EVEN_SIGNS) % 2
+            assert (-1) ** (phi_statistic(s) % 2) == state_to_weyl(s).det()
 
 
 class TestCharacterTheorem:
