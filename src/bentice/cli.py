@@ -10,15 +10,20 @@ across runs for a fixed seed, up to the elapsed_ms field.  Each verb
 takes only the --emit formats it renders (EMITS); any other is a usage
 error, printed by argparse, with exit 3.
 
+COMMANDS has one row per command, keyed by the name its report prints
+(see Command), and `run` takes every command through the same steps:
+family, inputs, caps, runner.  --lambda, --mu, --scheme or --n on a
+command that does not read it is an input error.
+
 Caps default to n <= 4 and lambda_1 <= 8 and can be widened per run with
 --max-n/--max-cols or the BENTICE_MAX_N / BENTICE_MAX_COLS environment
-variables.  They are decided here and nowhere else: every verb that
-builds a model checks each model it will enumerate, from its inputs and
-before any model is built; the local relations (ybe, bend, fish,
-jellyfish, caduceus) build no model and take no caps.  --workers fans
-independent subcases (only present with --family all) over a process
-pool of at most one worker per subcase and per CPU; results are merged
-in a fixed order so the report does not depend on scheduling.
+variables.  They are decided here and nowhere else: before any model is
+built, each model the inputs name is checked (MODELS); the local
+relations (ybe, bend, fish, jellyfish, caduceus) read no such input and
+take no caps.  --workers (at least 1) fans independent subcases (only
+present with --family all) over a process pool of at most one worker
+per subcase and per CPU; results are merged in a fixed order so the
+report does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from .asm import bijection_check, matrix_layout, matrix_text, okada_stats, state_to_matrix
+from .asm import bijection_check, matrix_text, okada_stats, state_to_matrix
 from .characters import character_theorem_check, family_character, tokuyama_check
 from .identities import (
     BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
     okada_product_check, quotient_symmetry_check, rho_check,
 )
-from .models import FAMILIES, ModelError, build_model, row_layout
+from .models import FAMILIES, ModelError, build_model
 from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
@@ -85,41 +90,40 @@ def _parse_partition(text):
     return parts
 
 
+def _parse_weight(text):
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise InputError(f"cannot parse mu {text!r}") from None
+
+
 def _need(args, name):
-    value = getattr(args, name.strip("-").replace("-", "_"), None)
+    value = getattr(args, name)
     if value is None:
         raise InputError(f"--{name} is required for this verb")
     return value
 
 
-def _families(args):
-    fam = _need(args, "family")
-    if fam == "all":
-        return list(BENT_FAMILIES)
-    if fam not in FAMILIES:
-        raise InputError(f"unknown family {fam!r}; choose from {FAMILIES} or 'all'")
-    return [fam]
+def _at_least_one(flag, value) -> int:
+    if value < 1:
+        raise InputError(f"--{flag} must be at least 1, got {value}")
+    return value
 
 
-def _family(args):
-    """The family of a verb that runs one; only verify rho/okada fan 'all' out."""
-    if args.family == "all":
-        raise InputError("--family all is accepted only by 'verify rho' and 'verify okada'; "
-                         "name one family")
-    return _families(args)[0]
+# how a command reads each input, from its flag and its COMMANDS row
+READERS = {
+    "lambda": lambda args, command: _parse_partition(_need(args, "lambda")),
+    "mu": lambda args, command: _parse_weight(_need(args, "mu")),
+    "scheme": lambda args, command: args.scheme or command.scheme,
+    "n": lambda args, command: _at_least_one("n", 2 if args.n is None else args.n),
+}
 
-
-def _rank(args) -> int:
-    n = 2 if args.n is None else args.n
-    if n < 1:
-        raise InputError(f"--n must be at least 1, got {n}")
-    return n
-
-
-def _caps(args) -> tuple:
-    """The caps in force: each flag, else its environment variable, else the default."""
-    return (_cap(args.max_n, "BENTICE_MAX_N", DEFAULT_MAX_N),
-            _cap(args.max_cols, "BENTICE_MAX_COLS", DEFAULT_MAX_COLS))
+# the model each input names: family^lambda, family^rho, family^(mu + rho)
+MODELS = {
+    "lambda": lambda lam: lam,
+    "n": lambda n: range(n, 0, -1),
+    "mu": lambda mu: [m + len(mu) - i for i, m in enumerate(mu)],
+}
 
 
 def _cap(flag, variable: str, default: int) -> int:
@@ -135,15 +139,17 @@ def _cap(flag, variable: str, default: int) -> int:
 
 
 def _check_caps(args, family, lam):
-    """Raise EnumerationCapError if the model family^lam exceeds the caps in force."""
-    max_n, max_cols = _caps(args)
+    """Raise EnumerationCapError if the model family^lam exceeds the caps in force:
+    each flag, else its environment variable, else the default."""
+    max_n = _cap(args.max_n, "BENTICE_MAX_N", DEFAULT_MAX_N)
+    max_cols = _cap(args.max_cols, "BENTICE_MAX_COLS", DEFAULT_MAX_COLS)
     if len(lam) > max_n or lam[0] > max_cols:
         raise EnumerationCapError(
             f"model {family}^{list(lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
 
 
 def _pool_map(fn, items, workers):
-    workers = min(workers or 1, len(items), os.cpu_count() or 1)
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool loads multiprocessing, pickle and socket,
         # which a run without workers never needs
@@ -164,177 +170,175 @@ def _okada_case(case):
     return family, okada_product_check(family, n)["ok"]
 
 
-def run(args) -> tuple:
-    """Dispatch one parsed invocation; returns (verdict, data)."""
-    verb = args.verb
-    if verb == "enumerate":
-        fam = _family(args)
-        lam = _parse_partition(_need(args, "lambda"))
-        _check_caps(args, fam, lam)
-        spec = build_model(fam, lam)
-        if args.emit == "count":
-            return None, {"count": count_states(spec)}
-        states = enumerate_states(spec)
-        if args.emit == "tikz":
-            return None, {"count": len(states),
-                          "tikz": [state_tikz(s) for s in states]}
-        return None, {"count": len(states), "states": [s.to_json() for s in states]}
-
-    if verb == "partition":
-        fam = _family(args)
-        lam = _parse_partition(_need(args, "lambda"))
-        scheme = make_scheme(args.scheme or "deformation", fam, len(lam))
-        _check_caps(args, fam, lam)
-        spec = build_model(fam, lam)
-        z = partition_function(spec, scheme)
-        data = {"scheme": scheme.name, "states": count_states(spec)}
-        if args.emit == "latex":
-            data["z"] = z.to_latex()
-        else:
-            data["z"] = z.to_json()
-        return None, data
-
-    if verb == "asm":
-        fam = _family(args)
-        lam = _parse_partition(_need(args, "lambda"))
-        _check_caps(args, fam, lam)
-        spec = build_model(fam, lam)
-        matrix_layout(spec)                 # family BC has none: reject before enumerating
-        states = enumerate_states(spec)
-        matrices = [state_to_matrix(s) for s in states]
-        data = {"count": len(matrices)}
-        if args.emit == "text":
-            data["matrices"] = [matrix_text(m) for m in matrices]
-        else:
-            data["matrices"] = matrices
-        rho = list(range(len(lam), 0, -1))
-        if fam == "B" and lam == rho:
-            data["stats"] = [okada_stats(m).to_json() for m in matrices]
-        return None, data
-
-    if verb == "character":
-        fam = _family(args)
-        text = _need(args, "mu")
-        try:
-            mu = [int(p) for p in text.split(",")]
-        except ValueError:
-            raise InputError(f"cannot parse mu {text!r}") from None
-        max_n, _ = _caps(args)
-        if len(mu) > max_n:
-            raise EnumerationCapError(f"mu of length {len(mu)} exceeds cap n<={max_n}")
-        chi = family_character(fam, len(mu), mu)
-        data = {"mu": mu}
-        data["chi"] = chi.to_latex() if args.emit == "latex" else chi.to_json()
-        return None, data
-
-    if verb == "verify":
-        return _verify(args)
-
-    raise InputError(f"unknown verb {verb!r}")
+# runners: (args, family or the families of a fan-out, *inputs) -> (verdict, data)
+def _enumerate(args, family, lam):
+    spec = build_model(family, lam)
+    if args.emit == "count":
+        return None, {"count": count_states(spec)}
+    states = enumerate_states(spec)
+    if args.emit == "tikz":
+        return None, {"count": len(states), "tikz": [state_tikz(s) for s in states]}
+    return None, {"count": len(states), "states": [s.to_json() for s in states]}
 
 
-def _verify(args) -> tuple:
-    check = args.check
-    workers = args.workers
+def _partition(args, family, lam, scheme):
+    scheme = make_scheme(scheme, family, len(lam))
+    spec = build_model(family, lam)
+    z = partition_function(spec, scheme)
+    return None, {"scheme": scheme.name, "states": count_states(spec),
+                  "z": z.to_latex() if args.emit == "latex" else z.to_json()}
 
-    if check == "ybe":
-        fam = _family(args)
-        scheme = make_scheme(args.scheme or "deformation", fam, 2)
-        v = ybe_check(scheme.row_weights("1"), scheme.row_weights("2"))
-        return v.ok, {"checked": v.checked, "witness": v.witness}
 
-    if check == "bend":
-        fam = _family(args)
-        if fam not in BENT_FAMILIES:
-            raise InputError(f"bend relations exist for families {sorted(BENT_FAMILIES)}")
-        # BC's row 2 is its central row at rank 2, with no bend
-        scheme = make_scheme(args.scheme or "generic", fam, 3 if fam == "BC" else 2)
-        v = bend_ybe_check(scheme, 1, 2)
-        return v.ok, {"checked": v.checked, "witness": v.witness}
+def _asm(args, family, lam):
+    matrices = [state_to_matrix(s) for s in enumerate_states(build_model(family, lam))]
+    data = {"count": len(matrices),
+            "matrices": [matrix_text(m) for m in matrices] if args.emit == "text" else matrices}
+    if family == "B" and lam == list(range(len(lam), 0, -1)):
+        data["stats"] = [okada_stats(m).to_json() for m in matrices]
+    return None, data
 
-    if check == "fish":
-        fam = _family(args)
-        if fam not in FISH_VARIANTS:
-            raise InputError(f"fish variants exist for families {sorted(FISH_VARIANTS)}")
-        scheme = make_scheme(args.scheme or "generic", fam, 1)
-        v = fish_check(scheme, 1, FISH_VARIANTS[fam])
-        return v.ok and bool(v.closed_form_ok), v.to_json()
 
-    if check == "jellyfish":
-        fam = _family(args)
-        n = 2 if fam == "BC" else 1
-        if row_layout(fam, n)[1] is None:
-            raise InputError("jellyfish variants exist for families ['BC', 'Bstar', 'C']")
-        scheme = make_scheme(args.scheme or "generic", fam, n)
-        v = jellyfish_check(scheme, 1)
-        return v.ok and bool(v.closed_form_ok), v.to_json()
+def _character(args, family, mu):
+    chi = family_character(family, len(mu), mu)
+    return None, {"mu": mu, "chi": chi.to_latex() if args.emit == "latex" else chi.to_json()}
 
-    if check == "caduceus":
-        fam = _family(args)
-        n = 2 if fam == "BC" else 1
-        if row_layout(fam, n)[1] is None:
-            raise InputError("caduceus needs a central row: families Bstar, C, BC")
-        scheme = make_scheme(args.scheme or "generic", fam, n)
-        v = caduceus_check(scheme, 1)
-        return v.ok, {"checked": v.checked, "witness": v.witness}
 
-    if check == "divisibility":
-        fam = _family(args)
-        lam = _parse_partition(_need(args, "lambda"))
-        _check_caps(args, fam, lam)
-        regime = args.scheme or "deformation"
-        try:
-            q = divisibility_check(fam, lam, regime, seed=args.seed)
-        except (DivisibilityError, SuiteSelfCheckError) as exc:
-            return False, {"error": str(exc)}
-        sym = quotient_symmetry_check(q, fam, len(lam), regime)
-        return sym["ok"], {"quotient": q.to_latex(), "symmetry": sym}
+def _ybe(args, family, scheme):
+    scheme = make_scheme(scheme, family, 2)
+    v = ybe_check(scheme.row_weights("1"), scheme.row_weights("2"))
+    return v.ok, {"checked": v.checked, "witness": v.witness}
 
-    if check == "rho":
-        n = _rank(args)
-        fams = _families(args)
-        # family A has a deformation factor list only
-        cases = [(f, n, regime) for f in fams for regime in ("generic", "deformation")
-                 if f != "A" or regime == "deformation"]
-        for f in fams:
-            _check_caps(args, f, range(n, 0, -1))
-        results = _pool_map(_rho_case, cases, workers)
-        data = {f"{f}:{regime}": ok for f, regime, ok in results}
-        return all(data.values()), data
 
-    if check == "okada":
-        n = _rank(args)
-        fams = _families(args)
-        for f in fams:
-            _check_caps(args, f, range(n, 0, -1))
-        results = _pool_map(_okada_case, [(f, n) for f in fams], workers)
-        data = {f: ok for f, ok in results}
-        return all(data.values()), data
+def _bend(args, family, scheme):
+    # BC's row 2 is its central row at rank 2, with no bend
+    v = bend_ybe_check(make_scheme(scheme, family, 3 if family == "BC" else 2), 1, 2)
+    return v.ok, {"checked": v.checked, "witness": v.witness}
 
-    if check == "bijection":
-        n = _rank(args)
-        fam = "B" if args.family is None else _family(args)
-        _check_caps(args, "B", range(n, 0, -1))
-        r = bijection_check(fam, n)
-        return r["ok"], {"checked": r["checked"]}
 
-    if check == "character":
-        fam = _family(args)
-        lam = _parse_partition(_need(args, "lambda"))
-        _check_caps(args, fam, lam)
-        r = character_theorem_check(fam, lam)
-        return r["ok"], {"chi": r["chi"].to_latex()}
+def _fish(args, family, scheme):
+    v = fish_check(make_scheme(scheme, family, 1), 1, FISH_VARIANTS[family])
+    return v.ok and bool(v.closed_form_ok), v.to_json()
 
-    if check == "tokuyama":
-        if args.family is not None and _family(args) != "A":
-            raise InputError("the Tokuyama identity is stated for family A only")
-        lam = _parse_partition(_need(args, "lambda"))
-        _check_caps(args, "A", lam)
-        r = tokuyama_check(lam)
-        return r["ok"], {"symbolic_ok": r["symbolic_ok"],
-                         "t_minus_one_ok": r["t_minus_one_ok"]}
 
-    raise InputError(f"unknown verification {check!r}")
+def _jellyfish(args, family, scheme):
+    v = jellyfish_check(make_scheme(scheme, family, 2 if family == "BC" else 1), 1)
+    return v.ok and bool(v.closed_form_ok), v.to_json()
+
+
+def _caduceus(args, family, scheme):
+    v = caduceus_check(make_scheme(scheme, family, 2 if family == "BC" else 1), 1)
+    return v.ok, {"checked": v.checked, "witness": v.witness}
+
+
+def _divisibility(args, family, lam, regime):
+    try:
+        q = divisibility_check(family, lam, regime, seed=args.seed)
+    except (DivisibilityError, SuiteSelfCheckError) as exc:
+        return False, {"error": str(exc)}
+    sym = quotient_symmetry_check(q, family, len(lam), regime)
+    return sym["ok"], {"quotient": q.to_latex(), "symmetry": sym}
+
+
+def _rho(args, families, n):
+    # family A has a deformation factor list only
+    cases = [(f, n, regime) for f in families for regime in ("generic", "deformation")
+             if f != "A" or regime == "deformation"]
+    data = {f"{f}:{regime}": ok for f, regime, ok in _pool_map(_rho_case, cases, args.workers)}
+    return all(data.values()), data
+
+
+def _okada(args, families, n):
+    data = dict(_pool_map(_okada_case, [(f, n) for f in families], args.workers))
+    return all(data.values()), data
+
+
+def _bijection(args, family, n):
+    r = bijection_check(family, n)
+    return r["ok"], {"checked": r["checked"]}
+
+
+def _character_theorem(args, family, lam):
+    r = character_theorem_check(family, lam)
+    return r["ok"], {"chi": r["chi"].to_latex()}
+
+
+def _tokuyama(args, family, lam):
+    r = tokuyama_check(lam)
+    return r["ok"], {"symbolic_ok": r["symbolic_ok"], "t_minus_one_ok": r["t_minus_one_ok"]}
+
+
+class Command:
+    """A row of COMMANDS: the runner, the inputs it reads besides --family in the runner's
+    order, the families it covers ("all" fans out), the refusal for others, the --scheme."""
+
+    def __init__(self, run, reads, families=FAMILIES, refusal=None, scheme=None):
+        self.run, self.reads, self.families = run, reads, families
+        self.refusal, self.scheme = refusal, scheme
+
+
+COMMANDS = {
+    "enumerate": Command(_enumerate, ("lambda",)),
+    "partition": Command(_partition, ("lambda", "scheme"), scheme="deformation"),
+    "asm": Command(_asm, ("lambda",), FAMILIES[:-1],
+                   "BC states export via transposition of the D family; no direct matrix dictionary"),
+    "character": Command(_character, ("mu",)),
+    "verify ybe": Command(_ybe, ("scheme",), scheme="deformation"),
+    "verify bend": Command(_bend, ("scheme",), BENT_FAMILIES, "bend relations exist for "
+                           f"families {sorted(BENT_FAMILIES)}", "generic"),
+    "verify fish": Command(_fish, ("scheme",), tuple(FISH_VARIANTS), "fish variants exist for "
+                           f"families {sorted(FISH_VARIANTS)}", "generic"),
+    # jellyfish and caduceus need a central row
+    "verify jellyfish": Command(_jellyfish, ("scheme",), ("Bstar", "C", "BC"), "jellyfish "
+                                "variants exist for families ['BC', 'Bstar', 'C']", "generic"),
+    "verify caduceus": Command(_caduceus, ("scheme",), ("Bstar", "C", "BC"),
+                               "caduceus needs a central row: families Bstar, C, BC", "generic"),
+    "verify divisibility": Command(_divisibility, ("lambda", "scheme"), scheme="deformation"),
+    "verify rho": Command(_rho, ("n",), FAMILIES + ("all",)),
+    "verify okada": Command(_okada, ("n",), BENT_FAMILIES + ("all",),
+                            "family A supports tokuyama/generic weights, not 'okada'"),
+    "verify bijection": Command(_bijection, ("n",), ("B",),
+                                "the bijection with sign matrices is checked for family B only"),
+    "verify character": Command(_character_theorem, ("lambda",), BENT_FAMILIES,
+                                "family A has no character-weight identity; use verify tokuyama"),
+    "verify tokuyama": Command(_tokuyama, ("lambda",), ("A",),
+                               "the Tokuyama identity is stated for family A only"),
+}
+
+
+def _families(command, family) -> list:
+    """The families a command runs: --family, else the one its row covers."""
+    if family is None and len(command.families) == 1:
+        return list(command.families)
+    if family == "all" and "all" in command.families:
+        return list(BENT_FAMILIES)
+    if family == "all":
+        fan_out = " and ".join(f"'{name}'" for name, row in COMMANDS.items()
+                               if "all" in row.families)
+        raise InputError(f"--family all is accepted only by {fan_out}; name one family")
+    if family is None:
+        raise InputError("--family is required for this verb")
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}; choose from {FAMILIES} or 'all'")
+    if family not in command.families:
+        raise InputError(command.refusal)
+    return [family]
+
+
+def run(name, args) -> tuple:
+    """Run one command: family, inputs, caps, runner; returns (verdict, data)."""
+    command = COMMANDS[name]
+    families = _families(command, args.family)
+    for flag in READERS:
+        if flag not in command.reads and getattr(args, flag) is not None:
+            raise InputError(f"{name} does not read --{flag}")
+    _at_least_one("workers", args.workers)
+    inputs = {flag: READERS[flag](args, command) for flag in command.reads}
+    for family in families:
+        for flag, value in inputs.items():
+            if flag in MODELS:
+                _check_caps(args, family, MODELS[flag](value))
+    family = families if "all" in command.families else families[0]
+    return command.run(args, family, *inputs.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,12 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-cols", type=int, default=None)
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
-    verbs = {verb: sub.add_parser(verb, parents=[common]) for verb in EMITS}
     for verb, emits in EMITS.items():
-        verbs[verb].add_argument("--emit", default="json", choices=emits)
-    verbs["verify"].add_argument("check", choices=[
-        "ybe", "bend", "fish", "jellyfish", "caduceus", "divisibility",
-        "rho", "okada", "bijection", "character", "tokuyama"])
+        sub.add_parser(verb, parents=[common]).add_argument("--emit", default="json", choices=emits)
+    sub.choices["verify"].add_argument("check", choices=[
+        name.removeprefix("verify ") for name in COMMANDS if name.startswith("verify ")])
     return parser
 
 
@@ -403,16 +405,13 @@ def main(argv=None) -> int:
     verb = args.verb if args.verb != "verify" else f"verify {args.check}"
     started = time.monotonic()
     try:
-        verdict, data = run(args)
+        verdict, data = run(verb, args)
     except (InputError, ModelError, ValueError, EnumerationCapError) as exc:
         print(_dumps({"verb": verb, "error": str(exc)}))
         return EXIT_CAP if isinstance(exc, EnumerationCapError) else EXIT_INPUT
     elapsed = int((time.monotonic() - started) * 1000)
-    inputs = {
-        "family": args.family, "lambda": getattr(args, "lambda"),
-        "mu": args.mu, "scheme": args.scheme, "emit": args.emit,
-        "n": args.n, "seed": args.seed, "workers": args.workers,
-    }
+    inputs = {k: getattr(args, k) for k in
+              ("family", "lambda", "mu", "scheme", "emit", "n", "seed", "workers")}
     report = {
         "verb": verb,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
@@ -421,9 +420,7 @@ def main(argv=None) -> int:
         "elapsed_ms": elapsed,
     }
     print(_dumps(report))
-    if verdict is False:
-        return EXIT_FAIL
-    return EXIT_PASS
+    return EXIT_FAIL if verdict is False else EXIT_PASS
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -263,16 +263,38 @@ class TestExitCodes:
 
     def test_character_honours_the_rank_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
         code, report = invoke(capsys, "character", "--family", "B",
                               "--mu", "1,0,0", "--max-n", "2")
         assert code == EXIT_CAP
-        assert report["error"] == "mu of length 3 exceeds cap n<=2"
+        # the model B^(mu + rho), refused as verify character --lambda 4,2,1 is
+        assert report["error"] == "model B^[4, 2, 1] exceeds caps n<=2, lambda_1<=8"
         monkeypatch.setenv("BENTICE_MAX_N", "2")
         code, _ = invoke(capsys, "character", "--family", "B", "--mu", "1,0,0")
         assert code == EXIT_CAP
         code, _ = invoke(capsys, "character", "--family", "B", "--mu", "1,0,0",
                          "--max-n", "3")
         assert code == EXIT_PASS
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_input_error(self, capsys, workers):
+        for argv in (["verify", "rho", "--family", "B", "--n", "2"],
+                     ["verify", "okada", "--family", "all", "--n", "2"],
+                     ["verify", "ybe", "--family", "B"]):
+            code, report = invoke(capsys, *argv, "--workers", workers)
+            assert (code, report) == (EXIT_INPUT, {
+                "verb": verb_of(argv), "error": f"--workers must be at least 1, got {workers}"})
+
+    def test_every_command_checks_family_inputs_caps_then_runs(self, capsys, monkeypatch):
+        # the scheme is built by the runner, after the caps
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
+        code, report = invoke(capsys, "partition", "--family", "A", "--lambda", "9,1",
+                              "--scheme", "okada")
+        assert (code, report["error"]) == (EXIT_CAP, "model A^[9, 1] exceeds caps n<=4, lambda_1<=8")
+        # and the family before the inputs and the caps
+        code, report = invoke(capsys, "asm", "--family", "BC", "--lambda", "9,1", "--n", "2")
+        assert (code, report["error"]) == (EXIT_INPUT, cli.COMMANDS["asm"].refusal)
 
     def test_self_check_failure_is_exit_2(self, capsys, monkeypatch):
         # the value check refutes a division that the exact division then performs
@@ -318,6 +340,7 @@ MODEL_VERBS = [
     (["verify", "okada", "--family", "C", "--n", "3"], "C", [3, 2, 1]),
     (["verify", "okada", "--family", "all", "--n", "2"], "B", [2, 1]),
     (["verify", "bijection", "--n", "3"], "B", [3, 2, 1]),
+    (["character", "--family", "B", "--mu", "1,0"], "B", [3, 1]),
 ]
 CAP_ENV = {"--max-n": "BENTICE_MAX_N", "--max-cols": "BENTICE_MAX_COLS"}
 
@@ -372,6 +395,72 @@ class TestEveryModelVerbHonoursTheCaps:
             # the report names the variable and its value
             assert report == {"verb": verb_of(argv),
                               "error": f"{CAP_ENV[cap]}='abc' is not an integer"}
+
+
+# a valid value of each input a command may read
+VALID = {"lambda": "2,1", "mu": "1,0", "scheme": "generic", "n": "2"}
+
+
+def command_argv(name, family) -> list:
+    """The command on one family (None: no --family) with valid inputs and its default scheme."""
+    reads = [flag for flag in cli.COMMANDS[name].reads if flag != "scheme"]
+    return (name.split() + (["--family", family] if family else [])
+            + [arg for flag in reads for arg in (f"--{flag}", VALID[flag])])
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name, family", [
+        (name, family) for name in cli.COMMANDS for family in cli.FAMILIES + ("all",)])
+    def test_each_command_runs_exactly_the_families_it_lists(self, capsys, name, family):
+        row = cli.COMMANDS[name]
+        code, report = invoke(capsys, *command_argv(name, family))
+        if family in row.families:
+            assert code == EXIT_PASS, report
+        elif family == "all":
+            assert code == EXIT_INPUT
+            assert "'verify rho' and 'verify okada'" in report["error"]
+        else:
+            assert (code, report) == (EXIT_INPUT, {"verb": name, "error": row.refusal})
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_a_row_for_one_family_runs_it_by_default(self, capsys, name):
+        families = cli.COMMANDS[name].families
+        code, report = invoke(capsys, *command_argv(name, None))
+        if len(families) == 1:
+            _, named = invoke(capsys, *command_argv(name, families[0]))
+            assert code == EXIT_PASS
+            assert (report["verdict"], report["data"]) == (named["verdict"], named["data"])
+        else:
+            assert (code, report["error"]) == (EXIT_INPUT, "--family is required for this verb")
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, row in cli.COMMANDS.items() for flag in VALID
+        if flag not in row.reads])
+    def test_a_flag_the_command_does_not_read_is_input_error(self, capsys, name, flag):
+        argv = command_argv(name, cli.COMMANDS[name].families[0])
+        code, report = invoke(capsys, *argv, f"--{flag}", VALID[flag])
+        assert (code, report) == (EXIT_INPUT,
+                                  {"verb": name, "error": f"{name} does not read --{flag}"})
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "5"), ("--workers", "2"), ("--max-n", "4"), ("--max-cols", "8")])
+    def test_the_run_flags_are_accepted_by_every_command(self, capsys, flag, value):
+        for name, row in cli.COMMANDS.items():
+            code, _ = invoke(capsys, *command_argv(name, row.families[0]), flag, value)
+            assert code == EXIT_PASS, name
+
+    def test_every_command_that_names_a_model_has_a_caps_row(self):
+        # MODEL_VERBS writes its models out by hand, independent of the table
+        named = {name for name, row in cli.COMMANDS.items()
+                 if {"lambda", "n", "mu"} & set(row.reads)}
+        assert {verb_of(argv) for argv, _, _ in MODEL_VERBS} == named
+
+    def test_the_parser_takes_the_table_rows(self, capsys):
+        parser = cli.build_parser()
+        for name in cli.COMMANDS:
+            args = parser.parse_args(name.split())
+            assert name == (f"verify {args.check}" if args.verb == "verify" else args.verb)
+        assert main(["verify", "frobnicate"]) == EXIT_INPUT
 
 
 class TestDeterminism:
