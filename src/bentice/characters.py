@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .identities import _x_rho_shift, known_factor
+from .identities import known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
 from .models import build_model, check_strict_partition
 from .states import partition_function
@@ -198,14 +198,17 @@ def character_theorem_check(family: str, lam) -> dict:
 
 
 def tokuyama_check(lam) -> dict:
-    """The type-A anchor: Z == x^rho prod(1 + t x_j/x_i) s_mu, t symbolic."""
+    """The type-A anchor: Z == x^rho prod(1 + t x_j/x_i) s_mu, t symbolic.
+
+    x^rho prod(1 + t x_j/x_i) is family A's factor list (see
+    identities.known_factor).
+    """
     lam = check_strict_partition(lam)
     n = len(lam)
     rho = tuple(range(n, 0, -1))
     mu = tuple(a - b for a, b in zip(lam, rho))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
-    rhs = LaurentPoly.prod([_x_rho_shift(n, 1), *known_factor("A", n, "deformation"),
-                            family_character("A", n, mu)])
+    rhs = LaurentPoly.prod([*known_factor("A", n, "deformation"), family_character("A", n, mu)])
     ok = z == rhs
 
     # t = -1 collapses to the classical alternant: q -> i is exact

@@ -144,8 +144,11 @@ def _check_caps(args, family, lam):
     max_n = _cap(args.max_n, "BENTICE_MAX_N", DEFAULT_MAX_N)
     max_cols = _cap(args.max_cols, "BENTICE_MAX_COLS", DEFAULT_MAX_COLS)
     if len(lam) > max_n or lam[0] > max_cols:
+        # a long model is named by its shape: its first two parts, its last and its length
+        parts = (list(lam) if len(lam) <= 8
+                 else f"[{lam[0]}, {lam[1]}, ..., {lam[-1]}] ({len(lam)} parts)")
         raise EnumerationCapError(
-            f"model {family}^{list(lam)} exceeds caps n<={max_n}, lambda_1<={max_cols}")
+            f"model {family}^{parts} exceeds caps n<={max_n}, lambda_1<={max_cols}")
 
 
 def _pool_map(fn, items, workers):

@@ -2,18 +2,20 @@
 
 Every factor of Z is a crossing weight of a regular row j against a
 partner row, read from the weight scheme: the later rows k and their bars
-kb, plus per family the central row or j's own bar, the Yang-Baxter train
-argument's R-matrix weights.  The one exception is the bend factor
-a2(j) + i b1(j) of families B and C.  The same table gives the factor
-lists in three regimes: symbolic a/b weights ("generic"), the x/t
-parametrization ("deformation") and the shared-t weights ("okada").  At
-lambda = rho the factor product IS the partition function (rho_check);
-under the shared-t weights that product is Okada's deformation of the
-Weyl denominator, so Okada's identity is the rho identity in that regime.
+kb (in a family with bars), plus per family the central row or j's own
+bar, the Yang-Baxter train argument's R-matrix weights.  The exceptions
+are the bend factor a2(j) + i b1(j) of families B and C, and family A's
+c2(j): every row of A^lambda has one more c2 vertex than c1 vertex.  One
+table covers all seven families and gives the factor lists in three
+regimes: symbolic a/b weights ("generic"), the x/t parametrization
+("deformation"; Tokuyama's weights in family A) and the shared-t weights
+("okada").  At lambda = rho the factor product IS the partition function
+(rho_check): in family A it is Tokuyama's x^rho prod(1 + t x_j/x_i), and
+under the shared-t weights it is Okada's deformation of the Weyl
+denominator, so Okada's identity is the rho identity in that regime.
 For larger lambda the product divides Z, with a quotient symmetric under
-the spectral index actions, each a plain substitution of variables.
-Family A is carried along via its own deformed-denominator factors (one
-shared t), whose quotient is the Schur function.
+the spectral index actions, each a plain substitution of variables; in
+family A the quotient is the Schur polynomial.
 
 A randomized Gaussian-integer evaluation of Z and the whole factor list
 runs before the exact division; both pack Z and the factors once, in the
@@ -28,11 +30,10 @@ from __future__ import annotations
 import random
 
 from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
-from .models import build_model, row_layout
+from .models import build_model, has_bars, row_layout
 from .states import partition_function
 from .weights import WeightScheme, crossing, make_scheme
 
-ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
 
 
@@ -49,73 +50,54 @@ class PreCheckUndecidedError(ArithmeticError):
 
 
 # Partner rows of each regular row j besides the later rows k and their
-# bars kb: "short" is the bend factor a2(j) + i b1(j), "c" the central row,
-# "bar" the row's own bar jb.
-_PARTNERS = {"B": ("short",), "Bstar": ("c",), "C": ("short", "c"),
+# bars kb: "short" is the bend factor a2(j) + i b1(j), "c2" the row's own
+# c2 weight, "c" the central row, "bar" the row's own bar jb.
+_PARTNERS = {"A": ("c2",), "B": ("short",), "Bstar": ("c",), "C": ("short", "c"),
              "Cstar": ("bar",), "D": (), "BC": ("c", "bar")}
 
-BENT_FAMILIES = tuple(_PARTNERS)
+BENT_FAMILIES = ("B", "Bstar", "C", "Cstar", "D", "BC")
 
 
 def _crossing_factors(scheme: WeightScheme) -> list:
-    """Each factor is a crossing weight of a row against a partner row."""
+    """Each factor is a crossing weight of a row against a partner row, or
+    one of the row's own weights ("short", "c2")."""
     rows, central = row_layout(scheme.family, scheme.n)
+    suffixes = ("", "b") if has_bars(scheme.family) else ("",)
     factors = []
     for row in rows:
+        w = scheme.row_weights(row)
         partner_rows = {"c": central, "bar": row + "b"}
         for partner in _PARTNERS[scheme.family]:
             if partner == "short":
-                w = scheme.row_weights(row)
                 factors.append(w["a2"] + I * w["b1"])
+            elif partner == "c2":
+                factors.append(w["c2"])
             else:
                 factors.append(crossing(scheme, row, partner_rows[partner]))
     for i, j in enumerate(rows):
         for k in rows[i + 1:]:
-            factors.append(crossing(scheme, j, k))
-            factors.append(crossing(scheme, j, k + "b"))
+            factors.extend(crossing(scheme, j, k + suffix) for suffix in suffixes)
     return factors
 
 
 def known_factor(family: str, n: int, regime: str, lambda_has_1: bool = True) -> list:
     """The stated factor list for Z of the family, as exact polynomials.
 
-    Each bent family's factors are crossing weights under the regime's
-    scheme (see _crossing_factors): generic, deformation, or okada, the
-    shared-t weights.  Family D without a part 1 is Cstar^(lambda - 1)
-    with its columns relabelled (see characters.character_theorem_check):
-    Cstar's list.  Family A has only the deformed type-A denominator.
+    Each family's factors are read from its row of the partner table
+    under the regime's scheme (see _crossing_factors): generic,
+    deformation, or okada, the shared-t weights.  Family D without a part 1 is Cstar^(lambda - 1) with its
+    columns relabelled (see characters.character_theorem_check): Cstar's
+    list.  Family A's list is stated under Tokuyama's weights only.
     """
     if regime not in ("generic", "deformation", "okada"):
         raise ValueError(f"unknown regime {regime!r}")
-    if family == "A":
-        if regime != "deformation":
-            raise ValueError(f"family A has no {regime} factor list")
-        return _type_a_factors(n)
+    if family == "A" and regime != "deformation":
+        raise ValueError(f"family A has no {regime} factor list")
     if family == "D" and not lambda_has_1:
         family = "Cstar"
     if family not in _PARTNERS:
         raise ValueError(f"no factor list for family {family!r}")
     return _crossing_factors(make_scheme(regime, family, n))
-
-
-def _type_a_factors(n: int) -> list:
-    """Root factors of the deformed type-A denominator, one shared t.
-
-    The monomial x^rho also divides: divisibility_check strips it and
-    requires that no exponent goes negative (a monomial, a unit of the
-    Laurent ring, always divides exactly).
-    """
-    t = LaurentPoly.term(1, [(Var.qshared(), 2)])
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors.append(ONE + t * LaurentPoly.term(1, [(Var.x(j), 2), (Var.x(i), -2)]))
-    return factors
-
-
-def _x_rho_shift(n: int, sign: int = -1) -> LaurentPoly:
-    """The monomial x^(sign * rho), rho = (n, ..., 1)."""
-    return LaurentPoly.term(1, [(Var.x(j), sign * 2 * (n + 1 - j)) for j in range(1, n + 1)])
 
 
 def spectral_actions(family: str, n: int, regime: str) -> list:
@@ -131,7 +113,7 @@ def spectral_actions(family: str, n: int, regime: str) -> list:
     actions = [(f"swap({j},{j + 1})", {mk(a): var(mk(b)) for mk in kinds
                                        for a, b in ((j, j + 1), (j + 1, j))})
                for j in range(1, m)]
-    if family == "A":
+    if not has_bars(family):
         return actions
     for j in range(1, m + 1):
         if regime == "generic":
@@ -213,6 +195,9 @@ def divisibility_check(family: str, lam, regime: str,
     remainder (which would refute the identity at this instance), and
     SuiteSelfCheckError if the pre-check, run once on Z and the whole
     factor list, refutes a divisibility that the exact division confirms.
+    A monomial, a unit of the Laurent ring, always divides exactly, so
+    family A's quotient, the Schur polynomial, must also keep every
+    exponent nonnegative: that is the test that x^rho divides Z.
     """
     spec = build_model(family, lam)
     # stated for the generic and deformation regimes only
@@ -236,12 +221,8 @@ def divisibility_check(family: str, lam, regime: str,
     if not ok:
         raise SuiteSelfCheckError(
             f"value check refuted divisibility at {point} but exact division succeeded")
-    if family == "A":
-        # strip x^rho; the result must be an honest polynomial in the x's
-        quotient = quotient * _x_rho_shift(spec.n)
-        if any(e < 0 for m in quotient.terms for _, e in m):
-            raise DivisibilityError(
-                f"x^rho does not divide Z(A^{list(lam)}) [{regime}]")
+    if family == "A" and any(e < 0 for m in quotient.terms for _, e in m):
+        raise DivisibilityError(f"x^rho does not divide Z(A^{list(lam)}) [{regime}]")
     return quotient
 
 
@@ -256,9 +237,9 @@ def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
 def rho_check(family: str, n: int, regime: str) -> dict:
     """At lambda = rho the divisibility is equality: Z == product.
 
-    For family A the product also carries the monomial x^rho.  Under the
-    shared-t weights ("okada") the product is Okada's deformed Weyl
-    denominator, with t carried as q**2.
+    One statement for all seven families, the product of known_factor's
+    list.  Under the shared-t weights ("okada") the product is Okada's
+    deformed Weyl denominator, with t carried as q**2.
     """
     rho = list(range(n, 0, -1))
     spec = build_model(family, rho)
@@ -267,7 +248,7 @@ def rho_check(family: str, n: int, regime: str) -> dict:
     scheme = make_scheme(regime, family, n)
     factors = known_factor(family, n, regime)
     z = partition_function(spec, scheme)
-    product = LaurentPoly.prod(factors + [_x_rho_shift(n, 1)] if family == "A" else factors)
+    product = LaurentPoly.prod(factors)
     ok = z == product
     return {"ok": ok, "z": z, "product": product, "diff": None if ok else z - product}
 

@@ -6,7 +6,7 @@ columns are labelled by descending integers left to right.  Edge
 identifiers are ("h", row, i) / ("v", col, k); orientation bits mean east
 for horizontal edges and up (north) for vertical ones.
 
-The families differ only by the three columns of ``SHAPES``:
+The families differ only by the four columns of ``SHAPES``:
 
 - central row: None, "0" (an extra row between the unbarred and the
   barred rows) or "n" (row n keeps no bar and becomes the central row);
@@ -15,15 +15,15 @@ The families differ only by the three columns of ``SHAPES``:
 - east arrow of a row without a bar: the fixed bit at its east end
   (False: west, inward; True: east, outward).  Every row of family A is
   such a row; elsewhere only the central row is.  None in family C, whose
-  central row turns down into its half column through a corner unit.
+  central row turns down into its half column through a corner unit;
+- bars: whether each regular row j (an unbarred row other than the
+  central row; ``row_layout`` lists them) has a barred row jb, a u-turn
+  bend joining their right ends (``has_bars``).  Only family A has none.
 
-Outside family A, each regular row j (an unbarred row other than the
-central row; ``row_layout`` lists them) has a barred row jb, and a u-turn
-bend joins their right ends.  The rest of the boundary is fixed by the
-partition: the west edge of every row points inward (east), the top
-edge of a column points outward (up) iff its label is a part, half column
-included (so Cstar's column 0 always points in), and every bottom edge
-points outward (down).
+The rest of the boundary is fixed by the partition: the west edge of
+every row points inward (east), the top edge of a column points outward
+(up) iff its label is a part, half column included (so Cstar's column 0
+always points in), and every bottom edge points outward (down).
 
 A graph is a tuple of units (tetravalent vertices, u-turn bends, corner
 joints, and strand crossings for the local diagrams of ``relations``),
@@ -43,15 +43,15 @@ from typing import Optional
 
 FAMILIES = ("A", "B", "Bstar", "C", "Cstar", "D", "BC")
 
-# family -> (central row, half column, east arrow of a row without a bar)
+# family -> (central row, half column, east arrow of a row without a bar, bars)
 SHAPES = {
-    "A": (None, None, False),
-    "B": (None, None, None),
-    "Bstar": ("0", None, True),
-    "C": ("0", 0, None),
-    "Cstar": (None, 0, None),
-    "D": (None, 1, None),
-    "BC": ("n", None, False),
+    "A": (None, None, False, False),
+    "B": (None, None, None, True),
+    "Bstar": ("0", None, True, True),
+    "C": ("0", 0, None, True),
+    "Cstar": (None, 0, None, True),
+    "D": (None, 1, None, True),
+    "BC": ("n", None, False, True),
 }
 
 EdgeId = tuple
@@ -172,14 +172,14 @@ class ModelSpec:
         after row: ``(nrows, ncols, cells, centre)``.
 
         ``cells`` holds ``(its position in units, its cell, its image)`` for
-        every vertex.  Outside family A the grid is completed by half-turn
-        symmetry, so the image is the cell's half-turn image, a cell that no
-        vertex fills; in family A it is the cell itself.
+        every vertex.  In a family with bars (all but A) the grid is completed
+        by half-turn symmetry, so the image is the cell's half-turn image, a
+        cell that no vertex fills; in family A it is the cell itself.
         ``centre`` is None, or, where no vertex fills the middle cell of a
         half column (family C), ``(that cell, the other cells of its
         column)``.
         """
-        half_turn = self.family != "A"
+        half_turn = has_bars(self.family)
         nrows, n_full = len(self.rows), len(self.full_cols)
         col_at = {c: j for j, c in enumerate(self.full_cols)}
         if self.half_col is not None:
@@ -215,15 +215,20 @@ def row_layout(family: str, n: int) -> tuple:
     return regular, central
 
 
+def has_bars(family: str) -> bool:
+    """Whether each regular row j has a barred row jb, joined to it by a bend."""
+    return SHAPES[family][3]
+
+
 def build_model(family: str, lam_parts) -> ModelSpec:
     """Construct the lattice graph for one family and strict partition."""
     if family not in FAMILIES:
         raise ModelError(f"unknown family {family!r}")
     lam = check_strict_partition(lam_parts)
     n = len(lam)
-    _, half_col, east = SHAPES[family]
+    _, half_col, east, bars = SHAPES[family]
     regular, central = row_layout(family, n)
-    if family == "A":                         # no row has a bar
+    if not bars:
         rows, bend_rows, unbarred = regular, (), regular
     else:
         bend_rows = regular

@@ -4,9 +4,9 @@ Four built-in schemes share one shape, built by ``_free_fermion``: an entry
 table (kind, row) -> value, u-turn weights per bend row, and corner
 weights for the C family.  Each regular row j gets its own a1, a2, b1, b2,
 with c1 = a1*a2 + b1*b2 and c2 = 1 so the free-fermion condition holds
-identically; barred rows follow by the first symmetry assumption, and the
-central row is degenerate, (a0, a0, b0, b0).  The regimes differ only in
-the a and b weights:
+identically; barred rows (none in family A) follow by the first symmetry
+assumption, and the central row is degenerate, (a0, a0, b0, b0).  The
+regimes differ only in the a and b weights:
 
 * generic: free symbols a1,a2,b1,b2 per unbarred row (a0, b0 centrally).
 * deformation: a1=a2=1, b1 = i*t_j*x_j, b2 = i*t_j/x_j, so c1 = 1 - t_j^2,
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .laurent import GI, LaurentPoly, Var
-from .models import FAMILIES, KINDS, row_layout
+from .models import FAMILIES, KINDS, has_bars, row_layout
 
 ONE = LaurentPoly.const(1)
 I = LaurentPoly.const(GI)
@@ -102,18 +102,21 @@ def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightS
     """The one shape of every free-fermion scheme, from each row's a and b weights.
 
     Regular row j takes (a1, a2, b1, b2) = row_ab(j), c1 = a1 a2 + b1 b2 and
-    c2 = 1; its bar swaps 1 and 2 (the first symmetry assumption).  The
-    central row c ("0", or row n in family BC; see models.row_layout) takes
-    (a0, a0, b0, b0) from (a0, b0) = central_ab(int(c)).  Bends and the C
-    corner follow the table.
+    c2 = 1; its bar, if the family has bars (see models.has_bars), swaps 1
+    and 2 (the first symmetry assumption).  The central row c ("0", or row
+    n in family BC; see models.row_layout) takes (a0, a0, b0, b0) from
+    (a0, b0) = central_ab(int(c)).  Bends and the C corner follow the table.
     """
     _check(family, n)
     regular, c = row_layout(family, n)
+    bars = has_bars(family)
     rows = {}
     for j in regular:
         a1, a2, b1, b2 = row_ab(int(j))
-        rows[j], rows[j + "b"] = (a1, a2, b1, b2), (a2, a1, b2, b1)
-    bend_rows = list(rows)
+        rows[j] = (a1, a2, b1, b2)
+        if bars:
+            rows[j + "b"] = (a2, a1, b2, b1)
+    bend_rows = list(rows) if bars else []
     if c is not None:
         a0, b0 = central_ab(int(c))
         rows[c] = (a0, a0, b0, b0)

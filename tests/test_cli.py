@@ -276,6 +276,21 @@ class TestExitCodes:
                          "--max-n", "3")
         assert code == EXIT_PASS
 
+    def test_a_long_refused_model_is_named_by_its_shape(self, capsys, monkeypatch):
+        monkeypatch.delenv("BENTICE_MAX_N", raising=False)
+        monkeypatch.delenv("BENTICE_MAX_COLS", raising=False)
+        code = main(["verify", "rho", "--family", "B", "--n", "1000000"])
+        out = capsys.readouterr().out
+        assert code == EXIT_CAP and len(out.encode()) < 1024
+        assert json.loads(out) == {"verb": "verify rho", "error": "model B^[1000000, 999999, "
+                                   "..., 1] (1000000 parts) exceeds caps n<=4, lambda_1<=8"}
+        # up to 8 parts the model is listed in full
+        code, report = invoke(capsys, "verify", "rho", "--family", "B", "--n", "8")
+        assert report["error"] == "model B^[8, 7, 6, 5, 4, 3, 2, 1] exceeds caps n<=4, lambda_1<=8"
+        code, report = invoke(capsys, "enumerate", "--family", "A", "--lambda", "11,9,8,7,6,5,4,3,2")
+        assert report["error"] == ("model A^[11, 9, ..., 2] (9 parts) "
+                                   "exceeds caps n<=4, lambda_1<=8")
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_input_error(self, capsys, workers):
         for argv in (["verify", "rho", "--family", "B", "--n", "2"],
@@ -792,3 +807,21 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_the_report_writer_prints_what_json_dumps_prints(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def readme_commands() -> list:
+    """The argv of each `bentice ...` line in the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("bentice ")]
+
+
+def test_the_readme_shows_example_commands():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_every_readme_example_command_passes(capsys, monkeypatch, argv):
+    for name in CAP_ENV.values():
+        monkeypatch.delenv(name, raising=False)
+    assert main(argv) == EXIT_PASS

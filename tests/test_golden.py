@@ -164,16 +164,17 @@ def test_c_rho_counts_are_odd_half_turn_numbers():
 
 
 # sha256 of the canonical JSON of [scheme_to_json(scheme) for n = 1..4], one
-# digest per (regime, family); family A has no okada weights.
+# digest per (regime, family); family A has no okada weights, and its other
+# schemes no barred rows and no bends.
 SCHEME_DIGESTS = {
-    "generic-A": "977679d297a9a2e6ba912b8e7ad49b919d8f01fb7b7d4202ad4c9c5116ef79e3",
+    "generic-A": "8c9f96f0e2991aeccfc5e1e1b6ae6e4e9f8960089e16c1a861e7ae5b2dd6caed",
     "generic-B": "e1aef722bd646e967399c0394daf0196b562dbb719ac0ea647e0af83096a0311",
     "generic-Bstar": "a2caf52730f9cb9df82541bce7f0811f7ed232301330fe382f1d750aa4a2fc09",
     "generic-C": "7955ddb88a4058aad45191998be96ef06bf107a0c45bf4b80e3d13844e57b657",
     "generic-Cstar": "42ce7f61552ce49a08dbb33318514ef590bcccfc1632b8956a9cb32dddd7275b",
     "generic-D": "8c21b73a3b5963d63f7c9f8d0d920133682740b3c93bf52b130875988ee84125",
     "generic-BC": "b27f57c6350492695f9ebb2f9b9fe90fee8ac290f9a080c3f649a6682c0ebd86",
-    "deformation-A": "5a5f822daa9e566debf1725122dd6553dc34fc6d92d701b5f72986cd1ced31d0",
+    "deformation-A": "57ad0d461832aa1871e159a37ba9adf0512651f4243b349d23c14886da5e3005",
     "deformation-B": "528f1620ad5a49af724f3ab83e056b592d3e5b5109e85d20e75315794e2a88a0",
     "deformation-Bstar": "d4b52a00601ae0abaff51dc1f5dad4b311289803552f6ab7658c5878ba0160b5",
     "deformation-C": "a4133b476574a7e0afc183b50c51fdfa755f2982d48cb0014cc0f255c18a7a94",
@@ -186,7 +187,7 @@ SCHEME_DIGESTS = {
     "okada-Cstar": "f1cbb4d6e5340823cc015aaf5ce45b67be151c61d324b66172a335f2263cb6c2",
     "okada-D": "758cc26d24c54a0917ceabdb19617ad69d95acb576fa5d661d5c56e4028f8e14",
     "okada-BC": "97c7cd665231c2a3ac6ebdad1f46b50ade7303fb1d4439484cfbb472456d0b9a",
-    "character-A": "6c9e2b5472df9731d857928d6eef1d89587ce9fd527a0cef303694c0f4a27517",
+    "character-A": "7030228a2863163180436370d9ea6741146cf9d60dbac9181c1447b0d876df5b",
     "character-B": "a717243d435df2809ce807ca74605d9706955aee374b665497dd8b184868dd9b",
     "character-Bstar": "1f071c640ea3c9cc6154140bf2745b528e5f28577854369a3d2382be53ab312a",
     "character-C": "25679e2b6a842c3e21afcccff5992cf0f44e1744933f397c9c1d6726c0eedcdb",

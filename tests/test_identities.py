@@ -15,7 +15,7 @@ from bentice.identities import (
 from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
 from bentice.models import build_model
 from bentice.states import partition_function
-from bentice.weights import make_generic, make_tokuyama
+from bentice.weights import crossing, make_generic, make_tokuyama
 
 from oracles import evaluate, is_homogeneous, total_degree, vertex_count, zero
 
@@ -40,7 +40,9 @@ def sha256(obj):
 
 
 # sha256 of json.dumps([f.to_json() for f in known_factor(*key)]), recorded
-# from the per-family factor ladders that the partner-row table replaced
+# from the per-family factor ladders that the partner-row table replaced;
+# family A's from its row of the table (c2(j), then x_j + t x_k), whose
+# product TestTypeAFactors checks against Tokuyama's x^rho prod(1 + t x_j/x_i)
 FACTOR_DIGESTS = {
     ("B", 1, "generic", True): "83e9ce9a31a2b93d3f69808602491986d96287f150779841f056e5a25b9e1d15",
     ("B", 1, "generic", False): "83e9ce9a31a2b93d3f69808602491986d96287f150779841f056e5a25b9e1d15",
@@ -138,10 +140,10 @@ FACTOR_DIGESTS = {
     ("BC", 4, "generic", False): "4508ce27f6ae2069126e307468dd8e7c59850f0e76b84e4bcab99b3d615af3d9",
     ("BC", 4, "deformation", True): "6c5e6679b347127418990af43bb931cea67683acb7a61484669298edf3f5f5b5",
     ("BC", 4, "deformation", False): "6c5e6679b347127418990af43bb931cea67683acb7a61484669298edf3f5f5b5",
-    ("A", 1, "deformation", True): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("A", 2, "deformation", True): "f80d4402e09cd45ab4df5bc5f1b14f598d14ea52900f45ef93bac8fc4ecaec8e",
-    ("A", 3, "deformation", True): "9e4c239bef7ddf331435b9c4c9dcb1efb320be6c656de9700b00e48938923419",
-    ("A", 4, "deformation", True): "41e20878070335ffc902619cb728ec01a3c194ebf4a52e2ef7a113705d870ba4",
+    ("A", 1, "deformation", True): "0335ae794202e23c991fb8688949fe372b892011ba673dc893ec2635a06fa9a4",
+    ("A", 2, "deformation", True): "4ee8bf584b0fa50704a67cde0b83e00d8c9dba6a5aa52d0b4a40cb9205e545d8",
+    ("A", 3, "deformation", True): "f3fec9ac19bf335aaed0e950b65cb134ae0817ee972f9f9d2fb8e2d2819464f4",
+    ("A", 4, "deformation", True): "10e6a68781658a3cd8af45610df51f6325460df865185e2d7a85372ac1983673",
 }
 
 # sha256 of json.dumps(okada_product(*key).to_json()), the product of the okada
@@ -214,6 +216,45 @@ class TestKnownFactor:
             assert total_degree(product) == vertex_count(spec) - n
 
 
+def tokuyama_product(n):
+    """x^rho prod_{i<j} (1 + t x_j/x_i), rho = (n, ..., 1), written out."""
+    tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
+    want = LaurentPoly.term(1, [(Var.x(j), 2 * (n + 1 - j)) for j in range(1, n + 1)])
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            want = want * (ONE + tq * x(j) * x(i, -2))
+    return want
+
+
+class TestTypeAFactors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_product_is_x_rho_times_the_deformed_denominator(self, n):
+        assert LaurentPoly.prod(known_factor("A", n, "deformation")) == tokuyama_product(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_factor_is_a_crossing_or_a_rows_c2(self, n):
+        scheme = make_tokuyama(n)
+        rows = [str(j) for j in range(1, n + 1)]
+        c2 = [scheme.vertex[("c2", j)] for j in rows]
+        crossings = [crossing(scheme, j, k) for j, k in itertools.combinations(rows, 2)]
+        assert known_factor("A", n, "deformation") == c2 + crossings
+        # under the Tokuyama weights, c2(j) = x_j and crossing(j, k) = x_j + t x_k
+        tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
+        assert c2 == [x(j) for j in range(1, n + 1)]
+        assert crossings == [x(j) + tq * x(k)
+                             for j, k in itertools.combinations(range(1, n + 1), 2)]
+
+    def test_a_negative_exponent_in_the_quotient_is_refused(self, monkeypatch):
+        # a monomial divides exactly in the Laurent ring: one x_1 too many
+        # leaves x_1^-1 in the quotient, which s_mu cannot have
+        real = identities.known_factor
+        monkeypatch.setattr(identities, "known_factor",
+                            lambda *args, **kwargs: real(*args, **kwargs) + [x(1)])
+        with pytest.raises(DivisibilityError,
+                           match=r"^x\^rho does not divide Z\(A\^\[2, 1\]\) \[deformation\]$"):
+            divisibility_check("A", [2, 1], "deformation")
+
+
 class TestRhoEqualities:
     @pytest.mark.parametrize("family", ["B", "Bstar", "C", "Cstar", "D", "BC"])
     @pytest.mark.parametrize("regime", ["generic", "deformation"])
@@ -223,11 +264,7 @@ class TestRhoEqualities:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_type_a_includes_x_rho(self, n):
         # Z(A^rho) = x^rho prod_{i<j} (1 + t x_j/x_i), rho = (n, ..., 1)
-        tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
-        want = LaurentPoly.term(1, [(Var.x(j), 2 * (n + 1 - j)) for j in range(1, n + 1)])
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                want = want * (ONE + tq * x(j) * x(i, -2))
+        want = tokuyama_product(n)
         rho = list(range(n, 0, -1))
         assert partition_function(build_model("A", rho), make_tokuyama(n)) == want
         r = rho_check("A", n, "deformation")
