@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import add, mul
 
 from .laurent import LaurentPoly, Var
-from .models import ModelSpec, build_model
+from .models import ModelSpec, build_model, rho
 from .states import IceState, enumerate_states, state_weight
 from .weights import make_okada
 
@@ -181,8 +181,7 @@ def bijection_check(family: str, n: int, scheme=None) -> dict:
     """wt(matrix) == wt(state) for every state, plus the counting lemmas."""
     if family != "B":
         raise AsmError("the bijection with sign matrices is checked for family B only")
-    rho = list(range(n, 0, -1))
-    spec = build_model("B", rho)
+    spec = build_model("B", rho(n))
     scheme = scheme or make_okada("B", n)
     failures = []
     checked = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .identities import known_factor
 from .laurent import GInt, LaurentPoly, Var, gpow_i
-from .models import build_model, check_strict_partition
+from .models import build_model, check_strict_partition, reduced, rho
 from .states import partition_function
 from .weights import make_character, make_tokuyama
 
@@ -140,8 +140,8 @@ def family_character(family: str, n: int, mu) -> LaurentPoly:
     even-sign group with the type-B vector, evaluated at x_n = 1,
     matching the specialization baked into its weights.  Family D's
     partition function factors through this chi^D only when lambda_n = 1;
-    for lambda_n > 1 it factors through the Cstar character (see
-    character_theorem_check).
+    for lambda_n > 1 it factors through the Cstar character of its
+    reduction (see models.reduced).
     """
     mu = _check_dominant(mu, n)
     group, vec = FAMILY_CHARACTER[family]
@@ -168,31 +168,28 @@ def character_theorem_check(family: str, lam) -> dict:
     - every family, except D with lambda_n > 1:
       Z(lambda) == i^{|mu|} Z(rho) chi_mu with rho = (n, ..., 1) and
       mu = lambda - rho, chi the family's character;
-    - family D with lambda_n > 1: the half column's top edge then points
-      inward, as Cstar's always does, and the character weights are keyed
-      by row, so D^lambda is Cstar^(lambda - 1) with column c relabelled
-      c - 1.  Then Z(lambda) == i^{|mu'|} Z(Cstar^rho) chi^Cstar_{mu'},
-      a type-C character, with mu' = lambda - (n + 1, ..., 2).
+    - family D with lambda_n > 1: D^lambda is Cstar^(lambda - 1) with
+      column c relabelled c - 1 (see models.reduced), and the character
+      weights are keyed by row.  Then Z(lambda) == i^{|mu'|} Z(Cstar^rho)
+      chi^Cstar_{mu'}, a type-C character, with mu' = lambda - 1 - rho.
 
-    Z is always computed from the family's own model; "statement" names
-    the identity applied, chi^F being family_character(F, n, mu).
+    Both are the first statement for the model's reduction.  Z is always
+    computed from the family's own model; "statement" names the identity
+    applied, chi^F being family_character(F, n, mu).
     """
     if family == "A":
         raise ValueError("family A has no character-weight identity; use verify tokuyama")
     lam = check_strict_partition(lam)
     n = len(lam)
     z_lam = partition_function(build_model(family, list(lam)), make_character(family, n))
-    shift = 0
-    if family == "D" and lam[-1] > 1:
-        family, shift = "Cstar", 1
-    rho = tuple(range(n, 0, -1))
-    mu = tuple(a - b - shift for a, b in zip(lam, rho))
-    z_rho = partition_function(build_model(family, list(rho)), make_character(family, n))
+    family, base = reduced(family, lam)
+    mu = tuple(a - b for a, b in zip(base, rho(n)))
+    z_rho = partition_function(build_model(family, rho(n)), make_character(family, n))
     chi = family_character(family, n, mu)
     rhs = LaurentPoly.const(gpow_i(sum(mu))) * z_rho * chi
     ok = z_lam == rhs
     statement = (f"Z = i^|mu| Z({family}^rho) chi^{family}_mu, "
-                 f"mu = lambda - rho{' - 1' if shift else ''}")
+                 f"mu = lambda - rho{'' if base == lam else ' - 1'}")
     return {"ok": ok, "statement": statement, "mu": mu, "z": z_lam, "rhs": rhs,
             "chi": chi, "diff": None if ok else z_lam - rhs}
 
@@ -205,8 +202,7 @@ def tokuyama_check(lam) -> dict:
     """
     lam = check_strict_partition(lam)
     n = len(lam)
-    rho = tuple(range(n, 0, -1))
-    mu = tuple(a - b for a, b in zip(lam, rho))
+    mu = tuple(a - b for a, b in zip(lam, rho(n)))
     z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
     rhs = LaurentPoly.prod([*known_factor("A", n, "deformation"), family_character("A", n, mu)])
     ok = z == rhs

@@ -40,7 +40,7 @@ from .identities import (
     BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
     okada_product_check, quotient_symmetry_check, rho_check,
 )
-from .models import FAMILIES, ModelError, build_model
+from .models import FAMILIES, SHAPES, ModelError, build_model, rho
 from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
@@ -63,8 +63,6 @@ EMITS = {
     "character": ("json", "latex"),
     "verify": ("json",),
 }
-
-FISH_VARIANTS = {"B": "B", "Cstar": "Cstar_D_no1", "D": "D_with1"}
 
 
 class InputError(ValueError):
@@ -121,7 +119,7 @@ READERS = {
 # the model each input names: family^lambda, family^rho, family^(mu + rho)
 MODELS = {
     "lambda": lambda lam: lam,
-    "n": lambda n: range(n, 0, -1),
+    "n": rho,
     "mu": lambda mu: [m + len(mu) - i for i, m in enumerate(mu)],
 }
 
@@ -196,7 +194,7 @@ def _asm(args, family, lam):
     matrices = [state_to_matrix(s) for s in enumerate_states(build_model(family, lam))]
     data = {"count": len(matrices),
             "matrices": [matrix_text(m) for m in matrices] if args.emit == "text" else matrices}
-    if family == "B" and lam == list(range(len(lam), 0, -1)):
+    if family == "B" and lam == list(rho(len(lam))):
         data["stats"] = [okada_stats(m).to_json() for m in matrices]
     return None, data
 
@@ -212,24 +210,29 @@ def _ybe(args, family, scheme):
     return v.ok, {"checked": v.checked, "witness": v.witness}
 
 
+def _bent_scheme(scheme, family, regular):
+    """The scheme at the least rank with that many regular rows: one more
+    where the central row is row n (see models.row_layout)."""
+    return make_scheme(scheme, family, regular + (SHAPES[family][0] == "n"))
+
+
 def _bend(args, family, scheme):
-    # BC's row 2 is its central row at rank 2, with no bend
-    v = bend_ybe_check(make_scheme(scheme, family, 3 if family == "BC" else 2), 1, 2)
+    v = bend_ybe_check(_bent_scheme(scheme, family, 2), 1, 2)
     return v.ok, {"checked": v.checked, "witness": v.witness}
 
 
 def _fish(args, family, scheme):
-    v = fish_check(make_scheme(scheme, family, 1), 1, FISH_VARIANTS[family])
+    v = fish_check(_bent_scheme(scheme, family, 1), 1)
     return v.ok and bool(v.closed_form_ok), v.to_json()
 
 
 def _jellyfish(args, family, scheme):
-    v = jellyfish_check(make_scheme(scheme, family, 2 if family == "BC" else 1), 1)
+    v = jellyfish_check(_bent_scheme(scheme, family, 1), 1)
     return v.ok and bool(v.closed_form_ok), v.to_json()
 
 
 def _caduceus(args, family, scheme):
-    v = caduceus_check(make_scheme(scheme, family, 2 if family == "BC" else 1), 1)
+    v = caduceus_check(_bent_scheme(scheme, family, 1), 1)
     return v.ok, {"checked": v.checked, "witness": v.witness}
 
 
@@ -279,6 +282,10 @@ class Command:
         self.refusal, self.scheme = refusal, scheme
 
 
+# the bent families whose bend meets a central row (jellyfish, caduceus) or not (fish)
+_CENTRAL = tuple(f for f in BENT_FAMILIES if SHAPES[f][0] is not None)
+_NO_CENTRAL = tuple(f for f in BENT_FAMILIES if SHAPES[f][0] is None)
+
 COMMANDS = {
     "enumerate": Command(_enumerate, ("lambda",)),
     "partition": Command(_partition, ("lambda", "scheme"), scheme="deformation"),
@@ -288,13 +295,12 @@ COMMANDS = {
     "verify ybe": Command(_ybe, ("scheme",), scheme="deformation"),
     "verify bend": Command(_bend, ("scheme",), BENT_FAMILIES, "bend relations exist for "
                            f"families {sorted(BENT_FAMILIES)}", "generic"),
-    "verify fish": Command(_fish, ("scheme",), tuple(FISH_VARIANTS), "fish variants exist for "
-                           f"families {sorted(FISH_VARIANTS)}", "generic"),
-    # jellyfish and caduceus need a central row
-    "verify jellyfish": Command(_jellyfish, ("scheme",), ("Bstar", "C", "BC"), "jellyfish "
-                                "variants exist for families ['BC', 'Bstar', 'C']", "generic"),
-    "verify caduceus": Command(_caduceus, ("scheme",), ("Bstar", "C", "BC"),
-                               "caduceus needs a central row: families Bstar, C, BC", "generic"),
+    "verify fish": Command(_fish, ("scheme",), _NO_CENTRAL, "fish variants exist for "
+                           f"families {sorted(_NO_CENTRAL)}", "generic"),
+    "verify jellyfish": Command(_jellyfish, ("scheme",), _CENTRAL, "jellyfish variants "
+                                f"exist for families {sorted(_CENTRAL)}", "generic"),
+    "verify caduceus": Command(_caduceus, ("scheme",), _CENTRAL, "caduceus needs a central "
+                               f"row: families {', '.join(_CENTRAL)}", "generic"),
     "verify divisibility": Command(_divisibility, ("lambda", "scheme"), scheme="deformation"),
     "verify rho": Command(_rho, ("n",), FAMILIES + ("all",)),
     "verify okada": Command(_okada, ("n",), BENT_FAMILIES + ("all",),

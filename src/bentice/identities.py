@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 
 from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
-from .models import build_model, has_bars, row_layout
+from .models import build_model, has_bars, reduced, rho, row_layout
 from .states import partition_function
 from .weights import WeightScheme, crossing, make_scheme
 
@@ -80,21 +80,19 @@ def _crossing_factors(scheme: WeightScheme) -> list:
     return factors
 
 
-def known_factor(family: str, n: int, regime: str, lambda_has_1: bool = True) -> list:
+def known_factor(family: str, n: int, regime: str) -> list:
     """The stated factor list for Z of the family, as exact polynomials.
 
     Each family's factors are read from its row of the partner table
     under the regime's scheme (see _crossing_factors): generic,
-    deformation, or okada, the shared-t weights.  Family D without a part 1 is Cstar^(lambda - 1) with its
-    columns relabelled (see characters.character_theorem_check): Cstar's
-    list.  Family A's list is stated under Tokuyama's weights only.
+    deformation, or okada, the shared-t weights.  A model's list is its
+    reduction's (see models.reduced): D^lambda without a part 1 takes
+    Cstar's.  Family A's list is stated under Tokuyama's weights only.
     """
     if regime not in ("generic", "deformation", "okada"):
         raise ValueError(f"unknown regime {regime!r}")
     if family == "A" and regime != "deformation":
         raise ValueError(f"family A has no {regime} factor list")
-    if family == "D" and not lambda_has_1:
-        family = "Cstar"
     if family not in _PARTNERS:
         raise ValueError(f"no factor list for family {family!r}")
     return _crossing_factors(make_scheme(regime, family, n))
@@ -162,12 +160,11 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
         raise ZeroDivisorError("division by the zero polynomial")
     packed = _Packed.cleared((num, *dens))
     divisors = range(1, len(dens) + 1)  # the divisors' places in the layout
-    # the cleared polynomials' variables() and their union, filled in the
-    # same order, so the points are drawn in the same order too
-    variables = packed.variables(0).union(*map(packed.variables, divisors))
     done = redraws = 0
     while done < trials:
-        point = _random_point(variables, rng)
+        # a value per variable in the layout's sorted order, so the points
+        # do not depend on the order of any polynomial's terms
+        point = _random_point(packed.offsets, rng)
         powers = packed.powers(point)
         dvals = [packed.value(k, powers) for k in divisors]
         if any(dval.is_zero() for dval in dvals):
@@ -203,7 +200,7 @@ def divisibility_check(family: str, lam, regime: str,
     # stated for the generic and deformation regimes only
     if regime not in ("generic", "deformation"):
         raise ValueError(f"unknown regime {regime!r}")
-    factors = known_factor(family, spec.n, regime, lambda_has_1=(1 in spec.lam))
+    factors = known_factor(reduced(family, spec.lam)[0], spec.n, regime)
     order = sorted({v for f in factors for v, _ in f.leading()[0]})
     factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
     z = partition_function(spec, make_scheme(regime, family, spec.n))
@@ -241,8 +238,7 @@ def rho_check(family: str, n: int, regime: str) -> dict:
     list.  Under the shared-t weights ("okada") the product is Okada's
     deformed Weyl denominator, with t carried as q**2.
     """
-    rho = list(range(n, 0, -1))
-    spec = build_model(family, rho)
+    spec = build_model(family, rho(n))
     # before the factor list, so a family without the regime's weights
     # (A under okada) is named as make_scheme names it
     scheme = make_scheme(regime, family, n)

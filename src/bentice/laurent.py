@@ -710,16 +710,6 @@ class _Packed:
             total_im += im
         return GInt(total_re, total_im)
 
-    def variables(self, k: int) -> set:
-        """The variables of operand k once shifted, added to the set in the
-        order that polynomial's variables() adds them: term by term, each
-        term's in sorted order.  A set's iteration order can depend on the
-        order its members were added, and points are drawn in it."""
-        out = set()
-        for key in self.terms[k]:
-            out.update(v for v, o in self.offsets.items() if key >> o & self.mask)
-        return out
-
 
 def _render_var_power(v: Var, e: int) -> str:
     if v.is_x:

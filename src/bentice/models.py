@@ -23,7 +23,9 @@ The families differ only by the four columns of ``SHAPES``:
 The rest of the boundary is fixed by the partition: the west edge of
 every row points inward (east), the top edge of a column points outward
 (up) iff its label is a part, half column included (so Cstar's column 0
-always points in), and every bottom edge points outward (down).
+always points in), and every bottom edge points outward (down).  So
+D^lambda without a part 1 is Cstar^(lambda - 1), columns relabelled one
+lower (``reduced``).
 
 A graph is a tuple of units (tetravalent vertices, u-turn bends, corner
 joints, and strand crossings for the local diagrams of ``relations``),
@@ -218,6 +220,20 @@ def row_layout(family: str, n: int) -> tuple:
 def has_bars(family: str) -> bool:
     """Whether each regular row j has a barred row jb, joined to it by a bend."""
     return SHAPES[family][3]
+
+
+def rho(n: int) -> range:
+    """The staircase (n, ..., 1), the least strict partition with n parts;
+    a range, so naming a huge one costs nothing until a model is built."""
+    return range(n, 0, -1)
+
+
+def reduced(family: str, lam) -> tuple:
+    """(family, lambda) of the model with family^lambda's states, its
+    columns relabelled: Cstar^(lambda - 1) for D without a part 1."""
+    if family == "D" and 1 not in lam:
+        return "Cstar", tuple(p - 1 for p in lam)
+    return family, lam
 
 
 def build_model(family: str, lam_parts) -> ModelSpec:

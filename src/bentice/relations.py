@@ -9,6 +9,11 @@ records for it with ``weights.unit_weight`` (crossings carry
 exactly when both rows are free-fermionic), and compares exact
 polynomials.  Verdicts are exact
 polynomial statements; a failing assignment is reported as a witness.
+
+The fish and jellyfish differ between families only by the boundary at
+the bend, read from ``models.SHAPES``: the fish passes through the half
+column, if any, its top arrow fixed as at rho; the jellyfish's central
+row turns down at a corner, or has both ends fixed to its east arrow.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import GI, LaurentPoly
-from .models import bend_unit, corner_unit, cross_unit, row_layout, vertex_unit
+from .models import (
+    SHAPES, bend_unit, corner_unit, cross_unit, rho, row_layout, vertex_unit,
+)
 from .states import enumerate_tags
 from .weights import WeightScheme, crossing, unit_weight
 
@@ -102,48 +109,32 @@ def bend_ybe_check(scheme: WeightScheme, j: int, k: int) -> Verdict:
 # fish relations: one twist absorbed into a bend
 
 
-def _fish_sides(j: int, variant: str):
+def _fish_sides(scheme: WeightScheme, j: int):
     jl, jb = str(j), str(j) + "b"
-    if variant == "B":
-        lhs_units = [
-            cross_unit(jb, jl, nw="A", ne="E1", sw="B", se="E2"),
-            bend_unit(jl, top_edge="E1", bottom_edge="E2"),
-        ]
-        rhs_units = [bend_unit(jb, top_edge="A", bottom_edge="B")]
-        names, lhs_fixed, rhs_fixed = ("A", "B"), {}, {}
-    elif variant in ("Cstar_D_no1", "D_with1"):
-        top_bit = variant == "D_with1"   # half-column top edge: out iff 1 in lambda
-        lhs_units = [
-            cross_unit(jb, jl, nw="A", ne="E1", sw="B", se="E2"),
-            vertex_unit(jb, 0, n_edge="HN", e_edge="E3", s_edge="G", w_edge="E2"),
-            bend_unit(jl, top_edge="E1", bottom_edge="E3"),
-        ]
-        rhs_units = [
-            vertex_unit(jl, 0, n_edge="HN", e_edge="E4", s_edge="G", w_edge="B"),
-            bend_unit(jb, top_edge="A", bottom_edge="E4"),
-        ]
-        names = ("A", "B", "G")
-        lhs_fixed = rhs_fixed = {"HN": top_bit}
-    else:
-        raise ValueError(f"unknown fish variant {variant!r}")
-    return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
+    top = _half_column_top(scheme)
+    lhs_units = [cross_unit(jb, jl, nw="A", ne="E1", sw="B", se="E2")]
+    if top is None:                             # the bare bend twist
+        lhs_units.append(bend_unit(jl, top_edge="E1", bottom_edge="E2"))
+        return lhs_units, [bend_unit(jb, top_edge="A", bottom_edge="B")], ("A", "B"), {}, {}
+    lhs_units += [
+        vertex_unit(jb, 0, n_edge="HN", e_edge="E3", s_edge="G", w_edge="E2"),
+        bend_unit(jl, top_edge="E1", bottom_edge="E3"),
+    ]
+    rhs_units = [
+        vertex_unit(jl, 0, n_edge="HN", e_edge="E4", s_edge="G", w_edge="B"),
+        bend_unit(jb, top_edge="A", bottom_edge="E4"),
+    ]
+    return lhs_units, rhs_units, ("A", "B", "G"), {"HN": top}, {"HN": top}
 
 
-def fish_closed_form(scheme: WeightScheme, j: int, variant: str) -> LaurentPoly:
-    jl, jb = str(j), str(j) + "b"
-    if variant == "B":
-        r = scheme.row_weights(jl)
-        return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"])
-    if variant == "Cstar_D_no1":
-        return crossing(scheme, jl, jb)
-    return crossing(scheme, jb, jl)
+def fish_closed_form(scheme: WeightScheme, j: int) -> LaurentPoly:
+    return _bend_factor(scheme, j, _half_column_top(scheme))
 
 
-def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
+def fish_check(scheme: WeightScheme, j: int) -> Verdict:
     """Ratio of twisted diagram to bare bend: constant, with a closed form."""
     _require_bends(scheme, j)
-    return _ratio_verdict(scheme, *_fish_sides(j, variant),
-                          fish_closed_form(scheme, j, variant))
+    return _ratio_verdict(scheme, *_fish_sides(scheme, j), fish_closed_form(scheme, j))
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +144,14 @@ def fish_check(scheme: WeightScheme, j: int, variant: str) -> Verdict:
 def _jellyfish_sides(scheme: WeightScheme, j: int):
     jl, jb = str(j), str(j) + "b"
     star = _central_row(scheme, "jellyfish")
-    if scheme.family == "C":
-        lhs_units = [
-            cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
-            cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
-            cross_unit(star, jl, nw="M1", ne="M5", sw="M3", se="M6"),
+    east = SHAPES[scheme.family][2]
+    lhs_units = [
+        cross_unit(jb, star, nw="A", ne="M1", sw="B", se="M2"),
+        cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
+        cross_unit(star, jl, nw="M1", ne="M5", sw="M3", se="M6"),
+    ]
+    if east is None:                        # the central row turns down at a corner
+        lhs_units += [
             corner_unit(h_edge="M6", v_edge="V1"),
             vertex_unit(jb, 0, n_edge="V1", e_edge="M7", s_edge="D", w_edge="M4"),
             bend_unit(jl, top_edge="M5", bottom_edge="M7"),
@@ -167,33 +161,17 @@ def _jellyfish_sides(scheme: WeightScheme, j: int):
             vertex_unit(jl, 0, n_edge="V2", e_edge="E8", s_edge="D", w_edge="G"),
             bend_unit(jb, top_edge="A", bottom_edge="E8"),
         ]
-        names = ("A", "B", "G", "D")
-        lhs_fixed = rhs_fixed = {}
-    else:                                   # Bstar or BC
-        inward = scheme.family == "Bstar"   # Bstar central row: west in, east out
-        lhs_units = [
-            cross_unit(jb, star, nw="A", ne="M1", sw="MW", se="M2"),
-            cross_unit(jb, jl, nw="M2", ne="M3", sw="G", se="M4"),
-            cross_unit(star, jl, nw="M1", ne="M5", sw="M3", se="M6"),
-            bend_unit(jl, top_edge="M5", bottom_edge="M4"),
-        ]
-        rhs_units = [bend_unit(jb, top_edge="A", bottom_edge="G")]
-        names = ("A", "G")
-        lhs_fixed = {"MW": inward, "M6": inward}
-        rhs_fixed = {}
-    return lhs_units, rhs_units, names, lhs_fixed, rhs_fixed
+        return lhs_units, rhs_units, ("A", "B", "G", "D"), {}, {}
+    lhs_units.append(bend_unit(jl, top_edge="M5", bottom_edge="M4"))
+    rhs_units = [bend_unit(jb, top_edge="A", bottom_edge="G")]
+    # both ends of the central row carry its fixed east arrow
+    return lhs_units, rhs_units, ("A", "G"), {"B": east, "M6": east}, {}
 
 
 def jellyfish_closed_form(scheme: WeightScheme, j: int) -> LaurentPoly:
-    jl, jb = str(j), str(j) + "b"
     star = _central_row(scheme, "jellyfish")
-    pair = crossing(scheme, jl, star) * crossing(scheme, jb, star)
-    if scheme.family == "C":
-        # the C jellyfish carries the bend pair of the B fish
-        return fish_closed_form(scheme, j, "B") * pair
-    if scheme.family == "Bstar":
-        return pair * crossing(scheme, jb, jl)
-    return pair * crossing(scheme, jl, jb)
+    pair = crossing(scheme, str(j), star) * crossing(scheme, str(j) + "b", star)
+    return pair * _bend_factor(scheme, j, SHAPES[scheme.family][2])
 
 
 def jellyfish_check(scheme: WeightScheme, j: int) -> Verdict:
@@ -231,6 +209,24 @@ def caduceus_check(scheme: WeightScheme, j: int) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _half_column_top(scheme: WeightScheme) -> Optional[bool]:
+    """The half column's top arrow as build_model fixes it at rho, out iff
+    its label is a part (D: out, Cstar: in); None without a half column."""
+    half_col = SHAPES[scheme.family][1]
+    return None if half_col is None else half_col in rho(scheme.n)
+
+
+def _bend_factor(scheme: WeightScheme, j: int, arrow: Optional[bool]) -> LaurentPoly:
+    """What the bend of row j absorbs: with no fixed arrow there, the pair
+    (a1 - i b2)(a2 + i b1); else the crossing of the row and its bar,
+    (jb, j) if the arrow points out and (j, jb) if it points in."""
+    jl, jb = str(j), str(j) + "b"
+    if arrow is None:
+        r = scheme.row_weights(jl)
+        return (r["a1"] - I * r["b2"]) * (r["a2"] + I * r["b1"])
+    return crossing(scheme, jb, jl) if arrow else crossing(scheme, jl, jb)
 
 
 def _central_row(scheme: WeightScheme, relation: str):

@@ -100,13 +100,13 @@ def test_criterion_2_local_relations(capsys):
     if v.ok or v.witness is None:
         failures.append("caduceus necessity")
 
-    for family, variant in (("B", "B"), ("Cstar", "Cstar_D_no1"), ("D", "D_with1")):
-        v = fish_check(make_generic(family, 1), 1, variant)
+    for family in ("B", "Cstar", "D"):
+        v = fish_check(make_generic(family, 1), 1)
         if not (v.ok and v.closed_form_ok):
-            failures.append(f"fish {variant}")
-        v = fish_check(with_bend_down(make_generic(family, 1), LaurentPoly.const(3)), 1, variant)
+            failures.append(f"fish {family}")
+        v = fish_check(with_bend_down(make_generic(family, 1), LaurentPoly.const(3)), 1)
         if v.ok:
-            failures.append(f"fish {variant} necessity")
+            failures.append(f"fish {family} necessity")
 
     for family in ("C", "Bstar", "BC"):
         n = 2 if family == "BC" else 1

@@ -8,7 +8,7 @@ from bentice.characters import (
     weyl_group, weyl_vector,
 )
 from bentice.laurent import LaurentPoly, Var, gpow_i
-from bentice.models import build_model
+from bentice.models import build_model, reduced
 from bentice.states import enumerate_states, partition_function, state_weight
 from bentice.weights import make_character
 
@@ -321,7 +321,7 @@ class TestCharacterTheorem:
 
         for lam in itertools.combinations(range(5, 1, -1), n):
             d = [key(s, 1) for s in enumerate_states(build_model("D", lam))]
-            cstar = build_model("Cstar", [p - 1 for p in lam])
+            cstar = build_model(*reduced("D", lam))
             c = [key(s, 0) for s in enumerate_states(cstar)]
             assert len(set(d)) == len(d) == len(c)
             assert set(d) == set(c)

@@ -246,13 +246,15 @@ def test_model_digest(family):
 # The divisibility ladder of the benchmark: six bent families, two lambdas,
 # two schemes.  For each seed, sha256 of the JSON list of every op's drawn
 # pre-check points (each as [variable, re, im] triples in the order they
-# were drawn), symmetry verdict and quotient, recorded before the division
-# and the pre-check moved to packed monomials.
+# were drawn), symmetry verdict and quotient.  The verdicts and quotients
+# were recorded before the division and the pre-check moved to packed
+# monomials; the points since the pre-check draws one value per variable
+# of the packed layout, in sorted order.
 DIVISIBILITY_LADDER = [(fam, lam, scheme) for fam in ("B", "Bstar", "C", "Cstar", "D", "BC")
                        for lam in ([3, 2], [4, 1]) for scheme in ("generic", "deformation")]
 PRECHECK_DIGESTS = {
-    0: "b471188ca9dd12f5b869f349a18438b6d04c74fda5e74d6aa39eb393212edfeb",
-    3: "29bf2d75ec042197e781bf6c41af80fd0e832612b9dd8c6e61b14087a29cf3dc",
+    0: "6b532f17bf642df0e0170028fc267719e9fb48d17351b0c884571b552eeb4f8d",
+    3: "437449803714b10fb6102e96e8f04c767a9bfe253822d71f87147483e6649edd",
 }
 
 

@@ -13,7 +13,7 @@ from bentice.identities import (
     spectral_actions,
 )
 from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
-from bentice.models import build_model
+from bentice.models import build_model, reduced, rho
 from bentice.states import partition_function
 from bentice.weights import crossing, make_generic, make_tokuyama
 
@@ -181,7 +181,7 @@ class TestKnownFactor:
         assert known_factor("B", 1, "deformation") == [ONE - t(1) * x(1)]
 
     def test_d_n2_generic_with_1(self):
-        factors = known_factor("D", 2, "generic", lambda_has_1=True)
+        factors = known_factor("D", 2, "generic")
         want = [
             v(Var.a1(2)) * v(Var.a2(1)) + v(Var.b1(1)) * v(Var.b2(2)),
             v(Var.a2(1)) * v(Var.a2(2)) + v(Var.b1(2)) * v(Var.b1(1)),
@@ -189,8 +189,8 @@ class TestKnownFactor:
         assert factors == want
 
     def test_d_case_split_adds_factors(self):
-        with_1 = known_factor("D", 2, "generic", lambda_has_1=True)
-        without = known_factor("D", 2, "generic", lambda_has_1=False)
+        with_1 = known_factor(reduced("D", (2, 1))[0], 2, "generic")
+        without = known_factor(reduced("D", (3, 2))[0], 2, "generic")
         assert len(without) == len(with_1) + 2
 
     def test_bc_n2_deformation(self):
@@ -203,7 +203,10 @@ class TestKnownFactor:
 
     @pytest.mark.parametrize("key", FACTOR_DIGESTS, ids=lambda k: "-".join(map(str, k)))
     def test_factor_list_golden(self, key):
-        assert sha256([f.to_json() for f in known_factor(*key)]) == FACTOR_DIGESTS[key]
+        # the last key entry says whether lambda has a part 1: rho or rho + 1
+        family, n, regime, has_1 = key
+        family = reduced(family, [p + (not has_1) for p in rho(n)])[0]
+        assert sha256([f.to_json() for f in known_factor(family, n, regime)]) == FACTOR_DIGESTS[key]
 
     def test_b_factor_degree_bookkeeping(self):
         # generic factor product at rho is homogeneous of degree 2n^2 - n

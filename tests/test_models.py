@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from bentice.models import (
-    FAMILIES, ModelError, bar, build_model, check_strict_partition, has_bars, row_layout,
+    FAMILIES, ModelError, bar, build_model, check_strict_partition, has_bars, reduced, rho,
+    row_layout,
 )
+from bentice.states import partition_function
 from bentice.weights import BUILTIN_SCHEMES
 
 from oracles import model_to_json, scheme_rows, vertex_count
@@ -159,3 +163,29 @@ def test_row_layout_is_the_rows_of_model_and_schemes(family):
             assert set(scheme_rows(scheme)) == set(spec.rows), (regime, n)
             bend_rows = set(spec.bend_rows) | {bar(j) for j in spec.bend_rows}
             assert set(scheme.bend_up) == set(scheme.bend_down) == bend_rows, (regime, n)
+
+
+def test_rho_is_the_staircase():
+    assert [list(rho(n)) for n in range(4)] == [[], [1], [2, 1], [3, 2, 1]]
+
+
+# every strict partition with at most 3 parts and lambda_1 <= 6
+STRICT = [lam for n in (1, 2, 3) for lam in itertools.combinations(range(6, 0, -1), n)]
+
+
+@pytest.mark.parametrize("lam", [lam for lam in STRICT if 1 not in lam],
+                         ids=lambda lam: ",".join(map(str, lam)))
+def test_d_without_1_has_the_partition_function_of_its_reduction(lam):
+    family, base = reduced("D", lam)
+    assert (family, base) == ("Cstar", tuple(p - 1 for p in lam))
+    d, cstar = build_model("D", lam), build_model(family, base)
+    for regime, make in BUILTIN_SCHEMES.items():
+        assert (partition_function(d, make("D", len(lam)))
+                == partition_function(cstar, make(family, len(lam)))), regime
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_other_model_is_its_own_reduction(family):
+    for lam in STRICT:
+        if family != "D" or 1 in lam:
+            assert reduced(family, lam) == (family, lam), lam

@@ -92,10 +92,10 @@ def local_sides():
     """(name, units, boundary names, fixed edges) for both sides of every
     fish and jellyfish diagram."""
     sides = []
-    for variant in ("B", "Cstar_D_no1", "D_with1"):
-        lhs, rhs, names, lhs_fixed, rhs_fixed = _fish_sides(1, variant)
-        sides += [(f"fish {variant} lhs", lhs, names, lhs_fixed),
-                  (f"fish {variant} rhs", rhs, names, rhs_fixed)]
+    for family in ("B", "Cstar", "D"):
+        lhs, rhs, names, lhs_fixed, rhs_fixed = _fish_sides(make_generic(family, 1), 1)
+        sides += [(f"fish {family} lhs", lhs, names, lhs_fixed),
+                  (f"fish {family} rhs", rhs, names, rhs_fixed)]
     for family, n in (("C", 1), ("Bstar", 1), ("BC", 2)):
         lhs, rhs, names, lhs_fixed, rhs_fixed = _jellyfish_sides(make_generic(family, n), 1)
         sides += [(f"jellyfish {family} lhs", lhs, names, lhs_fixed),

@@ -3,15 +3,15 @@
 The chained division must equal the dense-tuple division it replaced
 (tests/oracles.py), applied one divisor at a time; the layout must
 round-trip monomials and keep their order; a slot that overflows must
-end the division; the pre-check must draw its points over the same
-variable set, in the same order, as the cleared polynomials' own
-variables().
+end the division; the pre-check must draw the same points for equal
+polynomials, whatever the order of their terms.
 """
 
 import random
 
 import pytest
 
+from bentice import identities
 from bentice.laurent import GInt, LaurentPoly, Var, _Packed, dense_key
 
 import oracles
@@ -129,17 +129,26 @@ def test_a_division_that_overflows_a_slot_stops_at_the_guard_bit():
 
 
 @pytest.mark.parametrize("seed", CASES)
-def test_precheck_variables_fill_the_set_as_the_cleared_polys_do(seed):
+def test_precheck_points_do_not_depend_on_the_order_of_terms(monkeypatch, seed):
     rng = random.Random(seed)
     variables = BANKS["generic" if seed % 2 else "deformation"]
     polys = [nonzero_poly(rng, variables, max_terms=6) for _ in range(rng.randint(1, 4))]
-    cleared = [p * LaurentPoly.term(1, p.clearing_shift()) for p in polys]
-    want = cleared[0].variables().union(*(c.variables() for c in cleared[1:]))
-    packed = _Packed.cleared(polys)
-    for k, c in enumerate(cleared):
-        assert list(packed.variables(k)) == list(c.variables())
-    got = packed.variables(0).union(*(packed.variables(k) for k in range(1, len(polys))))
-    assert list(got) == list(want)
+    flipped = [LaurentPoly(dict(reversed(p.terms.items()))) for p in polys]
+    assert flipped == polys
+    real = identities._random_point
+
+    def drawn_points(operands):
+        drawn = []
+
+        def recording(names, rng):
+            drawn.append(list(real(names, rng).items()))
+            return dict(drawn[-1])
+
+        monkeypatch.setattr(identities, "_random_point", recording)
+        identities.probabilistic_divides(operands[0], operands[1:], random.Random(seed))
+        return drawn
+
+    assert drawn_points(flipped) == drawn_points(polys)
 
 
 @pytest.mark.parametrize("seed", CASES)

@@ -5,6 +5,7 @@ import pytest
 
 from bentice import relations
 from bentice.laurent import GI, LaurentPoly, Var
+from bentice.models import build_model, rho
 from bentice.relations import (
     bend_ybe_check, caduceus_check, fish_check, fish_closed_form,
     jellyfish_check, jellyfish_closed_form, ybe_check,
@@ -81,39 +82,39 @@ class TestBendYbe:
 class TestFish:
     def test_b_closed_form(self):
         s = make_generic("B", 1)
-        v = fish_check(s, 1, "B")
+        v = fish_check(s, 1)
         assert v.ok and v.closed_form_ok
         a1, a2 = LaurentPoly.var(Var.a1(1)), LaurentPoly.var(Var.a2(1))
         b1, b2 = LaurentPoly.var(Var.b1(1)), LaurentPoly.var(Var.b2(1))
-        assert fish_closed_form(s, 1, "B") == (a1 - I * b2) * (a2 + I * b1)
+        assert fish_closed_form(s, 1) == (a1 - I * b2) * (a2 + I * b1)
 
     def test_cstar_closed_form(self):
         s = make_generic("Cstar", 1)
-        v = fish_check(s, 1, "Cstar_D_no1")
+        v = fish_check(s, 1)
         assert v.ok and v.closed_form_ok
         a2, b1 = LaurentPoly.var(Var.a2(1)), LaurentPoly.var(Var.b1(1))
-        assert fish_closed_form(s, 1, "Cstar_D_no1") == a2 * a2 + b1 * b1
+        assert fish_closed_form(s, 1) == a2 * a2 + b1 * b1
 
     def test_d_with_1_closed_form(self):
         s = make_generic("D", 1)
-        v = fish_check(s, 1, "D_with1")
+        v = fish_check(s, 1)
         assert v.ok and v.closed_form_ok
         a1, b2 = LaurentPoly.var(Var.a1(1)), LaurentPoly.var(Var.b2(1))
-        assert fish_closed_form(s, 1, "D_with1") == a1 * a1 + b2 * b2
+        assert fish_closed_form(s, 1) == a1 * a1 + b2 * b2
 
     def test_b_with_unit_ratio_fails(self):
         s = with_bend_down(make_generic("B", 1), ONE)
-        v = fish_check(s, 1, "B")
+        v = fish_check(s, 1)
         assert not v.ok and v.witness is not None
 
     def test_deformation_weights_pass(self):
         s = make_deformation("B", 2)
-        assert fish_check(s, 2, "B").ok
+        assert fish_check(s, 2).ok
 
     def test_zero_bend_is_error(self):
         s = with_bend_down(make_generic("B", 1), zero())
         with pytest.raises(ValueError):
-            fish_check(s, 1, "B")
+            fish_check(s, 1)
 
 
 class TestJellyfish:
@@ -215,27 +216,27 @@ def perturbed_corner(family):
 
 # the fish and jellyfish schemes of the tests above, perturbed and not
 RATIO_CASES = {
-    "fish-B": ("fish", make_generic("B", 1), "B"),
-    "fish-Cstar": ("fish", make_generic("Cstar", 1), "Cstar_D_no1"),
-    "fish-D": ("fish", make_generic("D", 1), "D_with1"),
-    "fish-B-unit-ratio": ("fish", with_bend_down(make_generic("B", 1), ONE), "B"),
-    "jellyfish-C": ("jellyfish", make_generic("C", 1), None),
-    "jellyfish-Bstar": ("jellyfish", make_generic("Bstar", 1), None),
-    "jellyfish-BC": ("jellyfish", make_generic("BC", 2), None),
+    "fish-B": ("fish", make_generic("B", 1)),
+    "fish-Cstar": ("fish", make_generic("Cstar", 1)),
+    "fish-D": ("fish", make_generic("D", 1)),
+    "fish-B-unit-ratio": ("fish", with_bend_down(make_generic("B", 1), ONE)),
+    "jellyfish-C": ("jellyfish", make_generic("C", 1)),
+    "jellyfish-Bstar": ("jellyfish", make_generic("Bstar", 1)),
+    "jellyfish-BC": ("jellyfish", make_generic("BC", 2)),
     "jellyfish-Bstar-negated-bend": (
-        "jellyfish", with_bend_down(make_generic("Bstar", 1), -ONE), None),
+        "jellyfish", with_bend_down(make_generic("Bstar", 1), -ONE)),
     "jellyfish-Bstar-non-square": (
-        "jellyfish", with_bend_down(make_generic("Bstar", 1), LaurentPoly.const(2)), None),
-    "jellyfish-C-perturbed-corner": ("jellyfish", perturbed_corner("C"), None),
+        "jellyfish", with_bend_down(make_generic("Bstar", 1), LaurentPoly.const(2))),
+    "jellyfish-C-perturbed-corner": ("jellyfish", perturbed_corner("C")),
 }
 
 
 @pytest.mark.parametrize("case", RATIO_CASES)
 def test_ratio_check_agrees_with_every_pair_compared(case):
-    relation, scheme, variant = RATIO_CASES[case]
+    relation, scheme = RATIO_CASES[case]
     if relation == "fish":
-        v = fish_check(scheme, 1, variant)
-        sides = relations._fish_sides(1, variant)
+        v = fish_check(scheme, 1)
+        sides = relations._fish_sides(scheme, 1)
     else:
         v = jellyfish_check(scheme, 1)
         sides = relations._jellyfish_sides(scheme, 1)
@@ -244,6 +245,35 @@ def test_ratio_check_agrees_with_every_pair_compared(case):
 
 def test_verdict_json_roundtrip():
     s = make_generic("B", 1)
-    v = fish_check(s, 1, "B")
+    v = fish_check(s, 1)
     js = v.to_json()
     assert js["ok"] is True and js["closed_form_ok"] is True
+
+
+# the fixed arrows of the fish and jellyfish diagrams are the models' own at rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["B", "Cstar", "D"])
+def test_fish_fixes_the_half_column_top_as_the_model_does(family, n):
+    spec = build_model(family, rho(n))
+    _lhs, _rhs, names, lhs_fixed, rhs_fixed = relations._fish_sides(make_generic(family, n), 1)
+    if spec.half_col is None:
+        assert (names, lhs_fixed, rhs_fixed) == (("A", "B"), {}, {})
+    else:
+        assert lhs_fixed == rhs_fixed == {"HN": spec.boundary[("v", spec.half_col, 0)]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["Bstar", "C", "BC"])
+def test_jellyfish_fixes_the_central_row_as_the_model_does(family, n):
+    spec = build_model(family, rho(n))
+    lhs, rhs, _names, lhs_fixed, rhs_fixed = relations._jellyfish_sides(make_generic(family, n), 1)
+    corner = any(u.kind == "corner" for u in spec.units)
+    assert any(u.kind == "corner" for u in lhs) == any(u.kind == "corner" for u in rhs) == corner
+    if corner:
+        assert lhs_fixed == rhs_fixed == {}
+    else:
+        east = spec.boundary[("h", spec.central, len(spec.full_cols))]
+        # edges B and M6 are the west and east ends of the central row
+        assert (lhs_fixed, rhs_fixed) == ({"B": east, "M6": east}, {})
