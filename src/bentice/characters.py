@@ -10,9 +10,9 @@ product of the v_j.
 Characters are Weyl's ratio: a numerator alternant, the signed orbit sum
 over the group, divided by the Weyl denominator, one binomial per
 positive root.  Exponents are kept doubled so type-B half-integer weights
-stay integral.  Both checks are exact polynomial identities: the
-character factorization of the partition function, and the type-A anchor
-identity.
+stay integral.  Both checks are identities.product_check, Z = the stated
+factors times a quotient: i^|mu| chi_mu under the character weights, and
+the Schur polynomial s_mu in family A under Tokuyama's weights.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .identities import known_factor
+from .identities import product_check
 from .laurent import GInt, LaurentPoly, Var, gpow_i
-from .models import build_model, check_strict_partition, reduced, rho
-from .states import partition_function
-from .weights import make_character, make_tokuyama
+from .models import check_strict_partition, reduced, rho
 
 ONE = LaurentPoly.const(1)
 
@@ -173,44 +171,39 @@ def character_theorem_check(family: str, lam) -> dict:
       weights are keyed by row.  Then Z(lambda) == i^{|mu'|} Z(Cstar^rho)
       chi^Cstar_{mu'}, a type-C character, with mu' = lambda - 1 - rho.
 
-    Both are the first statement for the model's reduction.  Z is always
-    computed from the family's own model; "statement" names the identity
-    applied, chi^F being family_character(F, n, mu).
+    Both are the first statement for the model's reduction, Z(rho) being
+    its character factor product (identities.rho_check).  Z is computed
+    from the family's own model; "statement" names the identity applied,
+    chi^F being family_character(F, n, mu).
     """
     if family == "A":
         raise ValueError("family A has no character-weight identity; use verify tokuyama")
     lam = check_strict_partition(lam)
     n = len(lam)
-    z_lam = partition_function(build_model(family, list(lam)), make_character(family, n))
-    family, base = reduced(family, lam)
+    base_family, base = reduced(family, lam)
     mu = tuple(a - b for a, b in zip(base, rho(n)))
-    z_rho = partition_function(build_model(family, rho(n)), make_character(family, n))
-    chi = family_character(family, n, mu)
-    rhs = LaurentPoly.const(gpow_i(sum(mu))) * z_rho * chi
-    ok = z_lam == rhs
-    statement = (f"Z = i^|mu| Z({family}^rho) chi^{family}_mu, "
+    chi = family_character(base_family, n, mu)
+    statement = (f"Z = i^|mu| Z({base_family}^rho) chi^{base_family}_mu, "
                  f"mu = lambda - rho{'' if base == lam else ' - 1'}")
-    return {"ok": ok, "statement": statement, "mu": mu, "z": z_lam, "rhs": rhs,
-            "chi": chi, "diff": None if ok else z_lam - rhs}
+    quotient = LaurentPoly.const(gpow_i(sum(mu))) * chi
+    return {**product_check(family, lam, "character", quotient, statement), "mu": mu, "chi": chi}
 
 
 def tokuyama_check(lam) -> dict:
     """The type-A anchor: Z == x^rho prod(1 + t x_j/x_i) s_mu, t symbolic.
 
     x^rho prod(1 + t x_j/x_i) is family A's factor list (see
-    identities.known_factor).
+    identities.known_factor) and s_mu is product_check's quotient.
     """
     lam = check_strict_partition(lam)
     n = len(lam)
     mu = tuple(a - b for a, b in zip(lam, rho(n)))
-    z = partition_function(build_model("A", list(lam)), make_tokuyama(n))
-    rhs = LaurentPoly.prod([*known_factor("A", n, "deformation"), family_character("A", n, mu)])
-    ok = z == rhs
+    r = product_check("A", lam, "deformation", family_character("A", n, mu),
+                      "Z = x^rho prod(1 + t x_j/x_i) s_mu, mu = lambda - rho")
 
     # t = -1 collapses to the classical alternant: q -> i is exact
-    z_at = z.substitute({Var.qshared(): LaurentPoly.const(GInt(0, 1))})
+    z_at = r["z"].substitute({Var.qshared(): LaurentPoly.const(GInt(0, 1))})
     alpha = tuple(2 * m + d for m, d in zip(mu, weyl_vector("A", n)))
     denom_identity = _x_monomial((2,) * n) * alternant(SYMMETRIC, n, alpha)
     ok_weyl = z_at == denom_identity
-    return {"ok": ok and ok_weyl, "symbolic_ok": ok, "t_minus_one_ok": ok_weyl,
-            "z": z, "rhs": rhs}
+    return {**r, "ok": r["ok"] and ok_weyl, "symbolic_ok": r["ok"], "t_minus_one_ok": ok_weyl}

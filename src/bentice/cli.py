@@ -77,14 +77,12 @@ def _parse_partition(text):
     if not text:
         raise InputError("--lambda is required: comma-separated strictly decreasing parts")
     try:
-        parts = [int(p) for p in text.split(",") if p != ""]
+        parts = [int(p) for p in text.split(",")]
     except ValueError:
         raise InputError(f"cannot parse partition {text!r}") from None
-    if any(a <= b for a, b in zip(parts, parts[1:])) or (parts and parts[-1] < 1):
+    if any(a <= b for a, b in zip(parts, parts[1:])) or parts[-1] < 1:
         raise InputError(
             f"partition {text!r} must be strictly decreasing with smallest part >= 1")
-    if not parts:
-        raise InputError("partition must be nonempty")
     return parts
 
 

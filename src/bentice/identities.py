@@ -1,4 +1,4 @@
-"""Global partition-function identities: divisibility, products, symmetry.
+"""Global partition-function identities: one product identity, divisibility, symmetry.
 
 Every factor of Z is a crossing weight of a regular row j against a
 partner row, read from the weight scheme: the later rows k and their bars
@@ -6,16 +6,17 @@ kb (in a family with bars), plus per family the central row or j's own
 bar, the Yang-Baxter train argument's R-matrix weights.  The exceptions
 are the bend factor a2(j) + i b1(j) of families B and C, and family A's
 c2(j): every row of A^lambda has one more c2 vertex than c1 vertex.  One
-table covers all seven families and gives the factor lists in three
-regimes: symbolic a/b weights ("generic"), the x/t parametrization
-("deformation"; Tokuyama's weights in family A) and the shared-t weights
-("okada").  At lambda = rho the factor product IS the partition function
-(rho_check): in family A it is Tokuyama's x^rho prod(1 + t x_j/x_i), and
-under the shared-t weights it is Okada's deformation of the Weyl
-denominator, so Okada's identity is the rho identity in that regime.
-For larger lambda the product divides Z, with a quotient symmetric under
-the spectral index actions, each a plain substitution of variables; in
-family A the quotient is the Schur polynomial.
+table covers all seven families and gives the factor lists in the four
+regimes of the built-in schemes: symbolic a/b weights ("generic"), the
+x/t parametrization ("deformation"; Tokuyama's weights in family A), the
+shared-t weights ("okada") and t_j = 1 ("character").
+
+One product identity (product_check): Z(F^lambda) is the factor product,
+a deformed Weyl denominator, times a quotient.  At lambda = rho it is 1
+(rho_check), Okada's identity under the shared-t weights; i^|mu| chi_mu
+under the character weights; in family A the Schur polynomial, Tokuyama's
+formula (bentice.characters).  Elsewhere the product divides Z, with a
+quotient symmetric under the spectral index actions, plain substitutions.
 
 A randomized Gaussian-integer evaluation of Z and the whole factor list
 runs before the exact division; both pack Z and the factors once, in the
@@ -32,7 +33,7 @@ import random
 from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
 from .models import build_model, has_bars, reduced, rho, row_layout
 from .states import partition_function
-from .weights import WeightScheme, crossing, make_scheme
+from .weights import BUILTIN_SCHEMES, WeightScheme, crossing, make_scheme
 
 I = LaurentPoly.const(GI)
 
@@ -84,12 +85,12 @@ def known_factor(family: str, n: int, regime: str) -> list:
     """The stated factor list for Z of the family, as exact polynomials.
 
     Each family's factors are read from its row of the partner table
-    under the regime's scheme (see _crossing_factors): generic,
-    deformation, or okada, the shared-t weights.  A model's list is its
-    reduction's (see models.reduced): D^lambda without a part 1 takes
-    Cstar's.  Family A's list is stated under Tokuyama's weights only.
+    under the regime's scheme (see _crossing_factors), any of
+    weights.BUILTIN_SCHEMES.  A model's list is its reduction's (see
+    models.reduced): D^lambda without a part 1 takes Cstar's.  Family A's
+    list is stated under Tokuyama's weights only.
     """
-    if regime not in ("generic", "deformation", "okada"):
+    if regime not in BUILTIN_SCHEMES:
         raise ValueError(f"unknown regime {regime!r}")
     if family == "A" and regime != "deformation":
         raise ValueError(f"family A has no {regime} factor list")
@@ -231,22 +232,29 @@ def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
     return {"ok": not failures, "failed_actions": failures}
 
 
-def rho_check(family: str, n: int, regime: str) -> dict:
-    """At lambda = rho the divisibility is equality: Z == product.
-
-    One statement for all seven families, the product of known_factor's
-    list.  Under the shared-t weights ("okada") the product is Okada's
-    deformed Weyl denominator, with t carried as q**2.
-    """
-    spec = build_model(family, rho(n))
+def product_check(family: str, lam, regime: str, quotient: LaurentPoly,
+                  statement: str) -> dict:
+    """Z(family^lambda) == rhs, known_factor's product for the model's
+    reduction (see models.reduced) times the quotient; "diff" is z - rhs."""
+    spec = build_model(family, lam)
     # before the factor list, so a family without the regime's weights
     # (A under okada) is named as make_scheme names it
-    scheme = make_scheme(regime, family, n)
-    factors = known_factor(family, n, regime)
+    scheme = make_scheme(regime, family, spec.n)
+    factors = known_factor(reduced(family, spec.lam)[0], spec.n, regime)
     z = partition_function(spec, scheme)
-    product = LaurentPoly.prod(factors)
-    ok = z == product
-    return {"ok": ok, "z": z, "product": product, "diff": None if ok else z - product}
+    rhs = LaurentPoly.prod([*factors, quotient])
+    ok = z == rhs
+    return {"ok": ok, "statement": statement, "z": z, "rhs": rhs, "diff": None if ok else z - rhs}
+
+
+def rho_check(family: str, n: int, regime: str) -> dict:
+    """At lambda = rho the quotient is 1: Z == known_factor's product.
+
+    Under the shared-t weights ("okada") the product is Okada's deformed
+    Weyl denominator, with t carried as q**2.
+    """
+    return product_check(family, rho(n), regime, LaurentPoly.const(1),
+                         f"Z({family}^rho) = the {regime} factor product")
 
 
 def okada_product_check(family: str, n: int) -> dict:

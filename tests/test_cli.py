@@ -195,6 +195,13 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report == {"verb": "character", "error": "cannot parse mu '1,,0'"}
 
+    @pytest.mark.parametrize("lam", ["3,,1", ",3,1,"])
+    def test_empty_partition_part_is_input_error(self, capsys, lam):
+        code, report = invoke(capsys, "enumerate", "--family", "A", "--lambda", lam,
+                              "--emit", "count")
+        assert code == EXIT_INPUT
+        assert report == {"verb": "enumerate", "error": f"cannot parse partition {lam!r}"}
+
     def test_family_a_rho_runs_the_deformation_regime(self, capsys):
         # family A has a deformation factor list only, so that is all verify rho runs
         code, report = invoke(capsys, "verify", "rho", "--family", "A", "--n", "2")

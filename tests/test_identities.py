@@ -6,16 +6,17 @@ import signal
 
 import pytest
 
-from bentice import identities
+from bentice import characters, identities
+from bentice.characters import character_theorem_check, tokuyama_check
 from bentice.identities import (
-    DivisibilityError, PreCheckUndecidedError, divisibility_check, known_factor,
-    okada_product_check, probabilistic_divides, quotient_symmetry_check, rho_check,
-    spectral_actions,
+    BENT_FAMILIES, DivisibilityError, PreCheckUndecidedError, divisibility_check,
+    known_factor, okada_product_check, probabilistic_divides, quotient_symmetry_check,
+    rho_check, spectral_actions,
 )
 from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
 from bentice.models import build_model, reduced, rho
 from bentice.states import partition_function
-from bentice.weights import crossing, make_generic, make_tokuyama
+from bentice.weights import BUILTIN_SCHEMES, crossing, make_generic, make_tokuyama
 
 from oracles import evaluate, is_homogeneous, total_degree, vertex_count, zero
 
@@ -271,7 +272,7 @@ class TestRhoEqualities:
         rho = list(range(n, 0, -1))
         assert partition_function(build_model("A", rho), make_tokuyama(n)) == want
         r = rho_check("A", n, "deformation")
-        assert r["ok"] and r["product"] == want
+        assert r["ok"] and r["rhs"] == want
 
     @pytest.mark.parametrize("family", ["B", "D"])
     def test_n3_fast_families(self, family):
@@ -381,7 +382,7 @@ class TestOkada:
     def test_check_is_the_rho_identity_under_shared_t_weights(self):
         r = okada_product_check("C", 2)
         assert r == rho_check("C", 2, "okada")
-        assert r["z"] == r["product"] == okada_product("C", 2) and r["diff"] is None
+        assert r["z"] == r["rhs"] == okada_product("C", 2) and r["diff"] is None
 
     def test_a_failing_check_reports_the_difference(self, monkeypatch):
         real = identities.known_factor
@@ -389,7 +390,7 @@ class TestOkada:
                             lambda *args, **kwargs: real(*args, **kwargs) + [ONE + x(1)])
         r = okada_product_check("B", 2)
         assert not r["ok"] and not r["diff"].is_zero()
-        assert r["diff"] == r["z"] - r["product"]
+        assert r["diff"] == r["z"] - r["rhs"]
 
     def test_family_a_has_no_shared_t_weights(self):
         with pytest.raises(ValueError,
@@ -401,6 +402,71 @@ class TestOkada:
     def test_divisibility_is_not_stated_under_shared_t_weights(self):
         with pytest.raises(ValueError, match="^unknown regime 'okada'$"):
             divisibility_check("B", [2, 1], "okada")
+
+
+class TestCharacterFactors:
+    @pytest.mark.parametrize("family", BENT_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_okada_product_at_t_j_one(self, family, n):
+        # the character weights are the shared-t weights at t_j = 1: t = q^2
+        # in B and C, t_j = i q elsewhere
+        q = ONE if family in ("B", "C") else LaurentPoly.const(GInt(0, -1))
+        okada = LaurentPoly.prod(known_factor(family, n, "okada"))
+        assert okada.substitute({Var.qshared(): q}) == LaurentPoly.prod(
+            known_factor(family, n, "character"))
+
+    @pytest.mark.parametrize("family", BENT_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rho_identity(self, family, n):
+        assert rho_check(family, n, "character")["ok"]
+
+    def test_regimes_are_the_builtin_schemes(self):
+        for regime in BUILTIN_SCHEMES:
+            assert known_factor("B", 2, regime)
+        with pytest.raises(ValueError, match="^unknown regime 'tokuyama'$"):
+            known_factor("B", 2, "tokuyama")
+
+
+# the four product checks at one instance each, and the keys each adds to
+# product_check's result
+PRODUCT_CHECKS = {
+    "rho": (lambda: rho_check("C", 2, "generic"), set()),
+    "okada": (lambda: okada_product_check("Bstar", 2), set()),
+    "character": (lambda: character_theorem_check("D", [3, 2]), {"mu", "chi"}),
+    "tokuyama": (lambda: tokuyama_check([3, 1]), {"symbolic_ok", "t_minus_one_ok"}),
+}
+
+
+class TestProductIdentity:
+    @pytest.mark.parametrize("name", PRODUCT_CHECKS)
+    def test_one_result_shape(self, name):
+        check, extra = PRODUCT_CHECKS[name]
+        r = check()
+        assert set(r) == {"ok", "statement", "z", "rhs", "diff"} | extra
+        assert r["ok"] and r["z"] == r["rhs"] and r["diff"] is None
+
+    @pytest.mark.parametrize("name", PRODUCT_CHECKS)
+    def test_a_dropped_factor_fails_with_the_difference(self, monkeypatch, name):
+        real = identities.known_factor
+        monkeypatch.setattr(identities, "known_factor",
+                            lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+        r = PRODUCT_CHECKS[name][0]()
+        assert not r["ok"] and not r["diff"].is_zero()
+        assert r["diff"] == r["z"] - r["rhs"]
+
+    def test_character_check_builds_one_model(self, monkeypatch):
+        # Z(rho) is the factor product, so only D^[3,2] itself is built
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_model(*args, **kwargs)
+
+        for module in (characters, identities):
+            monkeypatch.setattr(module, "build_model", counting, raising=False)
+        assert character_theorem_check("D", [3, 2])["ok"]
+        assert [family for family, _ in built] == ["D"]
+
 
 class ScriptedRng:
     """Stands in for random.Random: choice returns the given values in turn, cycling."""
