@@ -192,8 +192,8 @@ def character_theorem_check(family: str, lam) -> dict:
 def tokuyama_check(lam) -> dict:
     """The type-A anchor: Z == x^rho prod(1 + t x_j/x_i) s_mu, t symbolic.
 
-    x^rho prod(1 + t x_j/x_i) is family A's factor list (see
-    identities.known_factor) and s_mu is product_check's quotient.
+    x^rho prod(1 + t x_j/x_i) is identities.known_factor of the Tokuyama
+    scheme, make_scheme("deformation", "A", n), and s_mu the quotient.
     """
     lam = check_strict_partition(lam)
     n = len(lam)

@@ -37,10 +37,10 @@ from json.encoder import encode_basestring_ascii
 from .asm import bijection_check, matrix_text, okada_stats, state_to_matrix
 from .characters import character_theorem_check, family_character, tokuyama_check
 from .identities import (
-    BENT_FAMILIES, DivisibilityError, SuiteSelfCheckError, divisibility_check,
-    okada_product_check, quotient_symmetry_check, rho_check,
+    DivisibilityError, SuiteSelfCheckError, divisibility_check, okada_product_check,
+    quotient_symmetry_check, rho_check,
 )
-from .models import FAMILIES, SHAPES, ModelError, build_model, rho
+from .models import BENT_FAMILIES, FAMILIES, SHAPES, ModelError, build_model, rho
 from .relations import (
     bend_ybe_check, caduceus_check, fish_check, jellyfish_check, ybe_check,
 )
@@ -122,23 +122,27 @@ MODELS = {
 }
 
 
-def _cap(flag, variable: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    text = os.environ.get(variable)
-    if text is None:
-        return default
+def _cap(args, flag: str, default: int) -> int:
+    """The cap from --flag, else from BENTICE_<FLAG>, else the default; at least 1."""
+    value = getattr(args, flag.replace("-", "_"))
+    if value is not None:
+        return _at_least_one(flag, value)
+    variable = "BENTICE_" + flag.upper().replace("-", "_")
+    text = os.environ.get(variable, str(default))
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise InputError(f"{variable}={text!r} is not an integer") from None
+    if value < 1:
+        raise InputError(f"{variable}={text!r} must be at least 1")
+    return value
 
 
 def _check_caps(args, family, lam):
     """Raise EnumerationCapError if the model family^lam exceeds the caps in force:
     each flag, else its environment variable, else the default."""
-    max_n = _cap(args.max_n, "BENTICE_MAX_N", DEFAULT_MAX_N)
-    max_cols = _cap(args.max_cols, "BENTICE_MAX_COLS", DEFAULT_MAX_COLS)
+    max_n = _cap(args, "max-n", DEFAULT_MAX_N)
+    max_cols = _cap(args, "max-cols", DEFAULT_MAX_COLS)
     if len(lam) > max_n or lam[0] > max_cols:
         # a long model is named by its shape: its first two parts, its last and its length
         parts = (list(lam) if len(lam) <= 8

@@ -1,7 +1,8 @@
 """Global partition-function identities: one product identity, divisibility, symmetry.
 
 Every factor of Z is a crossing weight of a regular row j against a
-partner row, read from the weight scheme: the later rows k and their bars
+partner row, read from the scheme that weighs Z, one per check, the
+model's reduction's (see models.reduced): the later rows k and their bars
 kb (in a family with bars), plus per family the central row or j's own
 bar, the Yang-Baxter train argument's R-matrix weights.  The exceptions
 are the bend factor a2(j) + i b1(j) of families B and C, and family A's
@@ -31,9 +32,9 @@ from __future__ import annotations
 import random
 
 from .laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, _Packed, dense_key
-from .models import build_model, has_bars, reduced, rho, row_layout
+from .models import BENT_FAMILIES, build_model, has_bars, reduced, rho, row_layout
 from .states import partition_function
-from .weights import BUILTIN_SCHEMES, WeightScheme, crossing, make_scheme
+from .weights import WeightScheme, crossing, make_scheme
 
 I = LaurentPoly.const(GI)
 
@@ -56,12 +57,16 @@ class PreCheckUndecidedError(ArithmeticError):
 _PARTNERS = {"A": ("c2",), "B": ("short",), "Bstar": ("c",), "C": ("short", "c"),
              "Cstar": ("bar",), "D": (), "BC": ("c", "bar")}
 
-BENT_FAMILIES = ("B", "Bstar", "C", "Cstar", "D", "BC")
 
+def known_factor(scheme: WeightScheme) -> list:
+    """The stated factor list, as exact polynomials, read from the scheme that weighs Z.
 
-def _crossing_factors(scheme: WeightScheme) -> list:
-    """Each factor is a crossing weight of a row against a partner row, or
-    one of the row's own weights ("short", "c2")."""
+    Each factor is a crossing weight of a row against a partner row (its
+    family's row of _PARTNERS), or one of the row's own weights ("short",
+    "c2").  Family A's list is stated under Tokuyama's weights only.
+    """
+    if scheme.family == "A" and scheme.name != "tokuyama":
+        raise ValueError(f"family A has no {scheme.name} factor list")
     rows, central = row_layout(scheme.family, scheme.n)
     suffixes = ("", "b") if has_bars(scheme.family) else ("",)
     factors = []
@@ -79,24 +84,6 @@ def _crossing_factors(scheme: WeightScheme) -> list:
         for k in rows[i + 1:]:
             factors.extend(crossing(scheme, j, k + suffix) for suffix in suffixes)
     return factors
-
-
-def known_factor(family: str, n: int, regime: str) -> list:
-    """The stated factor list for Z of the family, as exact polynomials.
-
-    Each family's factors are read from its row of the partner table
-    under the regime's scheme (see _crossing_factors), any of
-    weights.BUILTIN_SCHEMES.  A model's list is its reduction's (see
-    models.reduced): D^lambda without a part 1 takes Cstar's.  Family A's
-    list is stated under Tokuyama's weights only.
-    """
-    if regime not in BUILTIN_SCHEMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    if family == "A" and regime != "deformation":
-        raise ValueError(f"family A has no {regime} factor list")
-    if family not in _PARTNERS:
-        raise ValueError(f"no factor list for family {family!r}")
-    return _crossing_factors(make_scheme(regime, family, n))
 
 
 def spectral_actions(family: str, n: int, regime: str) -> list:
@@ -189,6 +176,7 @@ def divisibility_check(family: str, lam, regime: str,
                        seed: int = 0) -> LaurentPoly:
     """Divide Z by every stated factor in one chained division; return the quotient.
 
+    Z and the factors are read from one scheme, the model's reduction's.
     Raises DivisibilityError naming the first factor that leaves a
     remainder (which would refute the identity at this instance), and
     SuiteSelfCheckError if the pre-check, run once on Z and the whole
@@ -201,10 +189,11 @@ def divisibility_check(family: str, lam, regime: str,
     # stated for the generic and deformation regimes only
     if regime not in ("generic", "deformation"):
         raise ValueError(f"unknown regime {regime!r}")
-    factors = known_factor(reduced(family, spec.lam)[0], spec.n, regime)
+    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
+    factors = known_factor(scheme)
     order = sorted({v for f in factors for v, _ in f.leading()[0]})
     factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
-    z = partition_function(spec, make_scheme(regime, family, spec.n))
+    z = partition_function(spec, scheme)
     ok, point = probabilistic_divides(z, factors, random.Random(seed))
     quotient = z.exact_divide(*factors)
     if quotient is None:
@@ -234,13 +223,13 @@ def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
 
 def product_check(family: str, lam, regime: str, quotient: LaurentPoly,
                   statement: str) -> dict:
-    """Z(family^lambda) == rhs, known_factor's product for the model's
-    reduction (see models.reduced) times the quotient; "diff" is z - rhs."""
+    """Z(family^lambda) == rhs, known_factor's product times the quotient, both
+    under the scheme of the model's reduction (models.reduced); "diff" is z - rhs."""
     spec = build_model(family, lam)
-    # before the factor list, so a family without the regime's weights
-    # (A under okada) is named as make_scheme names it
-    scheme = make_scheme(regime, family, spec.n)
-    factors = known_factor(reduced(family, spec.lam)[0], spec.n, regime)
+    # the scheme, then the factor list, then Z: a refused regime or family
+    # (A under okada) is named as make_scheme names it, before any state
+    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
+    factors = known_factor(scheme)
     z = partition_function(spec, scheme)
     rhs = LaurentPoly.prod([*factors, quotient])
     ok = z == rhs

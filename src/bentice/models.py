@@ -55,6 +55,7 @@ SHAPES = {
     "D": (None, 1, None, True),
     "BC": ("n", None, False, True),
 }
+BENT_FAMILIES = tuple(f for f in FAMILIES if SHAPES[f][3])  # the families with bars
 
 EdgeId = tuple
 RowLabel = str
@@ -230,7 +231,8 @@ def rho(n: int) -> range:
 
 def reduced(family: str, lam) -> tuple:
     """(family, lambda) of the model with family^lambda's states, its
-    columns relabelled: Cstar^(lambda - 1) for D without a part 1."""
+    columns relabelled: Cstar^(lambda - 1) for D without a part 1.  A
+    check weighs the model by its reduction's scheme."""
     if family == "D" and 1 not in lam:
         return "Cstar", tuple(p - 1 for p in lam)
     return family, lam

@@ -418,6 +418,15 @@ class TestEveryModelVerbHonoursTheCaps:
             assert report == {"verb": verb_of(argv),
                               "error": f"{CAP_ENV[cap]}='abc' is not an integer"}
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_a_cap_below_one_is_an_input_error(
+            self, capsys, monkeypatch, argv, family, lam, cap, source, value):
+        flags = set_cap(monkeypatch, cap, source, value)
+        error = (f"{CAP_ENV[cap]}='{value}' must be at least 1" if source == "env"
+                 else f"{cap} must be at least 1, got {value}")
+        assert invoke(capsys, *argv, *flags) == (
+            EXIT_INPUT, {"verb": verb_of(argv), "error": error})
+
 
 # a valid value of each input a command may read
 VALID = {"lambda": "2,1", "mu": "1,0", "scheme": "generic", "n": "2"}

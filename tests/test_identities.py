@@ -16,7 +16,7 @@ from bentice.identities import (
 from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
 from bentice.models import build_model, reduced, rho
 from bentice.states import partition_function
-from bentice.weights import BUILTIN_SCHEMES, crossing, make_generic, make_tokuyama
+from bentice.weights import BUILTIN_SCHEMES, crossing, make_generic, make_scheme, make_tokuyama
 
 from oracles import evaluate, is_homogeneous, total_degree, vertex_count, zero
 
@@ -179,10 +179,10 @@ OKADA_DIGESTS = {
 
 class TestKnownFactor:
     def test_b_n1_deformation(self):
-        assert known_factor("B", 1, "deformation") == [ONE - t(1) * x(1)]
+        assert known_factor(make_scheme("deformation", "B", 1)) == [ONE - t(1) * x(1)]
 
     def test_d_n2_generic_with_1(self):
-        factors = known_factor("D", 2, "generic")
+        factors = known_factor(make_scheme("generic", "D", 2))
         want = [
             v(Var.a1(2)) * v(Var.a2(1)) + v(Var.b1(1)) * v(Var.b2(2)),
             v(Var.a2(1)) * v(Var.a2(2)) + v(Var.b1(2)) * v(Var.b1(1)),
@@ -190,30 +190,31 @@ class TestKnownFactor:
         assert factors == want
 
     def test_d_case_split_adds_factors(self):
-        with_1 = known_factor(reduced("D", (2, 1))[0], 2, "generic")
-        without = known_factor(reduced("D", (3, 2))[0], 2, "generic")
+        with_1 = known_factor(make_scheme("generic", reduced("D", (2, 1))[0], 2))
+        without = known_factor(make_scheme("generic", reduced("D", (3, 2))[0], 2))
         assert len(without) == len(with_1) + 2
 
     def test_bc_n2_deformation(self):
-        factors = known_factor("BC", 2, "deformation")
+        factors = known_factor(make_scheme("deformation", "BC", 2))
         assert factors == [ONE - t(2) * t(1) * x(2) * x(1), ONE - t(1) * t(1) * x(1, 4)]
 
     def test_family_a_has_no_generic_factor_list(self):
         with pytest.raises(ValueError, match="family A has no generic factor list"):
-            known_factor("A", 2, "generic")
+            known_factor(make_scheme("generic", "A", 2))
 
     @pytest.mark.parametrize("key", FACTOR_DIGESTS, ids=lambda k: "-".join(map(str, k)))
     def test_factor_list_golden(self, key):
         # the last key entry says whether lambda has a part 1: rho or rho + 1
         family, n, regime, has_1 = key
         family = reduced(family, [p + (not has_1) for p in rho(n)])[0]
-        assert sha256([f.to_json() for f in known_factor(family, n, regime)]) == FACTOR_DIGESTS[key]
+        factors = known_factor(make_scheme(regime, family, n))
+        assert sha256([f.to_json() for f in factors]) == FACTOR_DIGESTS[key]
 
     def test_b_factor_degree_bookkeeping(self):
         # generic factor product at rho is homogeneous of degree 2n^2 - n
         for n in (1, 2, 3):
             product = ONE
-            for f in known_factor("B", n, "generic"):
+            for f in known_factor(make_scheme("generic", "B", n)):
                 product = product * f
             spec = build_model("B", list(range(n, 0, -1)))
             assert is_homogeneous(product)
@@ -233,7 +234,8 @@ def tokuyama_product(n):
 class TestTypeAFactors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_product_is_x_rho_times_the_deformed_denominator(self, n):
-        assert LaurentPoly.prod(known_factor("A", n, "deformation")) == tokuyama_product(n)
+        factors = known_factor(make_scheme("deformation", "A", n))
+        assert LaurentPoly.prod(factors) == tokuyama_product(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_each_factor_is_a_crossing_or_a_rows_c2(self, n):
@@ -241,7 +243,7 @@ class TestTypeAFactors:
         rows = [str(j) for j in range(1, n + 1)]
         c2 = [scheme.vertex[("c2", j)] for j in rows]
         crossings = [crossing(scheme, j, k) for j, k in itertools.combinations(rows, 2)]
-        assert known_factor("A", n, "deformation") == c2 + crossings
+        assert known_factor(make_scheme("deformation", "A", n)) == c2 + crossings
         # under the Tokuyama weights, c2(j) = x_j and crossing(j, k) = x_j + t x_k
         tq = LaurentPoly.term(1, [(Var.qshared(), 2)])
         assert c2 == [x(j) for j in range(1, n + 1)]
@@ -311,7 +313,7 @@ class TestDivisibility:
         first = v(Var.a2(1)) + I * v(Var.b1(1))
         rest = z.exact_divide(first)
         product = ONE
-        for f in known_factor("B", 2, "generic"):
+        for f in known_factor(make_scheme("generic", "B", 2)):
             if f != first:
                 product = product * f
         assert rest == product
@@ -329,7 +331,7 @@ def action(family, n, regime, name):
 
 
 def okada_product(family, n):
-    return LaurentPoly.prod(known_factor(family, n, "okada"))
+    return LaurentPoly.prod(known_factor(make_scheme("okada", family, n)))
 
 
 class TestIndexActions:
@@ -396,8 +398,9 @@ class TestOkada:
         with pytest.raises(ValueError,
                            match="^family A supports tokuyama/generic weights, not 'okada'$"):
             okada_product_check("A", 2)
-        with pytest.raises(ValueError, match="^family A has no okada factor list$"):
-            known_factor("A", 2, "okada")
+        with pytest.raises(ValueError,
+                           match="^family A supports tokuyama/generic weights, not 'okada'$"):
+            make_scheme("okada", "A", 2)
 
     def test_divisibility_is_not_stated_under_shared_t_weights(self):
         with pytest.raises(ValueError, match="^unknown regime 'okada'$"):
@@ -411,9 +414,9 @@ class TestCharacterFactors:
         # the character weights are the shared-t weights at t_j = 1: t = q^2
         # in B and C, t_j = i q elsewhere
         q = ONE if family in ("B", "C") else LaurentPoly.const(GInt(0, -1))
-        okada = LaurentPoly.prod(known_factor(family, n, "okada"))
+        okada = LaurentPoly.prod(known_factor(make_scheme("okada", family, n)))
         assert okada.substitute({Var.qshared(): q}) == LaurentPoly.prod(
-            known_factor(family, n, "character"))
+            known_factor(make_scheme("character", family, n)))
 
     @pytest.mark.parametrize("family", BENT_FAMILIES)
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -422,9 +425,9 @@ class TestCharacterFactors:
 
     def test_regimes_are_the_builtin_schemes(self):
         for regime in BUILTIN_SCHEMES:
-            assert known_factor("B", 2, regime)
-        with pytest.raises(ValueError, match="^unknown regime 'tokuyama'$"):
-            known_factor("B", 2, "tokuyama")
+            assert known_factor(make_scheme(regime, "B", 2))
+        with pytest.raises(ValueError, match="^unknown scheme 'tokuyama'$"):
+            make_scheme("tokuyama", "B", 2)
 
 
 # the four product checks at one instance each, and the keys each adds to
@@ -466,6 +469,24 @@ class TestProductIdentity:
             monkeypatch.setattr(module, "build_model", counting, raising=False)
         assert character_theorem_check("D", [3, 2])["ok"]
         assert [family for family, _ in built] == ["D"]
+
+
+@pytest.mark.parametrize("check, scheme", [
+    (lambda: rho_check("B", 2, "generic"), ("generic", "B", 2)),
+    (lambda: character_theorem_check("D", [3, 2]), ("character", "Cstar", 2)),
+    (lambda: divisibility_check("D", [3, 2], "deformation"), ("deformation", "Cstar", 2)),
+], ids=["rho", "character", "divisibility"])
+def test_each_check_makes_one_scheme(monkeypatch, check, scheme):
+    # Z and the factor list are read from the same scheme, the reduction's
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return make_scheme(*args)
+
+    monkeypatch.setattr(identities, "make_scheme", counting)
+    check()
+    assert made == [scheme]
 
 
 class ScriptedRng:
@@ -584,7 +605,7 @@ def test_the_first_factor_that_leaves_a_remainder_is_named(monkeypatch):
     # a factor plus one keeps that factor's leading monomial, so it sorts
     # into the middle of the list, and it does not divide Z
     real = identities.known_factor
-    factors = real("C", 2, "deformation")
+    factors = real(make_scheme("deformation", "C", 2))
     order = sorted({v for f in factors for v, _ in f.leading()[0]})
 
     def ordered(fs):  # as divisibility_check orders them

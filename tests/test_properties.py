@@ -11,7 +11,7 @@ from bentice.laurent import GInt, LaurentPoly
 from bentice.models import build_model
 from bentice.states import enumerate_states, partition_function
 from bentice.weights import (
-    make_character, make_deformation, make_generic, make_okada,
+    make_character, make_deformation, make_generic, make_okada, make_scheme,
 )
 
 from oracles import (
@@ -75,7 +75,7 @@ class TestDegreeBookkeeping:
             rho = list(range(n, 0, -1))
             spec = build_model(family, rho)
             product = ONE
-            for f in known_factor(family, n, "generic"):
+            for f in known_factor(make_scheme("generic", family, n)):
                 product = product * f
             if product.is_zero():
                 continue

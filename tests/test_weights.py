@@ -3,9 +3,10 @@ from dataclasses import replace
 import pytest
 
 from bentice.laurent import GI, GInt, LaurentPoly, Var
+from bentice.models import BENT_FAMILIES
 from bentice.weights import (
-    ONE, make_character, make_deformation, make_generic, make_okada, make_scheme,
-    make_tokuyama,
+    BUILTIN_SCHEMES, ONE, make_character, make_deformation, make_generic, make_okada,
+    make_scheme, make_tokuyama,
 )
 
 from oracles import check_scheme, delta, scheme_rows
@@ -126,6 +127,36 @@ class TestCharacter:
         zero_entries = {(k, r) for (k, r), w in s.vertex.items() if w.is_zero()}
         assert zero_entries == {("c1", r) for r in scheme_rows(s)}
         assert s.corner_l.is_zero() and not s.corner_r.is_zero()
+
+
+# every weight table of a scheme; a corner is None outside family C
+ENTRIES = ("vertex", "bend_up", "bend_down", "corner_r", "corner_l")
+
+
+def entries(scheme) -> dict:
+    return {name: getattr(scheme, name) for name in ENTRIES}
+
+
+@pytest.mark.parametrize("family", BENT_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_character_weights_are_okada_weights_at_t_j_one(family, n):
+    # t = q^2 in B and C and t_j = i q elsewhere, so t_j = 1 is q = 1 or q = -i
+    q = ONE if family in ("B", "C") else LaurentPoly.const(GInt(0, -1))
+
+    def at_q(w):
+        return None if w is None else w.substitute({Var.qshared(): q})
+
+    okada = {name: ({k: at_q(w) for k, w in table.items()} if isinstance(table, dict)
+                    else at_q(table))
+             for name, table in entries(make_okada(family, n)).items()}
+    assert okada == entries(make_character(family, n))
+
+
+@pytest.mark.parametrize("regime", BUILTIN_SCHEMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_d_and_cstar_schemes_hold_equal_weights(regime, n):
+    # so D^lambda without a part 1 may be weighed by its reduction's scheme
+    assert entries(make_scheme(regime, "D", n)) == entries(make_scheme(regime, "Cstar", n))
 
 
 class TestDelta:
