@@ -10,9 +10,9 @@ product of the v_j.
 Characters are Weyl's ratio: a numerator alternant, the signed orbit sum
 over the group, divided by the Weyl denominator, one binomial per
 positive root.  Exponents are kept doubled so type-B half-integer weights
-stay integral.  Both checks are identities.product_check, Z = the stated
-factors times a quotient: i^|mu| chi_mu under the character weights, and
-the Schur polynomial s_mu in family A under Tokuyama's weights.
+stay integral.  Both checks are identities.product_check, Z divided by the
+stated factors is a quotient: i^|mu| chi_mu under the character weights,
+and the Schur polynomial s_mu in family A under Tokuyama's weights.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def character_theorem_check(family: str, lam) -> dict:
 
     Both are the first statement for the model's reduction, Z(rho) being
     its character factor product (identities.rho_check).  Z is computed
-    from the family's own model; "statement" names the identity applied,
-    chi^F being family_character(F, n, mu).
+    from the family's own model and divided by that product, "quotient";
+    "statement" names the identity applied, chi^F being family_character(F, n, mu).
     """
     if family == "A":
         raise ValueError("family A has no character-weight identity; use verify tokuyama")
@@ -185,15 +185,15 @@ def character_theorem_check(family: str, lam) -> dict:
     chi = family_character(base_family, n, mu)
     statement = (f"Z = i^|mu| Z({base_family}^rho) chi^{base_family}_mu, "
                  f"mu = lambda - rho{'' if base == lam else ' - 1'}")
-    quotient = LaurentPoly.const(gpow_i(sum(mu))) * chi
-    return {**product_check(family, lam, "character", quotient, statement), "mu": mu, "chi": chi}
+    stated = LaurentPoly.const(gpow_i(sum(mu))) * chi
+    return {**product_check(family, lam, "character", stated, statement), "mu": mu, "chi": chi}
 
 
 def tokuyama_check(lam) -> dict:
     """The type-A anchor: Z == x^rho prod(1 + t x_j/x_i) s_mu, t symbolic.
 
-    x^rho prod(1 + t x_j/x_i) is identities.known_factor of the Tokuyama
-    scheme, make_scheme("deformation", "A", n), and s_mu the quotient.
+    x^rho prod(1 + t x_j/x_i) is identities.known_factor of Tokuyama's scheme,
+    make_scheme("deformation", "A", n), and "quotient", Z / it, must be s_mu.
     """
     lam = check_strict_partition(lam)
     n = len(lam)

@@ -317,7 +317,8 @@ COMMANDS = {
 
 
 def _families(command, family) -> list:
-    """The families a command runs: --family, else the one its row covers."""
+    """The families a command runs: --family, else the one its row covers;
+    "all" is the six bent families, also on verify rho: it never checks A."""
     if family is None and len(command.families) == 1:
         return list(command.families)
     if family == "all" and "all" in command.families:

@@ -19,12 +19,12 @@ under the character weights; in family A the Schur polynomial, Tokuyama's
 formula (bentice.characters).  Elsewhere the product divides Z, with a
 quotient symmetric under the spectral index actions, plain substitutions.
 
-A randomized Gaussian-integer evaluation of Z and the whole factor list
-runs before the exact division; both pack Z and the factors once, in the
-packed layout of bentice.laurent, and the exact division divides by
-every factor in turn in one call.  A point refuting divisibility while
-the exact division succeeds would mean the suite itself is broken, and
-raises.
+product_check and divisibility_check divide Z by every factor in one
+chained exact division (_divided).  Divisibility also values Z and the
+factor list at random Gaussian-integer points; both pack Z and the
+factors once, in the packed layout of bentice.laurent.  A point refuting
+divisibility while the exact division succeeds would mean the suite
+itself is broken, and raises.
 """
 
 from __future__ import annotations
@@ -172,6 +172,19 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
     return True, None
 
 
+def _divided(family: str, lam, regime: str):
+    """(Z, known_factor's sorted list, Z / their product or None) under the reduction's scheme."""
+    spec = build_model(family, lam)
+    # the scheme, then the factor list, then Z: a refused regime or family
+    # (A under okada) is named as make_scheme names it, before any state
+    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
+    factors = known_factor(scheme)
+    order = sorted({v for f in factors for v, _ in f.leading()[0]})
+    factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
+    z = partition_function(spec, scheme)
+    return z, factors, z.exact_divide(*factors)
+
+
 def divisibility_check(family: str, lam, regime: str,
                        seed: int = 0) -> LaurentPoly:
     """Divide Z by every stated factor in one chained division; return the quotient.
@@ -185,17 +198,11 @@ def divisibility_check(family: str, lam, regime: str,
     family A's quotient, the Schur polynomial, must also keep every
     exponent nonnegative: that is the test that x^rho divides Z.
     """
-    spec = build_model(family, lam)
     # stated for the generic and deformation regimes only
     if regime not in ("generic", "deformation"):
         raise ValueError(f"unknown regime {regime!r}")
-    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
-    factors = known_factor(scheme)
-    order = sorted({v for f in factors for v, _ in f.leading()[0]})
-    factors = sorted(factors, key=lambda f: dense_key(f.leading()[0], order))
-    z = partition_function(spec, scheme)
+    z, factors, quotient = _divided(family, lam, regime)
     ok, point = probabilistic_divides(z, factors, random.Random(seed))
-    quotient = z.exact_divide(*factors)
     if quotient is None:
         # divide again one factor at a time to name the first that fails
         rest = z
@@ -221,23 +228,15 @@ def quotient_symmetry_check(quotient: LaurentPoly, family: str, n: int,
     return {"ok": not failures, "failed_actions": failures}
 
 
-def product_check(family: str, lam, regime: str, quotient: LaurentPoly,
-                  statement: str) -> dict:
-    """Z(family^lambda) == rhs, known_factor's product times the quotient, both
-    under the scheme of the model's reduction (models.reduced); "diff" is z - rhs."""
-    spec = build_model(family, lam)
-    # the scheme, then the factor list, then Z: a refused regime or family
-    # (A under okada) is named as make_scheme names it, before any state
-    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
-    factors = known_factor(scheme)
-    z = partition_function(spec, scheme)
-    rhs = LaurentPoly.prod([*factors, quotient])
-    ok = z == rhs
-    return {"ok": ok, "statement": statement, "z": z, "rhs": rhs, "diff": None if ok else z - rhs}
+def product_check(family: str, lam, regime: str, stated: LaurentPoly, statement: str) -> dict:
+    """Z(family^lambda) == known_factor's product times stated, as one division:
+    "quotient" is Z / the product (see _divided), None if it leaves a remainder."""
+    z, _, quotient = _divided(family, lam, regime)
+    return {"ok": quotient == stated, "statement": statement, "z": z, "quotient": quotient}
 
 
 def rho_check(family: str, n: int, regime: str) -> dict:
-    """At lambda = rho the quotient is 1: Z == known_factor's product.
+    """At lambda = rho the quotient is 1: Z / known_factor's product == 1.
 
     Under the shared-t weights ("okada") the product is Okada's deformed
     Weyl denominator, with t carried as q**2.

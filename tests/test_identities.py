@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,15 +8,15 @@ import signal
 import pytest
 
 from bentice import characters, identities
-from bentice.characters import character_theorem_check, tokuyama_check
+from bentice.characters import character_theorem_check, family_character, tokuyama_check
 from bentice.identities import (
     BENT_FAMILIES, DivisibilityError, PreCheckUndecidedError, divisibility_check,
     known_factor, okada_product_check, probabilistic_divides, quotient_symmetry_check,
     rho_check, spectral_actions,
 )
-from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key
+from bentice.laurent import GI, GInt, LaurentPoly, Var, ZeroDivisorError, dense_key, gpow_i
 from bentice.models import build_model, reduced, rho
-from bentice.states import partition_function
+from bentice.states import enumerate_states, partition_function
 from bentice.weights import BUILTIN_SCHEMES, crossing, make_generic, make_scheme, make_tokuyama
 
 from oracles import evaluate, is_homogeneous, total_degree, vertex_count, zero
@@ -274,7 +275,7 @@ class TestRhoEqualities:
         rho = list(range(n, 0, -1))
         assert partition_function(build_model("A", rho), make_tokuyama(n)) == want
         r = rho_check("A", n, "deformation")
-        assert r["ok"] and r["rhs"] == want
+        assert r["ok"] and r["z"] == want and r["quotient"] == ONE
 
     @pytest.mark.parametrize("family", ["B", "D"])
     def test_n3_fast_families(self, family):
@@ -384,15 +385,14 @@ class TestOkada:
     def test_check_is_the_rho_identity_under_shared_t_weights(self):
         r = okada_product_check("C", 2)
         assert r == rho_check("C", 2, "okada")
-        assert r["z"] == r["rhs"] == okada_product("C", 2) and r["diff"] is None
+        assert r["z"] == okada_product("C", 2) and r["quotient"] == ONE
 
-    def test_a_failing_check_reports_the_difference(self, monkeypatch):
+    def test_a_factor_that_does_not_divide_leaves_no_quotient(self, monkeypatch):
         real = identities.known_factor
         monkeypatch.setattr(identities, "known_factor",
                             lambda *args, **kwargs: real(*args, **kwargs) + [ONE + x(1)])
         r = okada_product_check("B", 2)
-        assert not r["ok"] and not r["diff"].is_zero()
-        assert r["diff"] == r["z"] - r["rhs"]
+        assert not r["ok"] and r["quotient"] is None
 
     def test_family_a_has_no_shared_t_weights(self):
         with pytest.raises(ValueError,
@@ -440,22 +440,43 @@ PRODUCT_CHECKS = {
 }
 
 
+def spy_stated(monkeypatch) -> list:
+    """The stated quotient of each product_check call, in call order."""
+    stated = []
+    real = identities.product_check
+
+    def spying(family, lam, regime, given, statement):
+        stated.append(given)
+        return real(family, lam, regime, given, statement)
+
+    for module in (characters, identities):
+        monkeypatch.setattr(module, "product_check", spying)
+    return stated
+
+
 class TestProductIdentity:
     @pytest.mark.parametrize("name", PRODUCT_CHECKS)
-    def test_one_result_shape(self, name):
+    def test_one_result_shape(self, monkeypatch, name):
         check, extra = PRODUCT_CHECKS[name]
+        stated = spy_stated(monkeypatch)
         r = check()
-        assert set(r) == {"ok", "statement", "z", "rhs", "diff"} | extra
-        assert r["ok"] and r["z"] == r["rhs"] and r["diff"] is None
+        assert set(r) == {"ok", "statement", "z", "quotient"} | extra
+        assert r["ok"] and stated == [r["quotient"]]
 
     @pytest.mark.parametrize("name", PRODUCT_CHECKS)
-    def test_a_dropped_factor_fails_with_the_difference(self, monkeypatch, name):
+    def test_a_dropped_factor_is_left_in_the_quotient(self, monkeypatch, name):
         real = identities.known_factor
-        monkeypatch.setattr(identities, "known_factor",
-                            lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+        dropped = []
+
+        def dropping(scheme):
+            *kept, last = real(scheme)
+            dropped.append(last)
+            return kept
+
+        monkeypatch.setattr(identities, "known_factor", dropping)
+        stated = spy_stated(monkeypatch)
         r = PRODUCT_CHECKS[name][0]()
-        assert not r["ok"] and not r["diff"].is_zero()
-        assert r["diff"] == r["z"] - r["rhs"]
+        assert not r["ok"] and r["quotient"] == stated[0] * dropped[0]
 
     def test_character_check_builds_one_model(self, monkeypatch):
         # Z(rho) is the factor product, so only D^[3,2] itself is built
@@ -487,6 +508,88 @@ def test_each_check_makes_one_scheme(monkeypatch, check, scheme):
     monkeypatch.setattr(identities, "make_scheme", counting)
     check()
     assert made == [scheme]
+
+
+def multiplied_out(family, lam, regime):
+    """(Z, the factor product multiplied out), both under the reduction's scheme:
+    the reference that the product checks' division must agree with."""
+    spec = build_model(family, lam)
+    scheme = make_scheme(regime, reduced(family, spec.lam)[0], spec.n)
+    return partition_function(spec, scheme), LaurentPoly.prod(known_factor(scheme))
+
+
+# every strict lambda with at most three parts and lambda_1 <= 4
+STRICT = [list(lam) for k in (1, 2, 3) for lam in itertools.combinations(range(4, 0, -1), k)]
+
+
+class TestDivisionAgainstTheProduct:
+    """Each product check's verdict is the multiplied-out comparison's."""
+
+    @pytest.mark.parametrize("family, regime", [("A", "deformation")] + [
+        (family, regime) for family in BENT_FAMILIES for regime in BUILTIN_SCHEMES])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rho(self, family, regime, n):
+        z, product = multiplied_out(family, rho(n), regime)
+        r = rho_check(family, n, regime)
+        assert r["z"] == z and r["ok"] == (z == product)
+        if r["ok"]:
+            assert r["quotient"] * product == z
+
+    @pytest.mark.parametrize("family", BENT_FAMILIES)
+    @pytest.mark.parametrize("lam", STRICT, ids=str)
+    def test_character(self, family, lam):
+        z, product = multiplied_out(family, lam, "character")
+        r = character_theorem_check(family, lam)
+        stated = LaurentPoly.const(gpow_i(sum(r["mu"]))) * r["chi"]
+        assert r["z"] == z and r["ok"] == (z == product * stated)
+        if r["ok"]:
+            assert r["quotient"] * product == z
+
+    @pytest.mark.parametrize("lam", STRICT, ids=str)
+    def test_tokuyama(self, lam):
+        z, product = multiplied_out("A", lam, "deformation")
+        r = tokuyama_check(lam)
+        mu = [a - b for a, b in zip(lam, rho(len(lam)))]
+        stated = family_character("A", len(lam), mu)
+        assert r["z"] == z and r["symbolic_ok"] == (z == product * stated)
+        if r["symbolic_ok"]:
+            assert r["quotient"] * product == z
+
+
+def off_the_free_fermion_point(monkeypatch):
+    """Make every scheme identities builds take c1 + 1 for c1 in every row."""
+    def shifted(*args):
+        scheme = make_scheme(*args)
+        return dataclasses.replace(scheme, vertex={
+            key: w + ONE if key[0] == "c1" else w for key, w in scheme.vertex.items()})
+
+    monkeypatch.setattr(identities, "make_scheme", shifted)
+
+
+def c1_states(family, n):
+    """(states of family^rho with a c1 vertex, all its states)."""
+    states = enumerate_states(build_model(family, rho(n)))
+    return sum("c1" in s.vertex_kinds().values() for s in states), len(states)
+
+
+class TestFreeFermionNecessity:
+    """A global identity needs the free-fermion point: off it, the rho identity fails."""
+
+    @pytest.mark.parametrize("family, counts", [
+        ("B", (92, 140)), ("Bstar", (162, 210)), ("C", (468, 588)),
+        ("Cstar", (162, 210)), ("D", (18, 42)), ("BC", (18, 42))])
+    def test_rho_fails_off_it_at_n3(self, monkeypatch, family, counts):
+        assert c1_states(family, 3) == counts
+        off_the_free_fermion_point(monkeypatch)
+        r = rho_check(family, 3, "generic")
+        assert not r["ok"] and r["quotient"] is None
+
+    @pytest.mark.parametrize("family", ["D", "BC"])
+    def test_the_control_is_vacuous_at_n2_in_d_and_bc(self, monkeypatch, family):
+        # no state at rho has a c1 vertex, so moving c1 changes no weight
+        assert c1_states(family, 2) == (0, 4)
+        off_the_free_fermion_point(monkeypatch)
+        assert rho_check(family, 2, "generic")["ok"]
 
 
 class ScriptedRng:
