@@ -1,12 +1,12 @@
 """The Boltzmann weight regimes and the one weight lookup.
 
-Four built-in schemes share one shape, built by ``_free_fermion``: an entry
-table (kind, row) -> value, u-turn weights per bend row, and corner
-weights for the C family.  Each regular row j gets its own a1, a2, b1, b2,
-with c1 = a1*a2 + b1*b2 and c2 = 1 so the free-fermion condition holds
-identically; barred rows (none in family A) follow by the first symmetry
-assumption, and the central row is degenerate, (a0, a0, b0, b0).  The
-regimes differ only in the a and b weights:
+Every scheme, Tokuyama's included, shares one shape, built by
+``_free_fermion``: an entry table (kind, row) -> value, u-turn weights per
+bend row, and corner weights for the C family.  Each regular row j gets its
+own a1, a2, b1, b2 and unit monomial c2, with c1 = (a1*a2 + b1*b2) / c2 so
+the free-fermion condition holds identically; barred rows (none in family
+A) follow by the first symmetry assumption, and the central row is
+degenerate, (a0, a0, b0, b0).  The four built-in schemes take c2 = 1:
 
 * generic: free symbols a1,a2,b1,b2 per unbarred row (a0, b0 centrally).
 * deformation: a1=a2=1, b1 = i*t_j*x_j, b2 = i*t_j/x_j, so c1 = 1 - t_j^2,
@@ -16,10 +16,11 @@ regimes differ only in the a and b weights:
 * character: the deformation weights at t_j = 1, killing c1 everywhere
   (and the corner L weight in family C).
 
-Bend weights follow the summary table: U = 1, R = 1 everywhere, D = i in
-families B and C and 1 elsewhere, L = a0 - i*b0 in family C.  To probe
-the necessity direction of each local relation, tests perturb a built
-scheme with ``dataclasses.replace``.
+Tokuyama's type-A rows take a1 = 1, a2 = b2 = c2 = x_j, b1 = t, so c1 =
+1 + t.  Bend weights follow the summary table: U = 1, R = 1 everywhere,
+D = i in families B and C and 1 elsewhere, L = a0 - i*b0 in family C.  To
+probe the necessity direction of each local relation, tests perturb a
+built scheme with ``dataclasses.replace``.
 
 ``unit_weight`` is the one weight lookup: the weight of any unit (vertex,
 bend, corner, or the crossing of two rows, whose weights ``cross_weights``
@@ -98,13 +99,14 @@ def unit_weight(unit, tag, scheme: WeightScheme) -> LaurentPoly:
 _CENTRAL_X = {"Bstar": ONE, "C": -ONE, "BC": ONE}   # central x, okada and character weights
 
 
-def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightScheme:
-    """The one shape of every free-fermion scheme, from each row's a and b weights.
+def _free_fermion(name: str, family: str, n: int, row_weights, central_ab=None) -> WeightScheme:
+    """The one shape of every scheme, from each row's a, b and c2 weights.
 
-    Regular row j takes (a1, a2, b1, b2) = row_ab(j), c1 = a1 a2 + b1 b2 and
-    c2 = 1; its bar, if the family has bars (see models.has_bars), swaps 1
-    and 2 (the first symmetry assumption).  The central row c ("0", or row
-    n in family BC; see models.row_layout) takes (a0, a0, b0, b0) from
+    Regular row j takes (a1, a2, b1, b2, c2) = row_weights(j), c2 a unit
+    monomial, and c1 = (a1 a2 + b1 b2) c2**-1, the free-fermion condition;
+    its bar, if the family has bars (see models.has_bars), swaps 1 and 2
+    (the first symmetry assumption).  The central row c ("0", or row n in
+    family BC; see models.row_layout) takes (a0, a0, b0, b0) and c2 = 1 from
     (a0, b0) = central_ab(int(c)).  Bends and the C corner follow the table.
     """
     _check(family, n)
@@ -112,17 +114,16 @@ def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightS
     bars = has_bars(family)
     rows = {}
     for j in regular:
-        a1, a2, b1, b2 = row_ab(int(j))
-        rows[j] = (a1, a2, b1, b2)
+        a1, a2, b1, b2, c2 = rows[j] = row_weights(int(j))
         if bars:
-            rows[j + "b"] = (a2, a1, b2, b1)
+            rows[j + "b"] = (a2, a1, b2, b1, c2)
     bend_rows = list(rows) if bars else []
     if c is not None:
         a0, b0 = central_ab(int(c))
-        rows[c] = (a0, a0, b0, b0)
+        rows[c] = (a0, a0, b0, b0, ONE)
     vertex = {}
-    for r, (a1, a2, b1, b2) in rows.items():
-        for k, w in zip(KINDS, (a1, a2, b1, b2, a1 * a2 + b1 * b2, ONE)):
+    for r, (a1, a2, b1, b2, c2) in rows.items():
+        for k, w in zip(KINDS, (a1, a2, b1, b2, (a1 * a2 + b1 * b2) * c2 ** -1, c2)):
             vertex[(k, r)] = w
     corner_r = corner_l = None
     if family == "C":
@@ -134,8 +135,8 @@ def _free_fermion(name: str, family: str, n: int, row_ab, central_ab) -> WeightS
 
 
 def _t_x_row(t: LaurentPoly, x: LaurentPoly) -> tuple:
-    """a1 = a2 = 1, b1 = i t x, b2 = i t / x."""
-    return ONE, ONE, I * t * x, I * t * x ** -1
+    """a1 = a2 = c2 = 1, b1 = i t x, b2 = i t / x."""
+    return ONE, ONE, I * t * x, I * t * x ** -1, ONE
 
 
 def _t(j: int) -> LaurentPoly:
@@ -150,7 +151,7 @@ def make_generic(family: str, n: int) -> WeightScheme:
     """Free-fermion weights with independent symbols per unbarred row."""
     return _free_fermion(
         "generic", family, n,
-        lambda j: tuple(LaurentPoly.var(v(j)) for v in (Var.a1, Var.a2, Var.b1, Var.b2)),
+        lambda j: tuple(LaurentPoly.var(v(j)) for v in (Var.a1, Var.a2, Var.b1, Var.b2)) + (ONE,),
         lambda idx: (LaurentPoly.var(Var.a0(idx)), LaurentPoly.var(Var.b0(idx))))
 
 
@@ -158,6 +159,12 @@ def make_deformation(family: str, n: int) -> WeightScheme:
     """Row parameters t_j (as q_j^2) and x_j; the workhorse regime."""
     return _free_fermion("deformation", family, n, lambda j: _t_x_row(_t(j), _x(j)),
                          lambda idx: (ONE, I * _t(idx) * _x(idx)))
+
+
+def _shared_t(name: str, family: str, n: int, t: LaurentPoly) -> WeightScheme:
+    """The deformation weights with one t for every row, the central one included."""
+    return _free_fermion(name, family, n, lambda j: _t_x_row(t, _x(j)),
+                         lambda idx: (ONE, I * t * _CENTRAL_X[family]))
 
 
 def make_okada(family: str, n: int) -> WeightScheme:
@@ -169,35 +176,22 @@ def make_okada(family: str, n: int) -> WeightScheme:
     if family == "A":
         raise ValueError("family A has no okada weights")
     q = LaurentPoly.var(Var.qshared())
-    t = q * q if family in ("B", "C") else I * q
-    return _free_fermion("okada", family, n, lambda j: _t_x_row(t, _x(j)),
-                         lambda idx: (ONE, I * t * _CENTRAL_X[family]))
+    return _shared_t("okada", family, n, q * q if family in ("B", "C") else I * q)
 
 
 def make_character(family: str, n: int) -> WeightScheme:
     """Deformation weights at every t_j = 1; c1 vanishes identically."""
-    return _free_fermion("character", family, n, lambda j: _t_x_row(ONE, _x(j)),
-                         lambda idx: (ONE, I * _CENTRAL_X[family]))
+    return _shared_t("character", family, n, ONE)
 
 
 def make_tokuyama(n: int) -> WeightScheme:
     """Type-A weights whose partition function deforms the Weyl formula.
 
-    Row j carries a1 = 1, a2 = b2 = c2 = x_j, b1 = t, c1 = 1 + t with the
-    shared t = q^2; the free-fermion condition holds identically.
+    Row j is (a1, a2, b1, b2, c2) = (1, x_j, t, x_j, x_j) with the shared
+    t = q^2, so the free-fermion condition gives c1 = 1 + t.
     """
     t = LaurentPoly.term(1, [(Var.qshared(), 2)])
-    entries = {}
-    for j in range(1, n + 1):
-        r = str(j)
-        xj = _x(j)
-        entries[("a1", r)] = ONE
-        entries[("a2", r)] = xj
-        entries[("b1", r)] = t
-        entries[("b2", r)] = xj
-        entries[("c1", r)] = ONE + t
-        entries[("c2", r)] = xj
-    return WeightScheme(name="tokuyama", family="A", n=n, vertex=entries)
+    return _free_fermion("tokuyama", "A", n, lambda j: (ONE, _x(j), t, _x(j), _x(j)))
 
 
 BUILTIN_SCHEMES = {
@@ -209,6 +203,10 @@ BUILTIN_SCHEMES = {
 
 
 def make_scheme(name: str, family: str, n: int) -> WeightScheme:
+    """The named scheme; in family A, "deformation" means Tokuyama's weights.
+
+    BUILTIN_SCHEMES["deformation"]("A", n) is instead the per-row t_j/x_j scheme.
+    """
     if family == "A":
         if name in ("tokuyama", "deformation"):
             return make_tokuyama(n)

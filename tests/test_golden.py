@@ -11,7 +11,7 @@ from bentice import identities
 from bentice.asm import state_to_matrix
 from bentice.models import FAMILIES, build_model
 from bentice.states import enumerate_states
-from bentice.weights import BUILTIN_SCHEMES
+from bentice.weights import BUILTIN_SCHEMES, make_tokuyama
 
 from oracles import orientation, scheme_to_json
 
@@ -208,6 +208,18 @@ def test_builtin_scheme_digest(key):
 def test_scheme_digests_cover_every_builtin_scheme():
     expected = {f"{regime}-{family}" for regime in BUILTIN_SCHEMES for family in FAMILIES}
     assert set(SCHEME_DIGESTS) == expected - {"okada-A"}
+
+
+# The same digest for Tokuyama's type-A weights, family A's "deformation"
+# scheme, recorded when make_tokuyama still wrote each row's six weights out
+# by hand instead of deriving c1 from the free-fermion condition.
+TOKUYAMA_DIGEST = "ecb6a778b5c4e55a4b88c5bb96033a60b1b9401b9298908ed14b7b425b696ae9"
+
+
+def test_tokuyama_scheme_digest():
+    schemes = [scheme_to_json(make_tokuyama(n)) for n in range(1, 5)]
+    blob = json.dumps(schemes, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == TOKUYAMA_DIGEST
 
 
 # sha256 of the canonical JSON of every model of a family with n <= 4 and

@@ -592,6 +592,52 @@ class TestFreeFermionNecessity:
         assert rho_check(family, 2, "generic")["ok"]
 
 
+def with_schemes_changed(monkeypatch, change):
+    """Make every scheme identities builds pass through change."""
+    monkeypatch.setattr(identities, "make_scheme", lambda *args: change(make_scheme(*args)))
+
+
+def counted_states(family, n, holds):
+    """(states of family^rho for which holds(state), all its states)."""
+    states = enumerate_states(build_model(family, rho(n)))
+    return sum(map(holds, states)), len(states)
+
+
+def other_d_bend(scheme):
+    """Every D bend weighs what the other families' do: 1 in B and C, i elsewhere."""
+    down = ONE if scheme.family in ("B", "C") else I
+    return dataclasses.replace(scheme, bend_down=dict.fromkeys(scheme.bend_down, down))
+
+
+def conjugate_corner_l(scheme):
+    """Family C's corner L weighs a0 + i b0 instead of a0 - i b0."""
+    a0, b0 = scheme.vertex[("a1", "0")], scheme.vertex[("b1", "0")]
+    return dataclasses.replace(scheme, corner_l=a0 + I * b0)
+
+
+class TestBendAndCornerNecessity:
+    """The table's D bend and C corner L weights are needed: off them, the rho identity fails."""
+
+    @pytest.mark.parametrize("family, n, counts", [
+        ("B", 2, (8, 10)), ("Bstar", 2, (10, 12)), ("C", 2, (23, 25)),
+        ("Cstar", 2, (10, 12)), ("D", 2, (4, 4)), ("BC", 2, (2, 4)),
+        ("B", 3, (133, 140)), ("Bstar", 3, (203, 210)), ("C", 3, (581, 588)),
+        ("Cstar", 3, (203, 210)), ("D", 3, (42, 42)), ("BC", 3, (35, 42))])
+    def test_rho_fails_with_the_other_d_bend(self, monkeypatch, family, n, counts):
+        assert counted_states(family, n, lambda s: "D" in s.bend_dirs().values()) == counts
+        with_schemes_changed(monkeypatch, other_d_bend)
+        r = rho_check(family, n, "generic")
+        assert not r["ok"] and r["quotient"] is None
+
+    @pytest.mark.parametrize("regime", ["generic", "deformation"])
+    @pytest.mark.parametrize("n, counts", [(1, (1, 3)), (2, (10, 25)), (3, (252, 588))])
+    def test_rho_fails_with_c_corner_l_conjugated(self, monkeypatch, regime, n, counts):
+        assert counted_states("C", n, lambda s: s.corner_dir() == "L") == counts
+        with_schemes_changed(monkeypatch, conjugate_corner_l)
+        r = rho_check("C", n, regime)
+        assert not r["ok"] and r["quotient"] is None
+
+
 class ScriptedRng:
     """Stands in for random.Random: choice returns the given values in turn, cycling."""
 

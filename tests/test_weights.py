@@ -205,6 +205,19 @@ def test_make_scheme_dispatch():
         make_scheme("okada", "A", 2)
 
 
+@pytest.mark.parametrize("name", ["tokuyama", "deformation", "generic"])
+def test_family_a_schemes_need_n_at_least_one(name):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        make_scheme(name, "A", 0)
+
+
+def test_deformation_means_tokuyama_in_family_a():
+    resolved = make_scheme("deformation", "A", 2)
+    builtin = BUILTIN_SCHEMES["deformation"]("A", 2)
+    assert resolved.name == "tokuyama" and resolved.vertex[("a2", "1")] == xpow(1)
+    assert builtin.name == "deformation" and builtin.vertex[("a2", "1")] == ONE
+
+
 def test_tokuyama_free_fermion():
     s = make_tokuyama(3)
     for r in ("1", "2", "3"):
