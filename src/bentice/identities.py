@@ -120,11 +120,12 @@ def spectral_actions(family: str, n: int, regime: str) -> list:
 # probability at most d / 48 (Schwartz-Zippel over the 48-value pool)
 _MAX_REDRAWS = 100
 
+# the values a point draws from: the nonzero a + bi with |a|, |b| <= 3
+_POOL = tuple(GInt(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0))
+
 
 def _random_point(variables, rng: random.Random) -> dict:
-    pool = [GInt(a, b) for a in range(-3, 4) for b in range(-3, 4)
-            if (a, b) != (0, 0)]
-    return {v: rng.choice(pool) for v in variables}
+    return {v: rng.choice(_POOL) for v in variables}
 
 
 def probabilistic_divides(num: LaurentPoly, dens: list,

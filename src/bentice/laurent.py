@@ -26,6 +26,9 @@ Conventions baked into the representation:
   (``clearing_shift``), every monomial becomes one int with a guarded slot
   per variable, in which int order is the monomial order, and coefficients
   are ``(re, im)`` int pairs.  Only a final quotient is unpacked.
+- State weights are products of unit weights packed once over a second
+  layout (``_Signed``), whose slots hold signed exponents up to a bound,
+  so that a product of monomials is an int sum without any clearing.
 """
 
 from __future__ import annotations
@@ -551,43 +554,25 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_latex()})"
 
 
-class _Packed:
-    """Polynomials packed into one int per monomial over their joint variables.
+class _Layout:
+    """Monomials packed into one int each, a slot per variable.
 
-    Each operand is multiplied by its own shift monomial (its clearing
-    shift, or none for a polynomial without negative exponents), so every
-    exponent is nonnegative.  The operands' joint variables, sorted, each
-    own one slot of ``width`` bits, enough for the largest shifted
-    exponent, with a guard bit above it; the first variable holds the
-    highest slot.  So int order is the lexicographic monomial order (the
-    order of dense_key tuples), the product of two monomials is the sum of
-    their ints, and b divides a exactly when ``(a | guard) - b`` keeps
-    every guard bit.  A sum of two slots carries at most into its guard
-    bit, never into the next slot.  Coefficients are (re, im) int pairs.
+    The sorted variables each own one slot of ``width`` bits with a guard
+    bit above it, above the ``low`` lowest bits, which stay free; the first
+    variable holds the highest slot.  ``pack`` moves each exponent of a
+    monomial to its variable's slot and adds them, so the product of two
+    monomials is the sum of their ints, as long as every slot's sum stays
+    in range.
     """
 
-    __slots__ = ("offsets", "width", "mask", "guard", "shifts", "terms")
+    __slots__ = ("offsets", "width", "mask", "guard")
 
-    def __init__(self, polys, shifts):
-        bounds = [_exponent_bounds(p.terms) for p in polys]
-        self.shifts = [dict(shift) for shift in shifts]
-        top = max((hi + shift.get(v, 0) for b, shift in zip(bounds, self.shifts)
-                   for v, (_, hi) in b.items()), default=0)
-        self.width = top.bit_length() or 1
-        self.mask = (1 << self.width) - 1
-        order = sorted(set().union(*bounds))
+    def __init__(self, order, width: int, low: int = 0):
+        self.width = width
+        self.mask = (1 << width) - 1
         # each variable's slot offset, the first variable's the highest
-        self.offsets = {v: (len(order) - 1 - i) * (self.width + 1) for i, v in enumerate(order)}
-        self.guard = sum(1 << (o + self.width) for o in self.offsets.values())
-        self.terms = []
-        for p, shift in zip(polys, self.shifts):
-            base = self.pack(shift.items())
-            self.terms.append({base + self.pack(m): (c.re, c.im) for m, c in p.terms.items()})
-
-    @classmethod
-    def cleared(cls, polys) -> "_Packed":
-        """The polynomials packed, each cleared by its clearing_shift."""
-        return cls(polys, [p.clearing_shift() for p in polys])
+        self.offsets = {v: low + (len(order) - 1 - i) * (width + 1) for i, v in enumerate(order)}
+        self.guard = sum(1 << (o + width) for o in self.offsets.values())
 
     def pack(self, m) -> int:
         """The sum of m's exponents, each moved to its variable's slot.
@@ -604,6 +589,70 @@ class _Packed:
         mask = self.mask
         return tuple((v, e) for v, o in self.offsets.items()
                      if (e := (key >> o & mask) + back.get(v, 0)))
+
+
+class _Signed(_Layout):
+    """A layout for products of Laurent monomials with bounded exponents.
+
+    Every slot holds any exponent in [-bound, bound], one bit wider than
+    the bound needs: ``pack`` keeps a monomial's exponents signed, so a
+    sum of packed monomials is their product's packed monomial as long as
+    each variable's exponent sum stays within the bound.  ``read`` lifts
+    every slot by half its range (``bias``) and unpacks the lifted
+    exponents.  A monomial with an exponent past the bound is refused.
+    """
+
+    __slots__ = ("bound", "bias", "unbias")
+
+    def __init__(self, variables, bound: int, low: int = 0):
+        super().__init__(sorted(variables), bound.bit_length() + 1, low)
+        self.bound = bound
+        half = 1 << (self.width - 1)
+        self.bias = sum(half << o for o in self.offsets.values())
+        self.unbias = dict.fromkeys(self.offsets, -half)
+
+    def pack(self, m) -> int:
+        if any(abs(e) > self.bound for _, e in m):
+            raise ValueError(f"an exponent of {m} is past the bound {self.bound}")
+        return super().pack(m)
+
+    def read(self, key: int) -> Monomial:
+        """The monomial of a sum of packed monomials within the bound."""
+        return self.unpack(key + self.bias, self.unbias)
+
+
+class _Packed(_Layout):
+    """Polynomials packed into one int per monomial over their joint variables.
+
+    Each operand is multiplied by its own shift monomial (its clearing
+    shift, or none for a polynomial without negative exponents), so every
+    exponent is nonnegative.  The operands' joint variables, sorted, each
+    own one slot (see _Layout), ``width`` bits enough for the largest
+    shifted exponent.  So int order is the lexicographic monomial order
+    (the order of dense_key tuples), the product of two monomials is the
+    sum of their ints, and b divides a exactly when ``(a | guard) - b``
+    keeps every guard bit.  A sum of two slots carries at most into its
+    guard bit, never into the next slot.  Coefficients are (re, im) int
+    pairs.
+    """
+
+    __slots__ = ("shifts", "terms")
+
+    def __init__(self, polys, shifts):
+        bounds = [_exponent_bounds(p.terms) for p in polys]
+        self.shifts = [dict(shift) for shift in shifts]
+        top = max((hi + shift.get(v, 0) for b, shift in zip(bounds, self.shifts)
+                   for v, (_, hi) in b.items()), default=0)
+        super().__init__(sorted(set().union(*bounds)), top.bit_length() or 1)
+        self.terms = []
+        for p, shift in zip(polys, self.shifts):
+            base = self.pack(shift.items())
+            self.terms.append({base + self.pack(m): (c.re, c.im) for m, c in p.terms.items()})
+
+    @classmethod
+    def cleared(cls, polys) -> "_Packed":
+        """The polynomials packed, each cleared by its clearing_shift."""
+        return cls(polys, [p.clearing_shift() for p in polys])
 
     # -- division ----------------------------------------------------------
     def quotient(self) -> Optional[dict]:

@@ -170,6 +170,12 @@ class ModelSpec:
         return tuple((_edge_name(e), *where[e]) for e in self.edges)
 
     @cached_property
+    def weight_tables(self) -> dict:
+        """id(scheme) -> (scheme, its states.WeightTable over units), filled
+        by states.weight_table, so each scheme's table is built once per model."""
+        return {}
+
+    @cached_property
     def cell_layout(self) -> tuple:
         """Where a state's vertices land in its sign matrix, laid out flat row
         after row: ``(nrows, ncols, cells, centre)``.

@@ -4,10 +4,10 @@ Each check builds the two sides of a local identity as tiny unit graphs
 (crossings, six-vertex cells, bends, corners), enumerates every interior
 filling for every assignment of the free boundary arrows with the same
 engine that drives full models, weighs each unit by the tag that engine
-records for it with ``weights.unit_weight`` (crossings carry
-``weights.cross_weights``, which satisfy the star-triangle identity
-exactly when both rows are free-fermionic), and compares exact
-polynomials.  Verdicts are exact
+records for it through the packed weight table of ``states.WeightTable``,
+built once per side (crossings carry ``weights.cross_weights``, which
+satisfy the star-triangle identity exactly when both rows are
+free-fermionic), and compares exact polynomials.  Verdicts are exact
 polynomial statements; a failing assignment is reported as a witness.
 
 The fish and jellyfish differ between families only by the boundary at
@@ -26,17 +26,20 @@ from .laurent import GI, LaurentPoly
 from .models import (
     SHAPES, bend_unit, corner_unit, cross_unit, rho, row_layout, vertex_unit,
 )
-from .states import enumerate_tags
-from .weights import WeightScheme, crossing, unit_weight
+from .states import WeightTable, enumerate_tags
+from .weights import WeightScheme, crossing
 
 I = LaurentPoly.const(GI)
 
 
-def local_z(units, fixed: dict, scheme: WeightScheme) -> LaurentPoly:
-    """Partition function of a local diagram with the given fixed arrows."""
-    return LaurentPoly.sum(
-        LaurentPoly.prod(unit_weight(u, tag, scheme) for u, tag in zip(units, tags))
-        for tags in enumerate_tags(units, fixed))
+def local_z(units, fixed: dict, scheme: WeightScheme,
+            table: Optional[WeightTable] = None) -> LaurentPoly:
+    """Partition function of a local diagram with the given fixed arrows,
+    weighed through table, the units' WeightTable under scheme, which a
+    check that fixes the arrows in turn builds once; by default, here."""
+    if table is None:
+        table = WeightTable(units, scheme)
+    return LaurentPoly.sum(map(table.weigh, enumerate_tags(units, fixed)))
 
 
 @dataclass
@@ -250,9 +253,10 @@ def _require_bends(scheme: WeightScheme, j: int):
 def _sides_agree(scheme: WeightScheme, lhs_units, rhs_units, names) -> Verdict:
     """Both sides agree on every boundary assignment; the first miss is the witness."""
     verdict = Verdict(ok=True)
+    lhs, rhs = WeightTable(lhs_units, scheme), WeightTable(rhs_units, scheme)
     for fixed in _assignments(names):
         verdict.checked += 1
-        equal = local_z(lhs_units, fixed, scheme) == local_z(rhs_units, fixed, scheme)
+        equal = local_z(lhs_units, fixed, scheme, lhs) == local_z(rhs_units, fixed, scheme, rhs)
         if not equal and verdict.ok:
             verdict.ok, verdict.witness = False, fixed
     return verdict
@@ -263,9 +267,10 @@ def _ratio_verdict(scheme: WeightScheme, lhs_units, rhs_units, names, lhs_fixed,
     """Constancy via cross-multiplication, then closed-form comparison."""
     verdict = Verdict(ok=True)
     sides = []
+    lhs, rhs = WeightTable(lhs_units, scheme), WeightTable(rhs_units, scheme)
     for fixed in _assignments(names):
-        zl = local_z(lhs_units, {**fixed, **lhs_fixed}, scheme)
-        zr = local_z(rhs_units, {**fixed, **rhs_fixed}, scheme)
+        zl = local_z(lhs_units, {**fixed, **lhs_fixed}, scheme, lhs)
+        zr = local_z(rhs_units, {**fixed, **rhs_fixed}, scheme, rhs)
         if zl.is_zero() and zr.is_zero():
             continue
         sides.append((dict(fixed), zl, zr))

@@ -27,11 +27,19 @@ table is built.
 
 A state stores only the tag each unit of its model took, as the paper
 names a state by its local configurations (a1..c2, U/D, R/L).  Its vertex
-kinds, bend and corner directions, and its weight (``weights.unit_weight``
-per unit, in ``ModelSpec.units`` order) are read from those tags by unit
-position.  Only the exports need edge bits: JSON reads them through
-``ModelSpec.edge_sources``, built once per model, and TikZ from
+kinds, bend and corner directions, and its weight are read from those
+tags by unit position.  Only the exports need edge bits: JSON reads them
+through ``ModelSpec.edge_sources``, built once per model, and TikZ from
 ``models.VERTEX_CONFIGS``.
+
+Weights come from one packed table per units and scheme (``WeightTable``):
+each unit's weight in each of its tags (``weights.unit_weights``) is
+packed once over the signed layout ``laurent._Signed``, so a state's
+single-term weights multiply as one int sum and only its multi-term ones
+are multiplied out.  ``state_weight`` reads the model's table, built once
+per model and scheme and kept on the model (``weight_table``), and
+``relations.local_z`` weighs a local diagram's tag tuples through a table
+of its own units.
 """
 
 from __future__ import annotations
@@ -40,9 +48,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .laurent import LaurentPoly
+from .laurent import DEFORMATION, GENERIC, GInt, LaurentPoly, _check_bank, _Signed
 from .models import VERTEX_CONFIGS, ModelSpec
-from .weights import unit_weight
+from .weights import unit_weights
 
 def move_tables(units, fixed: dict) -> list:
     """Compile each unit, in sweep order, into ``(reads, sets, moves)``.
@@ -69,6 +77,146 @@ def move_tables(units, fixed: dict) -> list:
         seen.update(sets)
         tables.append((reads, sets, moves))
     return tables
+
+
+# the power of i of each unit coefficient, and i**k * (re + im i) by k
+_I_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+_TURNS = (lambda re, im: (re, im), lambda re, im: (-im, re),
+          lambda re, im: (-re, -im), lambda re, im: (im, -re))
+
+
+class WeightTable:
+    """Every unit's weight in each of its tags, packed once for one scheme.
+
+    Every weight is formed here, once (``weights.unit_weights``), so one
+    that cannot be, such as a crossing of rows of two banks, raises before
+    any state is weighed.  The weights' variables share one signed layout
+    (``laurent._Signed``) whose bound is the number of units times the
+    largest |exponent| of any weight, so a product of one weight per unit
+    never leaves a slot.  Below the variables' slots sit three counters
+    of ``count`` bits each: a power of i, then the number of factors of
+    each bank (``laurent.GENERIC`` first).  ``weights`` maps each unit's
+    tags to their packed weights:
+
+    - one term with a unit coefficient (1, i, -1, -i): one int, the packed
+      monomial plus the coefficient's power of i and a count of its bank;
+    - zero: None;
+    - any other weight: (a count of its bank, its bit of the signature,
+      its terms as ``(packed monomial, re, im)``).
+
+    A state's signature adds up the bits of its weights of the last kind,
+    one bit field per distinct weight (a weight object that several units
+    share is one weight), so it names the multiset of those factors, and
+    ``products`` keeps their product, multiplied out over packed keys,
+    by signature.  Decoded monomials are kept by key in ``monomials``.
+    """
+
+    __slots__ = ("weights", "layout", "count", "products", "monomials")
+
+    def __init__(self, units, scheme):
+        polys = [unit_weights(unit, scheme) for unit in units]
+        monomials = [m for ws in polys for p in ws.values() for m in p.terms]
+        top = max((abs(e) for m in monomials for _, e in m), default=0)
+        self.count = (3 * len(units)).bit_length()
+        self.layout = _Signed({v for m in monomials for v, _ in m}, len(units) * top,
+                              low=3 * self.count)
+        packed, field = {}, len(units).bit_length()
+        for p in (p for ws in polys for p in ws.values()):
+            if id(p) not in packed:
+                packed[id(p)] = self._packed(p, 1 << field * len(packed))
+        self.weights = [{tag: packed[id(p)] for tag, p in ws.items()} for ws in polys]
+        self.products, self.monomials = {}, {}
+
+    def _packed(self, p: LaurentPoly, bit: int):
+        if p.is_zero():
+            return None
+        bank = 0 if p.bank is None else 1 << self.count * (1 + p.bank)
+        if len(p.terms) == 1:
+            ((m, c),) = p.terms.items()
+            if c.is_unit():
+                return self.layout.pack(m) + bank + _I_POWERS[c.re, c.im]
+        return bank, bit, tuple((self.layout.pack(m), c.re, c.im) for m, c in p.terms.items())
+
+    def weigh(self, tags) -> LaurentPoly:
+        """The product of each unit's weight in its tag, equal to
+        ``LaurentPoly.prod`` over them, bank and MixedBankError included.
+
+        The single terms add up into one int; the other factors are
+        multiplied out over packed keys, once per signature, and each
+        monomial is unpacked once.  A zero weight ends the product, as in
+        ``prod``: the banks of the units after it are not read.
+        """
+        key = signature = 0
+        factors = []
+        for weights, tag in zip(self.weights, tags):
+            w = weights[tag]
+            if w.__class__ is int:
+                key += w
+            elif w is None:
+                self._bank(key, tags)
+                return LaurentPoly._of({}, None)
+            else:
+                key += w[0]
+                signature += w[1]
+                factors.append(w[2])
+        bank = self._bank(key, tags)
+        terms = self.products.get(signature)
+        if terms is None:
+            terms = self.products[signature] = _multiplied(factors)
+        turn = _TURNS[(key & ((1 << self.count) - 1)) % 4]
+        key -= key & ((1 << 3 * self.count) - 1)
+        read, monomials = self.layout.read, self.monomials
+        out = {}
+        for k, re, im in terms:
+            k += key
+            m = monomials.get(k)
+            if m is None:
+                m = monomials[k] = read(k)
+            out[m] = GInt(*turn(re, im))
+        return LaurentPoly._of(out, bank)
+
+    def _banks(self, key: int) -> tuple:
+        """(generic, deformation): the factors of each bank that key counts."""
+        mask = (1 << self.count) - 1
+        return key >> self.count & mask, key >> 2 * self.count & mask
+
+    def _bank(self, key: int, tags):
+        """The bank of a product whose counters key holds.  Where it counts
+        factors of both banks, MixedBankError names first the bank of the
+        first unit with one, as ``prod`` does; that unit precedes any zero."""
+        generic, deformation = self._banks(key)
+        if generic and deformation:
+            for weights, tag in zip(self.weights, tags):
+                w = weights[tag]
+                g, d = self._banks(w if w.__class__ is int else w[0])
+                if g or d:
+                    _check_bank(DEFORMATION if d else GENERIC, GENERIC if d else DEFORMATION)
+        return GENERIC if generic else DEFORMATION if deformation else None
+
+
+def _multiplied(factors) -> tuple:
+    """The product of packed polynomials, as ``(packed monomial, re, im)``."""
+    terms = {0: (1, 0)}
+    for factor in factors:
+        out = {}
+        for k1, (re1, im1) in terms.items():
+            for k2, re2, im2 in factor:
+                re, im = out.get(k1 + k2, (0, 0))
+                out[k1 + k2] = (re + re1 * re2 - im1 * im2, im + re1 * im2 + im1 * re2)
+        terms = {k: c for k, c in out.items() if c != (0, 0)}
+    return tuple((k, re, im) for k, (re, im) in terms.items())
+
+
+def weight_table(spec: ModelSpec, scheme) -> WeightTable:
+    """The model's WeightTable under scheme, built once per model and scheme.
+
+    It is kept on the model (``ModelSpec.weight_tables``) beside the scheme
+    itself, which keeps the scheme's id from naming another scheme.
+    """
+    tables = spec.weight_tables
+    if id(scheme) not in tables:
+        tables[id(scheme)] = (scheme, WeightTable(spec.units, scheme))
+    return tables[id(scheme)][1]
 
 
 def enumerate_tags(units, fixed: dict) -> list:
@@ -193,8 +341,7 @@ def count_states(spec: ModelSpec) -> int:
 
 def state_weight(state: IceState, scheme) -> LaurentPoly:
     """Product of Boltzmann weights over all units: vertices, bends and corner."""
-    return LaurentPoly.prod(unit_weight(unit, tag, scheme)
-                            for unit, tag in zip(state.spec.units, state.tags))
+    return weight_table(state.spec, scheme).weigh(state.tags)
 
 
 def partition_function(spec: ModelSpec, scheme) -> LaurentPoly:

@@ -24,7 +24,8 @@ built scheme with ``dataclasses.replace``.
 
 ``unit_weight`` is the one weight lookup: the weight of any unit (vertex,
 bend, corner, or the crossing of two rows, whose weights ``cross_weights``
-gives) in a given local configuration.
+gives) in a given local configuration; ``unit_weights`` gives it for
+every configuration of a unit at once, as ``states.WeightTable`` packs it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ def unit_weight(unit, tag, scheme: WeightScheme) -> LaurentPoly:
         return scheme.corner_r if tag == "R" else scheme.corner_l
     j, k = unit.label  # cross
     return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[tag]
+
+
+def unit_weights(unit, scheme: WeightScheme) -> dict:
+    """Map each tag of a unit to unit_weight(unit, tag, scheme); a crossing's
+    six weights come from one cross_weights."""
+    if unit.kind == "cross":
+        j, k = unit.label
+        return cross_weights(scheme.row_weights(j), scheme.row_weights(k))
+    return {tag: unit_weight(unit, tag, scheme) for tag in unit.tags}
 
 
 _CENTRAL_X = {"Bstar": ONE, "C": -ONE, "BC": ONE}   # central x, okada and character weights

@@ -1,18 +1,22 @@
-"""The packed-exponent layout of bentice.laurent against its oracles.
+"""The packed-exponent layouts of bentice.laurent against their oracles.
 
 The chained division must equal the dense-tuple division it replaced
 (tests/oracles.py), applied one divisor at a time; the layout must
 round-trip monomials and keep their order; a slot that overflows must
 end the division; the pre-check must draw the same points for equal
-polynomials, whatever the order of their terms.
+polynomials, whatever the order of their terms.  The signed layout that
+weighs states must round-trip every monomial within its bound, unpack a
+sum of packed monomials to their product, and refuse an exponent past
+the bound instead of wrapping it.
 """
 
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bentice import identities
-from bentice.laurent import GInt, LaurentPoly, Var, _Packed, dense_key
+from bentice.laurent import GInt, LaurentPoly, Var, _mono_mul, _Packed, _Signed, dense_key
 
 import oracles
 
@@ -167,3 +171,51 @@ def test_packed_values_are_the_cleared_polys_values(seed):
                 c = c * point[v] ** e
             want = want + c
         assert packed.value(k, powers) == want
+
+
+SIGNED_VARIABLES = BANKS["generic"] + BANKS["deformation"]
+
+
+@st.composite
+def signed_layouts(draw):
+    """(layout, the bound on each exponent of a monomial drawn for it)."""
+    variables = draw(st.lists(st.sampled_from(SIGNED_VARIABLES), min_size=1, unique=True))
+    bound = draw(st.integers(0, 300))
+    return _Signed(variables, bound, low=draw(st.integers(0, 12))), bound
+
+
+def monomials(layout, bound):
+    return st.dictionaries(st.sampled_from(sorted(layout.offsets)),
+                           st.integers(-bound, bound).filter(bool)).map(
+        lambda exps: tuple(sorted(exps.items())))
+
+
+@given(st.data())
+def test_signed_pack_then_read_gives_the_monomial_back(data):
+    layout, bound = data.draw(signed_layouts())
+    m = data.draw(monomials(layout, bound))
+    # the bits below the slots are the caller's, and read passes over them
+    below = data.draw(st.integers(0, (1 << min(layout.offsets.values())) - 1))
+    assert layout.read(layout.pack(m) + below) == m
+
+
+@given(st.data())
+def test_a_sum_of_packed_monomials_reads_as_their_product(data):
+    layout, bound = data.draw(signed_layouts())
+    count = data.draw(st.integers(1, 6))
+    # each exponent within bound // count, so every slot's sum stays within the bound
+    factors = data.draw(st.lists(monomials(layout, bound // count), min_size=count,
+                                 max_size=count))
+    product = ()
+    for m in factors:
+        product = _mono_mul(product, m)
+    assert layout.read(sum(layout.pack(m) for m in factors)) == product
+
+
+@given(st.data())
+def test_an_exponent_past_the_bound_is_refused(data):
+    layout, bound = data.draw(signed_layouts())
+    v = data.draw(st.sampled_from(sorted(layout.offsets)))
+    e = data.draw(st.integers(bound + 1, 4 * bound + 8)) * data.draw(st.sampled_from([1, -1]))
+    with pytest.raises(ValueError):
+        layout.pack(((v, e),))

@@ -1,12 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from bentice.laurent import LaurentPoly
-from bentice.models import FAMILIES, build_model
-from bentice.states import enumerate_states, partition_function, state_tikz, state_weight
+from bentice import relations
+from bentice.laurent import GInt, LaurentPoly, MixedBankError, Var
+from bentice.models import BENT_FAMILIES, FAMILIES, bend_unit, build_model, row_layout
+from bentice.states import (
+    WeightTable, enumerate_states, enumerate_tags, partition_function, state_tikz, state_weight,
+)
 from bentice.weights import (
-    BUILTIN_SCHEMES, make_deformation, make_generic, make_scheme, unit_weight,
+    BUILTIN_SCHEMES, ONE, make_deformation, make_generic, make_scheme, unit_weight,
 )
 
 from oracles import (
@@ -143,7 +147,161 @@ def test_state_weight_is_the_chained_product(family, name):
             spec = build_model(family, list(lam))
             order = weighting_order(spec)
             for state in enumerate_states(spec):
-                assert state_weight(state, scheme) == chained_state_weight(state, scheme, order)
+                got, want = state_weight(state, scheme), chained_state_weight(state, scheme, order)
+                assert got == want and got.bank == want.bank
+
+
+def the_instances():
+    """Every model with n <= 3 and lambda_1 <= 4, as (n, lambda)."""
+    return [(n, lam) for n in (1, 2, 3) for lam in itertools.combinations(range(4, 0, -1), n)]
+
+
+def the_other_bank(scheme):
+    """A monomial of the bank the scheme does not use."""
+    return LaurentPoly.var(Var.x(1) if scheme.name == "generic" else Var.a1(1))
+
+
+def with_vertices(scheme, change):
+    """The scheme with each vertex weight w of kind k in row r made change(k, r, w)."""
+    return replace(scheme, vertex={(k, r): change(k, r, w) for (k, r), w in scheme.vertex.items()})
+
+
+def zero_d_bend(scheme):
+    return replace(scheme, bend_down=dict.fromkeys(scheme.bend_down, LaurentPoly({})))
+
+
+def c1_plus_one(scheme):
+    """Off the free-fermion point."""
+    return with_vertices(scheme, lambda k, r, w: w + ONE if k == "c1" else w)
+
+
+def twice_a1(scheme):
+    """A single term whose coefficient is not a unit."""
+    return with_vertices(scheme, lambda k, r, w: 2 * w if k == "a1" else w)
+
+
+def three_term_c1(scheme):
+    """c1 = a1 a2 + b1 b2 + a1 b1, three terms in generic and deformation rows."""
+    def change(k, r, w):
+        if k != "c1":
+            return w
+        a1, a2, b1, b2 = (scheme.vertex[kind, r] for kind in ("a1", "a2", "b1", "b2"))
+        return a1 * a2 + b1 * b2 + a1 * b1
+    return with_vertices(scheme, change)
+
+
+def mixed_banks(scheme):
+    """Every D bend, or in family A row 1's c2, weighs a monomial of the other bank."""
+    other = the_other_bank(scheme)
+    if scheme.bend_down:
+        return replace(scheme, bend_down=dict.fromkeys(scheme.bend_down, other))
+    return with_vertices(scheme, lambda k, r, w: other if (k, r) == ("c2", "1") else w)
+
+
+PERTURBATIONS = {"zero D bend": zero_d_bend, "c1 + 1": c1_plus_one, "2 a1": twice_a1,
+                 "three-term c1": three_term_c1, "mixed banks": mixed_banks}
+
+
+def same(got, want):
+    """Equal terms and bank, or both a MixedBankError."""
+    if isinstance(want, MixedBankError):
+        return isinstance(got, MixedBankError)
+    return not isinstance(got, MixedBankError) and got == want and got.bank == want.bank
+
+
+def old_local_z(units, fixed, scheme):
+    """Oracle: the sum over the diagram's states of LaurentPoly.prod over unit_weight."""
+    return LaurentPoly.sum(LaurentPoly.prod(unit_weight(u, tag, scheme) for u, tag in zip(units, tags))
+                           for tags in enumerate_tags(units, fixed))
+
+
+def weighed(weigh, *args):
+    """weigh(*args), or the MixedBankError it raises."""
+    try:
+        return weigh(*args)
+    except MixedBankError as e:
+        return e
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("regime", ["generic", "deformation"])
+def test_perturbed_state_weights_are_the_chained_product(regime, family, perturbation):
+    # every model with n <= 2 and lambda_1 <= 4, and rho(3); under mixed
+    # banks the oracle is LaurentPoly.prod in the order of the units, the
+    # order in which it reads the banks and stops at a zero
+    mixed = perturbation == "mixed banks"
+    raised = []
+    for n, lam in the_instances():
+        if n == 3 and lam != (3, 2, 1):
+            continue
+        scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, n))
+        spec = build_model(family, list(lam))
+        order = weighting_order(spec)
+        wants = []
+        for state in enumerate_states(spec):
+            if mixed:
+                want = weighed(LaurentPoly.prod, (unit_weight(u, tag, scheme)
+                                                  for u, tag in zip(spec.units, state.tags)))
+            else:
+                want = chained_state_weight(state, scheme, order)
+            assert same(weighed(state_weight, state, scheme), want)
+            wants.append(want)
+        raised += [isinstance(want, MixedBankError) for want in wants]
+        if any(isinstance(want, MixedBankError) for want in wants):
+            with pytest.raises(MixedBankError):
+                partition_function(spec, scheme)
+        else:
+            z, total = partition_function(spec, scheme), LaurentPoly.sum(wants)
+            assert z == total and z.bank == total.bank
+    # mixed banks raise at some states and not at others; nothing else raises
+    assert (any(raised), all(raised)) == (mixed, False)
+
+
+def local_diagrams(scheme):
+    """The fish's, and with a central row the jellyfish's, two sides, each
+    as (units, the fixings of their boundary)."""
+    diagrams = []
+    sides = [relations._fish_sides]
+    if row_layout(scheme.family, scheme.n)[1] is not None:
+        sides.append(relations._jellyfish_sides)
+    for make in sides:
+        lhs, rhs, names, lhs_fixed, rhs_fixed = make(scheme, 1)
+        for units, fixed in ((lhs, lhs_fixed), (rhs, rhs_fixed)):
+            diagrams.append((units, [{**f, **fixed} for f in relations._assignments(names)]))
+    return diagrams
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("family", BENT_FAMILIES)
+@pytest.mark.parametrize("regime", ["generic", "deformation"])
+def test_perturbed_local_z_is_the_chained_product(regime, family, perturbation):
+    scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, 2))
+    raised = []
+    for units, fixings in local_diagrams(scheme):
+        for fixed in fixings:
+            want = weighed(old_local_z, units, fixed, scheme)
+            assert same(weighed(relations.local_z, units, fixed, scheme), want)
+            raised.append(isinstance(want, MixedBankError))
+    assert (any(raised), all(raised)) == (perturbation == "mixed banks", False)
+
+
+def test_a_zero_ends_the_product_before_the_banks_mix():
+    # three independent bends, each U or D; row 2 mixes a generic U with
+    # a deformation D, and a zero comes before, between or after
+    a, x = LaurentPoly.var(Var.a1(1)), LaurentPoly.var(Var.x(1))
+    units = [bend_unit(r, ("t", r), ("b", r)) for r in "123"]
+    bends = {"1": (a, LaurentPoly({})), "2": (ONE, x), "3": (LaurentPoly({}), 2 * a)}
+    scheme = replace(make_generic("B", 3), bend_up={r: u for r, (u, _) in bends.items()},
+                     bend_down={r: d for r, (_, d) in bends.items()})
+    table = WeightTable(units, scheme)
+    outcomes = []
+    for tags in enumerate_tags(units, {}):
+        want = weighed(LaurentPoly.prod, (unit_weight(u, t, scheme) for u, t in zip(units, tags)))
+        assert same(weighed(table.weigh, tags), want)
+        outcomes.append("raises" if isinstance(want, MixedBankError) else
+                        "zero" if want.is_zero() else "weight")
+    assert sorted(set(outcomes)) == ["raises", "weight", "zero"]
 
 
 class TestRowPairBalance:
