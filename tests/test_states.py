@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from bentice import relations
-from bentice.laurent import GInt, LaurentPoly, MixedBankError, Var
+from bentice.laurent import LaurentPoly, MixedBankError, Var
 from bentice.models import BENT_FAMILIES, FAMILIES, bend_unit, build_model, row_layout
 from bentice.states import (
     WeightTable, enumerate_states, enumerate_tags, partition_function, state_tikz, state_weight,
@@ -151,11 +151,6 @@ def test_state_weight_is_the_chained_product(family, name):
                 assert got == want and got.bank == want.bank
 
 
-def the_instances():
-    """Every model with n <= 3 and lambda_1 <= 4, as (n, lambda)."""
-    return [(n, lam) for n in (1, 2, 3) for lam in itertools.combinations(range(4, 0, -1), n)]
-
-
 def the_other_bank(scheme):
     """A monomial of the bank the scheme does not use."""
     return LaurentPoly.var(Var.x(1) if scheme.name == "generic" else Var.a1(1))
@@ -232,10 +227,9 @@ def test_perturbed_state_weights_are_the_chained_product(regime, family, perturb
     # order in which it reads the banks and stops at a zero
     mixed = perturbation == "mixed banks"
     raised = []
-    for n, lam in the_instances():
-        if n == 3 and lam != (3, 2, 1):
-            continue
-        scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, n))
+    for lam in [lam for n in (1, 2) for lam in itertools.combinations(range(4, 0, -1), n)] \
+            + [(3, 2, 1)]:
+        scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, len(lam)))
         spec = build_model(family, list(lam))
         order = weighting_order(spec)
         wants = []
@@ -287,8 +281,10 @@ def test_perturbed_local_z_is_the_chained_product(regime, family, perturbation):
 
 
 def test_a_zero_ends_the_product_before_the_banks_mix():
-    # three independent bends, each U or D; row 2 mixes a generic U with
-    # a deformation D, and a zero comes before, between or after
+    # three independent bends, each U or D, swept in row order: row 1's U
+    # and row 3's D are generic, row 2's D is a deformation weight, and
+    # row 1's D and row 3's U are zero, so a zero comes before the banks
+    # mix, after they mix, or in a state where they do not
     a, x = LaurentPoly.var(Var.a1(1)), LaurentPoly.var(Var.x(1))
     units = [bend_unit(r, ("t", r), ("b", r)) for r in "123"]
     bends = {"1": (a, LaurentPoly({})), "2": (ONE, x), "3": (LaurentPoly({}), 2 * a)}
