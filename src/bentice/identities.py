@@ -132,7 +132,7 @@ def probabilistic_divides(num: LaurentPoly, dens: list,
                           rng: random.Random, trials: int = 5):
     """(False, point) only with a witness that dens' product does not divide num.
 
-    Clears num and every divisor once (see LaurentPoly.clearing_shift)
+    Clears num and every divisor once (see laurent._clearing_shift)
     and packs them into one layout (see laurent._Packed), in which every
     point is valued.  At each random Gaussian-integer point it values the
     cleared num once and divides that value by each cleared divisor's

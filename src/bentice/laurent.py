@@ -23,7 +23,7 @@ Conventions baked into the representation:
   sorted variables involved, and native tuple order is the monomial order.
 - Exact division and the divisibility pre-check's evaluation run in one
   private packed layout (``_Packed``): each operand is cleared once
-  (``clearing_shift``), every monomial becomes one int with a guarded slot
+  (``_clearing_shift``), every monomial becomes one int with a guarded slot
   per variable, in which int order is the monomial order, and coefficients
   are ``(re, im)`` int pairs.  Only a final quotient is unpacked.
 - State weights are products of unit weights packed once over a second
@@ -240,6 +240,17 @@ def _exponent_bounds(terms) -> dict:
     n = len(terms)
     return {v: (min(es), max(es)) if len(es) == n else (min(0, *es), max(0, *es))
             for v, es in exps.items()}
+
+
+def _clearing_shift(bounds: dict) -> Monomial:
+    """The unit monomial that shifts each variable of a polynomial by minus
+    its least exponent, read from the polynomial's _exponent_bounds.
+
+    The product with the polynomial has no negative exponent and no
+    monomial factor, so a cleared divisor divides a cleared dividend
+    exactly when the Laurent polynomials divide.
+    """
+    return tuple(sorted((v, -lo) for v, (lo, _) in bounds.items() if lo))
 
 
 def dense_key(m: Monomial, order: list) -> tuple:
@@ -476,22 +487,11 @@ class LaurentPoly:
 
         return LaurentPoly.sum(image(m, c) for m, c in self.terms.items())
 
-    def clearing_shift(self) -> Monomial:
-        """The unit monomial that shifts each variable by minus its least exponent.
-
-        A monomial without the variable counts as exponent 0.  The product
-        with self has no negative exponent and no monomial factor, so a
-        cleared divisor divides a cleared dividend exactly when the Laurent
-        polynomials divide.
-        """
-        return tuple(sorted((v, -lo) for v, (lo, _) in _exponent_bounds(self.terms).items()
-                            if lo))
-
     # -- division --------------------------------------------------------
     def exact_divide(self, *divisors: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Quotient of self by the product of the divisors when exact, else None.
 
-        Every operand is cleared once (see clearing_shift) and packed into
+        Every operand is cleared once (see _clearing_shift) and packed into
         one layout (see _Packed); self is divided by each divisor in turn,
         each quotient being the next dividend.  One division runs under
         the lexicographic order and is exact iff its remainder is zero
@@ -628,9 +628,10 @@ class _Packed(_Layout):
     shift, or none for a polynomial without negative exponents), so every
     exponent is nonnegative.  The operands' joint variables, sorted, each
     own one slot (see _Layout), ``width`` bits enough for the largest
-    shifted exponent.  So int order is the lexicographic monomial order
-    (the order of dense_key tuples), the product of two monomials is the
-    sum of their ints, and b divides a exactly when ``(a | guard) - b``
+    shifted exponent, read from each operand's ``_exponent_bounds``, which
+    the caller computes once.  So int order is the lexicographic monomial
+    order (the order of dense_key tuples), the product of two monomials is
+    the sum of their ints, and b divides a exactly when ``(a | guard) - b``
     keeps every guard bit.  A sum of two slots carries at most into its
     guard bit, never into the next slot.  Coefficients are (re, im) int
     pairs.
@@ -638,8 +639,7 @@ class _Packed(_Layout):
 
     __slots__ = ("shifts", "terms")
 
-    def __init__(self, polys, shifts):
-        bounds = [_exponent_bounds(p.terms) for p in polys]
+    def __init__(self, polys, bounds, shifts):
         self.shifts = [dict(shift) for shift in shifts]
         top = max((hi + shift.get(v, 0) for b, shift in zip(bounds, self.shifts)
                    for v, (_, hi) in b.items()), default=0)
@@ -651,8 +651,10 @@ class _Packed(_Layout):
 
     @classmethod
     def cleared(cls, polys) -> "_Packed":
-        """The polynomials packed, each cleared by its clearing_shift."""
-        return cls(polys, [p.clearing_shift() for p in polys])
+        """The polynomials packed, each cleared by its _clearing_shift, from
+        one _exponent_bounds per polynomial."""
+        bounds = [_exponent_bounds(p.terms) for p in polys]
+        return cls(polys, bounds, [_clearing_shift(b) for b in bounds])
 
     # -- division ----------------------------------------------------------
     def quotient(self) -> Optional[dict]:

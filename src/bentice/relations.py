@@ -32,14 +32,11 @@ from .weights import WeightScheme, crossing
 I = LaurentPoly.const(GI)
 
 
-def local_z(units, fixed: dict, scheme: WeightScheme,
-            table: Optional[WeightTable] = None) -> LaurentPoly:
-    """Partition function of a local diagram with the given fixed arrows,
-    weighed through table, the units' WeightTable under scheme, which a
-    check that fixes the arrows in turn builds once; by default, here."""
-    if table is None:
-        table = WeightTable(units, scheme)
-    return LaurentPoly.sum(map(table.weigh, enumerate_tags(units, fixed)))
+def local_z(table: WeightTable, fixed: dict) -> LaurentPoly:
+    """Partition function of a local diagram, the units of table, with the
+    given fixed arrows; a check that fixes the arrows in turn builds each
+    side's table once."""
+    return LaurentPoly.sum(map(table.weigh, enumerate_tags(table.units, fixed)))
 
 
 @dataclass
@@ -256,7 +253,7 @@ def _sides_agree(scheme: WeightScheme, lhs_units, rhs_units, names) -> Verdict:
     lhs, rhs = WeightTable(lhs_units, scheme), WeightTable(rhs_units, scheme)
     for fixed in _assignments(names):
         verdict.checked += 1
-        equal = local_z(lhs_units, fixed, scheme, lhs) == local_z(rhs_units, fixed, scheme, rhs)
+        equal = local_z(lhs, fixed) == local_z(rhs, fixed)
         if not equal and verdict.ok:
             verdict.ok, verdict.witness = False, fixed
     return verdict
@@ -269,8 +266,8 @@ def _ratio_verdict(scheme: WeightScheme, lhs_units, rhs_units, names, lhs_fixed,
     sides = []
     lhs, rhs = WeightTable(lhs_units, scheme), WeightTable(rhs_units, scheme)
     for fixed in _assignments(names):
-        zl = local_z(lhs_units, {**fixed, **lhs_fixed}, scheme, lhs)
-        zr = local_z(rhs_units, {**fixed, **rhs_fixed}, scheme, rhs)
+        zl = local_z(lhs, {**fixed, **lhs_fixed})
+        zr = local_z(rhs, {**fixed, **rhs_fixed})
         if zl.is_zero() and zr.is_zero():
             continue
         sides.append((dict(fixed), zl, zr))

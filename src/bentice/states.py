@@ -36,10 +36,14 @@ Weights come from one packed table per units and scheme (``WeightTable``):
 each unit's weight in each of its tags (``weights.unit_weights``) is
 packed once over the signed layout ``laurent._Signed``, so a state's
 single-term weights multiply as one int sum and only its multi-term ones
-are multiplied out.  ``state_weight`` reads the model's table, built once
-per model and scheme and kept on the model (``weight_table``), and
-``relations.local_z`` weighs a local diagram's tag tuples through a table
-of its own units.
+are multiplied out.  Beside the exponents, a packed weight carries two
+counters: a power of i and whether it has a bank.  A table holds one
+bank: one whose weights span both raises MixedBankError when it is
+built, before any state is listed, so every weight it gives has exactly
+the terms and bank of ``LaurentPoly.prod``.  ``state_weight`` reads the
+model's table, built once per model and scheme and kept on the model
+(``weight_table``), and ``relations.local_z`` weighs a local diagram's
+tag tuples through a table of its own units.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .laurent import DEFORMATION, GENERIC, GInt, LaurentPoly, _check_bank, _Signed
+from .laurent import GInt, LaurentPoly, _check_bank, _Signed
 from .models import VERTEX_CONFIGS, ModelSpec
 from .weights import unit_weights
 
@@ -88,21 +92,23 @@ _TURNS = (lambda re, im: (re, im), lambda re, im: (-im, re),
 class WeightTable:
     """Every unit's weight in each of its tags, packed once for one scheme.
 
-    Every weight is formed here, once (``weights.unit_weights``), so one
-    that cannot be, such as a crossing of rows of two banks, raises before
-    any state is weighed.  The weights' variables share one signed layout
-    (``laurent._Signed``) whose bound is the number of units times the
-    largest |exponent| of any weight, so a product of one weight per unit
-    never leaves a slot.  Below the variables' slots sit three counters
-    of ``count`` bits each: a power of i, then the number of factors of
-    each bank (``laurent.GENERIC`` first).  ``weights`` maps each unit's
+    Every weight is formed here, once (``weights.unit_weights``), and all of
+    them must share one bank, kept as ``bank``: a table whose weights span
+    both banks, or that forms a crossing of rows of two banks, raises
+    MixedBankError before any state is listed or weighed.  The weights'
+    variables share one signed layout (``laurent._Signed``) whose bound is
+    the number of units times the largest |exponent| of any weight, so a
+    product of one weight per unit never leaves a slot.  Below the
+    variables' slots sit two counters of ``count`` bits each: a power of i,
+    then the number of factors with a bank.  ``weights`` maps each unit's
     tags to their packed weights:
 
     - one term with a unit coefficient (1, i, -1, -i): one int, the packed
-      monomial plus the coefficient's power of i and a count of its bank;
+      monomial plus the coefficient's power of i and, if it has a bank, 1
+      in the second counter;
     - zero: None;
-    - any other weight: (a count of its bank, its bit of the signature,
-      its terms as ``(packed monomial, re, im)``).
+    - any other weight: (its count in the second counter, its bit of the
+      signature, its terms as ``(packed monomial, re, im)``).
 
     A state's signature adds up the bits of its weights of the last kind,
     one bit field per distinct weight (a weight object that several units
@@ -111,15 +117,21 @@ class WeightTable:
     by signature.  Decoded monomials are kept by key in ``monomials``.
     """
 
-    __slots__ = ("weights", "layout", "count", "products", "monomials")
+    __slots__ = ("units", "bank", "weights", "layout", "count", "products", "monomials")
 
     def __init__(self, units, scheme):
+        self.units = units
         polys = [unit_weights(unit, scheme) for unit in units]
+        self.bank = None
+        for p in (p for ws in polys for p in ws.values()):
+            _check_bank(self.bank, p.bank)
+            if self.bank is None:
+                self.bank = p.bank
         monomials = [m for ws in polys for p in ws.values() for m in p.terms]
         top = max((abs(e) for m in monomials for _, e in m), default=0)
         self.count = (3 * len(units)).bit_length()
         self.layout = _Signed({v for m in monomials for v, _ in m}, len(units) * top,
-                              low=3 * self.count)
+                              low=2 * self.count)
         packed, field = {}, len(units).bit_length()
         for p in (p for ws in polys for p in ws.values()):
             if id(p) not in packed:
@@ -130,21 +142,22 @@ class WeightTable:
     def _packed(self, p: LaurentPoly, bit: int):
         if p.is_zero():
             return None
-        bank = 0 if p.bank is None else 1 << self.count * (1 + p.bank)
+        banked = 0 if p.bank is None else 1 << self.count
         if len(p.terms) == 1:
             ((m, c),) = p.terms.items()
             if c.is_unit():
-                return self.layout.pack(m) + bank + _I_POWERS[c.re, c.im]
-        return bank, bit, tuple((self.layout.pack(m), c.re, c.im) for m, c in p.terms.items())
+                return self.layout.pack(m) + banked + _I_POWERS[c.re, c.im]
+        return banked, bit, tuple((self.layout.pack(m), c.re, c.im) for m, c in p.terms.items())
 
     def weigh(self, tags) -> LaurentPoly:
         """The product of each unit's weight in its tag, equal to
-        ``LaurentPoly.prod`` over them, bank and MixedBankError included.
+        ``LaurentPoly.prod`` over them, bank included.
 
         The single terms add up into one int; the other factors are
         multiplied out over packed keys, once per signature, and each
-        monomial is unpacked once.  A zero weight ends the product, as in
-        ``prod``: the banks of the units after it are not read.
+        monomial is unpacked once.  A zero weight ends the product.  As in
+        ``prod``, the product has the table's bank if one of its factors
+        has a bank, even where their monomials cancel.
         """
         key = signature = 0
         factors = []
@@ -153,18 +166,18 @@ class WeightTable:
             if w.__class__ is int:
                 key += w
             elif w is None:
-                self._bank(key, tags)
                 return LaurentPoly._of({}, None)
             else:
                 key += w[0]
                 signature += w[1]
                 factors.append(w[2])
-        bank = self._bank(key, tags)
         terms = self.products.get(signature)
         if terms is None:
             terms = self.products[signature] = _multiplied(factors)
-        turn = _TURNS[(key & ((1 << self.count) - 1)) % 4]
-        key -= key & ((1 << 3 * self.count) - 1)
+        mask = (1 << self.count) - 1
+        turn = _TURNS[(key & mask) % 4]
+        bank = self.bank if key >> self.count & mask else None
+        key -= key & ((1 << 2 * self.count) - 1)
         read, monomials = self.layout.read, self.monomials
         out = {}
         for k, re, im in terms:
@@ -174,24 +187,6 @@ class WeightTable:
                 m = monomials[k] = read(k)
             out[m] = GInt(*turn(re, im))
         return LaurentPoly._of(out, bank)
-
-    def _banks(self, key: int) -> tuple:
-        """(generic, deformation): the factors of each bank that key counts."""
-        mask = (1 << self.count) - 1
-        return key >> self.count & mask, key >> 2 * self.count & mask
-
-    def _bank(self, key: int, tags):
-        """The bank of a product whose counters key holds.  Where it counts
-        factors of both banks, MixedBankError names first the bank of the
-        first unit with one, as ``prod`` does; that unit precedes any zero."""
-        generic, deformation = self._banks(key)
-        if generic and deformation:
-            for weights, tag in zip(self.weights, tags):
-                w = weights[tag]
-                g, d = self._banks(w if w.__class__ is int else w[0])
-                if g or d:
-                    _check_bank(DEFORMATION if d else GENERIC, GENERIC if d else DEFORMATION)
-        return GENERIC if generic else DEFORMATION if deformation else None
 
 
 def _multiplied(factors) -> tuple:
@@ -345,7 +340,10 @@ def state_weight(state: IceState, scheme) -> LaurentPoly:
 
 
 def partition_function(spec: ModelSpec, scheme) -> LaurentPoly:
-    """Sum of state weights; associative merge, order independent."""
+    """Sum of state weights; associative merge, order independent.  The
+    model's table is built first, so a scheme whose weights span both
+    banks is refused before any state is listed."""
+    weight_table(spec, scheme)
     return LaurentPoly.sum(state_weight(s, scheme) for s in enumerate_states(spec))
 
 

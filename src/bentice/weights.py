@@ -22,10 +22,10 @@ D = i in families B and C and 1 elsewhere, L = a0 - i*b0 in family C.  To
 probe the necessity direction of each local relation, tests perturb a
 built scheme with ``dataclasses.replace``.
 
-``unit_weight`` is the one weight lookup: the weight of any unit (vertex,
+``unit_weights`` is the one weight lookup: the weights of any unit (vertex,
 bend, corner, or the crossing of two rows, whose weights ``cross_weights``
-gives) in a given local configuration; ``unit_weights`` gives it for
-every configuration of a unit at once, as ``states.WeightTable`` packs it.
+gives) in each of its local configurations, by tag, as
+``states.WeightTable`` packs them.
 """
 
 from __future__ import annotations
@@ -85,25 +85,19 @@ def crossing(scheme: WeightScheme, j: str, k: str) -> LaurentPoly:
     return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[frozenset({"NW", "SW"})]
 
 
-def unit_weight(unit, tag, scheme: WeightScheme) -> LaurentPoly:
-    """The weight of a unit (see models.Unit) in the local configuration named by tag."""
-    if unit.kind == "vertex":
-        return scheme.vertex[(tag, unit.label[0])]
-    if unit.kind == "bend":
-        return (scheme.bend_down if tag == "D" else scheme.bend_up)[unit.label[0]]
-    if unit.kind == "corner":
-        return scheme.corner_r if tag == "R" else scheme.corner_l
-    j, k = unit.label  # cross
-    return cross_weights(scheme.row_weights(j), scheme.row_weights(k))[tag]
-
-
 def unit_weights(unit, scheme: WeightScheme) -> dict:
-    """Map each tag of a unit to unit_weight(unit, tag, scheme); a crossing's
-    six weights come from one cross_weights."""
+    """Map each tag of a unit (see models.Unit) to the unit's weight in the
+    local configuration the tag names; a crossing's six weights come from
+    one cross_weights."""
     if unit.kind == "cross":
         j, k = unit.label
         return cross_weights(scheme.row_weights(j), scheme.row_weights(k))
-    return {tag: unit_weight(unit, tag, scheme) for tag in unit.tags}
+    if unit.kind == "vertex":
+        return {tag: scheme.vertex[(tag, unit.label[0])] for tag in unit.tags}
+    if unit.kind == "bend":
+        return {tag: (scheme.bend_down if tag == "D" else scheme.bend_up)[unit.label[0]]
+                for tag in unit.tags}
+    return {tag: scheme.corner_r if tag == "R" else scheme.corner_l for tag in unit.tags}
 
 
 _CENTRAL_X = {"Bstar": ONE, "C": -ONE, "BC": ONE}   # central x, okada and character weights

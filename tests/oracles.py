@@ -41,7 +41,7 @@ from bentice.characters import (
 )
 from bentice.laurent import (
     _ZERO, GInt, LaurentPoly, Var, ZeroDivisorError, _add_term, _check_bank, _mono_mul,
-    _mono_pow, _Packed, dense_key, gpow_i,
+    _clearing_shift, _exponent_bounds, _mono_pow, _Packed, dense_key, gpow_i,
 )
 from bentice.models import (
     KINDS, EdgeId, ModelSpec, _edge_name, build_model, check_strict_partition, row_layout,
@@ -137,6 +137,12 @@ def zero() -> LaurentPoly:
     return _ZERO
 
 
+def clearing_shift(p: LaurentPoly):
+    """The unit monomial that clears p, as exact division clears it (see
+    laurent._clearing_shift)."""
+    return _clearing_shift(_exponent_bounds(p.terms))
+
+
 def evaluate(p: LaurentPoly, point: Mapping[Var, GInt]) -> GInt:
     """Exact value at a Gaussian-integer point covering all variables.
 
@@ -150,7 +156,7 @@ def evaluate(p: LaurentPoly, point: Mapping[Var, GInt]) -> GInt:
             if e < 0:
                 raise ValueError(
                     f"{v.name()} has a negative exponent; clear negative exponents first")
-    packed = _Packed((p,), ((),))
+    packed = _Packed((p,), [_exponent_bounds(p.terms)], [()])
     return packed.value(0, packed.powers(point))
 
 
@@ -172,7 +178,7 @@ def exact_divide(self: LaurentPoly, d: LaurentPoly) -> Optional[LaurentPoly]:
         return _ZERO
     _check_bank(self.bank, d.bank)
 
-    mp, md = self.clearing_shift(), d.clearing_shift()
+    mp, md = clearing_shift(self), clearing_shift(d)
     order = sorted(self.variables() | d.variables())
     rem = {dense_key(_mono_mul(m, mp), order): c for m, c in self.terms.items()}
     den = {dense_key(_mono_mul(m, md), order): c for m, c in d.terms.items()}

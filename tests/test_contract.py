@@ -13,7 +13,7 @@ import pytest
 from bentice import states
 from bentice.models import FAMILIES, build_model
 from bentice.states import contract, count_states, enumerate_states, partition_function
-from bentice.weights import BUILTIN_SCHEMES, unit_weight
+from bentice.weights import BUILTIN_SCHEMES, unit_weights
 
 
 def strict_partitions(max_part, max_len):
@@ -85,5 +85,5 @@ def test_contraction_gives_the_partition_function(family, name, lam):
     spec = build_model(family, lam)
     scheme = BUILTIN_SCHEMES[name](family, len(lam))
     z = contract(spec.units, spec.boundary,
-                 lambda unit, tag: unit_weight(unit, tag, scheme))
+                 lambda unit, tag: unit_weights(unit, scheme)[tag])
     assert z == partition_function(spec, scheme)

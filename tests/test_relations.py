@@ -10,6 +10,7 @@ from bentice.relations import (
     bend_ybe_check, caduceus_check, fish_check, fish_closed_form,
     jellyfish_check, jellyfish_closed_form, ybe_check,
 )
+from bentice.states import WeightTable
 from bentice.weights import (
     WeightScheme, make_character, make_deformation, make_generic,
 )
@@ -198,9 +199,10 @@ class TestCaduceus:
 def all_pairs_verdict(scheme, lhs_units, rhs_units, names, lhs_fixed, rhs_fixed):
     """(ok, witness, checked) of the ratio check comparing every two sides."""
     sides = []
+    lhs, rhs = WeightTable(lhs_units, scheme), WeightTable(rhs_units, scheme)
     for fixed in relations._assignments(names):
-        zl = relations.local_z(lhs_units, {**fixed, **lhs_fixed}, scheme)
-        zr = relations.local_z(rhs_units, {**fixed, **rhs_fixed}, scheme)
+        zl = relations.local_z(lhs, {**fixed, **lhs_fixed})
+        zr = relations.local_z(rhs, {**fixed, **rhs_fixed})
         if not (zl.is_zero() and zr.is_zero()):
             sides.append((dict(fixed), zl, zr))
     for (f1, l1, r1), (f2, l2, r2) in itertools.combinations(sides, 2):

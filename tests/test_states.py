@@ -1,16 +1,17 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from bentice import relations
-from bentice.laurent import LaurentPoly, MixedBankError, Var
-from bentice.models import BENT_FAMILIES, FAMILIES, bend_unit, build_model, row_layout
+from bentice import relations, states
+from bentice.laurent import DEFORMATION, GENERIC, LaurentPoly, MixedBankError, Var
+from bentice.models import BENT_FAMILIES, FAMILIES, build_model, row_layout
 from bentice.states import (
     WeightTable, enumerate_states, enumerate_tags, partition_function, state_tikz, state_weight,
 )
 from bentice.weights import (
-    BUILTIN_SCHEMES, ONE, make_deformation, make_generic, make_scheme, unit_weight,
+    BUILTIN_SCHEMES, ONE, make_deformation, make_generic, make_scheme, unit_weights,
 )
 
 from oracles import (
@@ -128,7 +129,7 @@ def chained_state_weight(state, scheme, order):
     total = LaurentPoly.const(1)
     for unit, tag_of in order:
         tag = tag_of[tuple(bits[e] for e, _pol in unit.edges)]
-        total = total * unit_weight(unit, tag, scheme)
+        total = total * unit_weights(unit, scheme)[tag]
         if total.is_zero():
             return total
     return total
@@ -205,9 +206,19 @@ def same(got, want):
 
 
 def old_local_z(units, fixed, scheme):
-    """Oracle: the sum over the diagram's states of LaurentPoly.prod over unit_weight."""
-    return LaurentPoly.sum(LaurentPoly.prod(unit_weight(u, tag, scheme) for u, tag in zip(units, tags))
+    """Oracle: the sum over the diagram's states of LaurentPoly.prod over the unit weights."""
+    return LaurentPoly.sum(LaurentPoly.prod(unit_weights(u, scheme)[tag] for u, tag in zip(units, tags))
                            for tags in enumerate_tags(units, fixed))
+
+
+def spans_both_banks(units, scheme):
+    """Oracle: whether the units' weights under scheme, or forming them,
+    mix the banks, so that their WeightTable refuses them."""
+    try:
+        banks = {p.bank for u in units for p in unit_weights(u, scheme).values()}
+    except MixedBankError:
+        return True
+    return {GENERIC, DEFORMATION} <= banks
 
 
 def weighed(weigh, *args):
@@ -222,34 +233,31 @@ def weighed(weigh, *args):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("regime", ["generic", "deformation"])
 def test_perturbed_state_weights_are_the_chained_product(regime, family, perturbation):
-    # every model with n <= 2 and lambda_1 <= 4, and rho(3); under mixed
-    # banks the oracle is LaurentPoly.prod in the order of the units, the
-    # order in which it reads the banks and stops at a zero
-    mixed = perturbation == "mixed banks"
+    # every model with n <= 2 and lambda_1 <= 4, and rho(3); a model whose
+    # unit weights span both banks is refused at every state, and
+    # otherwise each state weighs its chained product, terms and bank
     raised = []
     for lam in [lam for n in (1, 2) for lam in itertools.combinations(range(4, 0, -1), n)] \
             + [(3, 2, 1)]:
         scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, len(lam)))
         spec = build_model(family, list(lam))
+        refused = spans_both_banks(spec.units, scheme)
         order = weighting_order(spec)
         wants = []
         for state in enumerate_states(spec):
-            if mixed:
-                want = weighed(LaurentPoly.prod, (unit_weight(u, tag, scheme)
-                                                  for u, tag in zip(spec.units, state.tags)))
-            else:
-                want = chained_state_weight(state, scheme, order)
+            want = MixedBankError() if refused else chained_state_weight(state, scheme, order)
             assert same(weighed(state_weight, state, scheme), want)
             wants.append(want)
-        raised += [isinstance(want, MixedBankError) for want in wants]
-        if any(isinstance(want, MixedBankError) for want in wants):
+        raised += [refused] * len(wants)
+        if refused:
             with pytest.raises(MixedBankError):
                 partition_function(spec, scheme)
         else:
             z, total = partition_function(spec, scheme), LaurentPoly.sum(wants)
             assert z == total and z.bank == total.bank
-    # mixed banks raise at some states and not at others; nothing else raises
-    assert (any(raised), all(raised)) == (mixed, False)
+    # mixed banks raise everywhere; nothing else raises
+    mixed = perturbation == "mixed banks"
+    assert (any(raised), all(raised)) == (mixed, mixed)
 
 
 def local_diagrams(scheme):
@@ -273,31 +281,39 @@ def test_perturbed_local_z_is_the_chained_product(regime, family, perturbation):
     scheme = PERTURBATIONS[perturbation](make_scheme(regime, family, 2))
     raised = []
     for units, fixings in local_diagrams(scheme):
+        refused = spans_both_banks(units, scheme)
+        table = weighed(WeightTable, units, scheme)
+        assert isinstance(table, MixedBankError) == refused
         for fixed in fixings:
-            want = weighed(old_local_z, units, fixed, scheme)
-            assert same(weighed(relations.local_z, units, fixed, scheme), want)
-            raised.append(isinstance(want, MixedBankError))
-    assert (any(raised), all(raised)) == (perturbation == "mixed banks", False)
+            if not refused:
+                assert same(relations.local_z(table, fixed), old_local_z(units, fixed, scheme))
+            raised.append(refused)
+    # mixed banks raise everywhere the weights span both banks (the fish's
+    # right side is a lone bend, of one bank, and weighs as prod does);
+    # nothing else raises
+    assert any(raised) == (perturbation == "mixed banks")
 
 
-def test_a_zero_ends_the_product_before_the_banks_mix():
-    # three independent bends, each U or D, swept in row order: row 1's U
-    # and row 3's D are generic, row 2's D is a deformation weight, and
-    # row 1's D and row 3's U are zero, so a zero comes before the banks
-    # mix, after they mix, or in a state where they do not
-    a, x = LaurentPoly.var(Var.a1(1)), LaurentPoly.var(Var.x(1))
-    units = [bend_unit(r, ("t", r), ("b", r)) for r in "123"]
-    bends = {"1": (a, LaurentPoly({})), "2": (ONE, x), "3": (LaurentPoly({}), 2 * a)}
-    scheme = replace(make_generic("B", 3), bend_up={r: u for r, (u, _) in bends.items()},
-                     bend_down={r: d for r, (_, d) in bends.items()})
-    table = WeightTable(units, scheme)
-    outcomes = []
-    for tags in enumerate_tags(units, {}):
-        want = weighed(LaurentPoly.prod, (unit_weight(u, t, scheme) for u, t in zip(units, tags)))
-        assert same(weighed(table.weigh, tags), want)
-        outcomes.append("raises" if isinstance(want, MixedBankError) else
-                        "zero" if want.is_zero() else "weight")
-    assert sorted(set(outcomes)) == ["raises", "weight", "zero"]
+def test_a_table_with_both_banks_is_refused_before_any_state_is_listed(monkeypatch):
+    refusals = []
+    for regime in ("generic", "deformation"):
+        for family in FAMILIES:
+            scheme = mixed_banks(make_scheme(regime, family, 2))
+            spec = build_model(family, [2, 1])
+            state = enumerate_states(spec)[0]
+            refusals += [partial(partition_function, spec, scheme),
+                         partial(state_weight, state, scheme)]
+            if family in BENT_FAMILIES:
+                refusals.append(partial(WeightTable, local_diagrams(scheme)[0][0], scheme))
+
+    def unlisted(units, fixed):
+        raise AssertionError("a state was listed")
+
+    monkeypatch.setattr(states, "enumerate_tags", unlisted)
+    for refuse in refusals:
+        with pytest.raises(MixedBankError) as refused:
+            refuse()
+        assert "generic" in str(refused.value) and "deformation" in str(refused.value)
 
 
 class TestRowPairBalance:
